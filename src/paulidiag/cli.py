@@ -141,10 +141,14 @@ def load_params(path) -> KParams:
     n = int(raw["n"])
     try:
         ansatz = tuple(parse(w, n) for w in raw["ansatz"])
-        return KParams(ansatz, np.array(raw["r"], dtype=float),
-                       np.array(raw["theta"], dtype=float))
+        kp = KParams(ansatz, np.array(raw["r"], dtype=float),
+                     np.array(raw["theta"], dtype=float))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for key in ("r", "theta"):
+        if not np.all(np.isfinite(getattr(kp, key))):
+            raise ConfigError(f"{path}: non-finite value in {key!r}")
+    return kp
 
 
 def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
@@ -328,6 +332,20 @@ def _sweep_worker(item):
     return index, code, summary
 
 
+def _thread_count() -> int:
+    """Sweep worker cap from PAULI_DIAG_THREADS (default: CPU count)."""
+    raw = os.environ.get("PAULI_DIAG_THREADS")
+    if raw is None:
+        return os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"PAULI_DIAG_THREADS: expected an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"PAULI_DIAG_THREADS: expected at least 1, got {threads}")
+    return threads
+
+
 def cmd_diagonalize(args) -> int:
     raw = _load_json(args.config)
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -337,7 +355,7 @@ def cmd_diagonalize(args) -> int:
             raise ConfigError(f"{args.config}: --sweep expects a JSON list of configs")
         if out_dir is None:
             out_dir = Path(".")
-        threads = int(os.environ.get("PAULI_DIAG_THREADS", os.cpu_count() or 1))
+        threads = _thread_count()
         items = [
             (i, cfg, str(out_dir / f"run_{i:03d}"), args.seed_override)
             for i, cfg in enumerate(raw)

@@ -10,15 +10,25 @@ build_support_sets precomputes, for a Hamiltonian H and an ansatz list
 * g2: the non-identity products P_i P_j with their (j, j_P, c) index tables,
 * flat integer/phase tables that let the hot loops run as numpy gathers and
   bincount accumulations instead of per-term dict arithmetic.
+
+The build itself works on int64 x/z mask arrays. Each product family (H P_b,
+P_a (HK), g1 P_j, P_i P_j) is one broadcast of pauli.multiply_masks, strings
+are deduplicated through packed int64 keys (n <= MAX_QUBITS = 24 makes
+x << 24 | z fit), and PauliString objects are created only for the returned
+string tuples and g2_pairs. Distinct strings are numbered in order of first
+occurrence in row-major entry order, and g1/g2 follow PauliString order, so
+every table is independent of how the products are computed.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString, multiply, parse
+from .pauli import _PHASE_VALUES, MAX_QUBITS, PauliString, multiply, multiply_masks, parse
 
 PRUNE_TOL = 1e-14
 HERMITIAN_TOL = 1e-12
@@ -38,6 +48,8 @@ class PauliSum:
                 if p.n != n:
                     raise ValueError(f"term on {p.n} qubits in a {n}-qubit sum")
                 c = complex(c)
+                if not cmath.isfinite(c):
+                    raise ValueError(f"non-finite coefficient {c} on {p.word}")
                 if p in acc:
                     acc[p] += c
                 else:
@@ -159,6 +171,10 @@ def load_hamiltonian(path) -> PauliSum:
                 raise ValueError(
                     f"{path}: line {lineno}: bad coefficient {fields[0]!r}"
                 ) from None
+            if not math.isfinite(coeff):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite coefficient {fields[0]!r}"
+                )
             try:
                 p = parse(fields[1], n)
             except ValueError as e:
@@ -244,9 +260,8 @@ class SupportSets:
     diag_closure_idx: np.ndarray = field(repr=False)
 
     # per-parameter entry groupings used by the incremental optimizer caches
+    # (the khk tables need none: entry (a, s) sits at a * |hk_strings| + s)
     hk_entries_by_k: list = field(repr=False)
-    khk_entries_by_a: list = field(repr=False)
-    khk_entries_by_s: list = field(repr=False)
     phi_entries_by_j: list = field(repr=False)
 
     @property
@@ -291,6 +306,10 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
     ansatz = tuple(ansatz)
     if len(h) == 0:
         raise ValueError("empty Hamiltonian")
+    if not h.is_hermitian():
+        # the cost reads only Re tr(K'HK P): an anti-Hermitian part would be
+        # silently ignored
+        raise ValueError("Hamiltonian is not Hermitian (non-real coefficients)")
     if not ansatz:
         raise ValueError("empty ansatz")
     n = h.n
@@ -303,94 +322,80 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
     d = len(ansatz)
     h_strings = tuple(sorted(h.strings()))
     h_coeffs = np.array([h.coefficient(p) for p in h_strings], dtype=complex)
+    hx, hz = _masks(h_strings)
+    ax, az = _masks(ansatz)
 
-    # H*K support and its build table
-    hk_index: dict[PauliString, int] = {}
-    hk_rows = []
-    for i, q in enumerate(h_strings):
-        for b, pb in enumerate(ansatz):
-            ph, s = multiply(q, pb)
-            idx = hk_index.setdefault(s, len(hk_index))
-            hk_rows.append((i, b, ph.value, idx))
-    hk_strings = tuple(hk_index)  # insertion order matches indices
-    hk_src_h, hk_src_k, hk_phase, hk_tgt = _to_arrays(hk_rows)
+    # H*K support and its build table; entry (i, b) is h_strings[i] * P_b
+    k, cx, cz = multiply_masks(hx[:, None], hz[:, None], ax, az)
+    hk_keys, hk_tgt = _first_occurrence(_key(cx, cz).ravel())
+    hk_x, hk_z = _unkey(hk_keys)
+    hk_src_h = np.repeat(np.arange(len(h_strings)), d)
+    hk_src_k = np.tile(np.arange(d), len(h_strings))
+    hk_phase = _PHASES[k.ravel()]
 
-    # closure = strings of K'(HK), and its build table
-    closure_index: dict[PauliString, int] = {}
-    khk_rows = []
-    for a, pa in enumerate(ansatz):
-        for s_idx, s in enumerate(hk_strings):
-            ph, t = multiply(pa, s)
-            idx = closure_index.setdefault(t, len(closure_index))
-            khk_rows.append((a, s_idx, ph.value, idx))
-    closure = tuple(closure_index)
-    khk_src_a, khk_src_s, khk_phase, khk_tgt = _to_arrays(khk_rows)
+    # closure = strings of K'(HK), and its build table; entry (a, s) is P_a * S_s
+    k, cx, cz = multiply_masks(ax[:, None], az[:, None], hk_x, hk_z)
+    closure_keys, khk_tgt = _first_occurrence(_key(cx, cz).ravel())
+    cl_x, cl_z = _unkey(closure_keys)
+    khk_src_a = np.repeat(np.arange(d), len(hk_keys))
+    khk_src_s = np.tile(np.arange(len(hk_keys)), d)
+    khk_phase = _PHASES[k.ravel()]
 
-    g1 = tuple(sorted(p for p in closure if not p.is_diagonal))
-    g1_closure_idx = np.array([closure_index[p] for p in g1], dtype=np.intp)
-    diag_closure_idx = np.array(
-        [i for i, p in enumerate(closure) if p.is_diagonal], dtype=np.intp
-    )
+    # g1: the off-diagonal (x != 0) closure strings, sorted by key
+    off = np.flatnonzero(cl_x != 0)
+    g1_closure_idx = off[np.argsort(closure_keys[off])]
+    diag_closure_idx = np.flatnonzero(cl_x == 0)
+    g1_x, g1_z = cl_x[g1_closure_idx], cl_z[g1_closure_idx]
 
     # gradient lookup: for each (P in g1, j) the string P*P_j inside hk support
-    sentinel = len(hk_strings)
-    grad_tgt = np.empty((len(g1), d), dtype=np.intp)
-    grad_phase = np.empty((len(g1), d), dtype=complex)
-    for p_idx, p in enumerate(g1):
-        for j, pj in enumerate(ansatz):
-            ph, rr = multiply(p, pj)
-            grad_tgt[p_idx, j] = hk_index.get(rr, sentinel)
-            grad_phase[p_idx, j] = ph.value
+    k, rx, rz = multiply_masks(g1_x[:, None], g1_z[:, None], ax, az)
+    grad_keys = _key(rx, rz)
+    hk_order = np.argsort(hk_keys)
+    hk_sorted = hk_keys[hk_order]
+    pos = np.minimum(np.searchsorted(hk_sorted, grad_keys), len(hk_keys) - 1)
+    grad_tgt = np.where(hk_sorted[pos] == grad_keys, hk_order[pos], len(hk_keys))
+    grad_phase = _PHASES[k]
 
-    # pair products P_i P_j -> phi index tables
-    pair_map: dict[PauliString, list[tuple[int, int, complex]]] = {}
-    for i, pi in enumerate(ansatz):
-        for j, pj in enumerate(ansatz):
-            ph, p = multiply(pi, pj)
-            if p.is_identity:
-                continue
-            pair_map.setdefault(p, []).append((j, i, ph.value))
-    g2 = tuple(sorted(pair_map))
-    g2_pairs = {p: tuple(pair_map[p]) for p in g2}
-    phi_rows = []
-    for p_idx, p in enumerate(g2):
-        for j, jp, c in g2_pairs[p]:
-            phi_rows.append((p_idx, j, jp, c))
-    if phi_rows:
-        phi_p = np.array([r[0] for r in phi_rows], dtype=np.intp)
-        phi_j = np.array([r[1] for r in phi_rows], dtype=np.intp)
-        phi_jp = np.array([r[2] for r in phi_rows], dtype=np.intp)
-        phi_phase = np.array([r[3] for r in phi_rows], dtype=complex)
-    else:
-        phi_p = phi_j = phi_jp = np.empty(0, dtype=np.intp)
-        phi_phase = np.empty(0, dtype=complex)
+    # pair products P_i P_j -> phi index tables; entry (i, j) is P_i * P_j,
+    # the identity (i == j, the ansatz being distinct) left out
+    k, px, pz = multiply_masks(ax[:, None], az[:, None], ax, az)
+    pair_keys = _key(px, pz).ravel()
+    pair = np.flatnonzero(pair_keys != 0)
+    g2_keys, pair_p = np.unique(pair_keys[pair], return_inverse=True)
+    order = np.argsort(pair_p, kind="stable")
+    pair = pair[order]
+    phi_p = pair_p[order]
+    phi_j = pair % d
+    phi_jp = pair // d
+    phi_k = k.ravel()[pair]
+    phi_phase = _PHASES[phi_k]
 
-    def group(by: np.ndarray, count: int) -> list:
-        order = np.argsort(by, kind="stable")
-        bounds = np.searchsorted(by[order], np.arange(count + 1))
-        return [order[bounds[i] : bounds[i + 1]] for i in range(count)]
+    g2 = _strings(n, *_unkey(g2_keys))
+    entries = list(zip(
+        phi_j.tolist(), phi_jp.tolist(), [_PHASE_VALUES[v] for v in phi_k.tolist()]
+    ))
+    g2_pairs = {p: tuple(e) for p, e in zip(g2, _split(entries, phi_p, len(g2)))}
 
-    hk_entries_by_k = group(hk_src_k, d)
-    khk_entries_by_a = group(khk_src_a, d)
-    khk_entries_by_s = group(khk_src_s, len(hk_strings))
+    # the hk table is a row-major (|H|, d) grid: column b lists P_b's entries
+    hk_entries_by_k = list(np.arange(len(hk_tgt)).reshape(-1, d).T.copy())
+    # entry e touches j through phi_j[e] or phi_jp[e], never both (P_j P_j = I
+    # is not in phi), so each group lists distinct entries in ascending order
     both = np.concatenate([phi_j, phi_jp])
-    entry_ids = np.concatenate([np.arange(len(phi_j))] * 2) if len(phi_j) else both
-    phi_entries_by_j = [
-        np.unique(entry_ids[both == j]) if len(phi_j) else np.empty(0, dtype=np.intp)
-        for j in range(d)
-    ]
+    entry_ids = np.tile(np.arange(len(phi_j)), 2)
+    order = np.lexsort((entry_ids, both))
+    phi_entries_by_j = _split(entry_ids[order], both[order], d)
 
     return SupportSets(
         n=n,
         ansatz=ansatz,
-        g1=g1,
+        g1=_strings(n, g1_x, g1_z),
         g2=g2,
         g2_pairs=g2_pairs,
-        closure=closure,
+        closure=_strings(n, cl_x, cl_z),
         h_ref=h,
         h_strings=h_strings,
         h_coeffs=h_coeffs,
-        hk_strings=hk_strings,
+        hk_strings=_strings(n, hk_x, hk_z),
         hk_src_h=hk_src_h,
         hk_src_k=hk_src_k,
         hk_phase=hk_phase,
@@ -408,15 +413,49 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
         g1_closure_idx=g1_closure_idx,
         diag_closure_idx=diag_closure_idx,
         hk_entries_by_k=hk_entries_by_k,
-        khk_entries_by_a=khk_entries_by_a,
-        khk_entries_by_s=khk_entries_by_s,
         phi_entries_by_j=phi_entries_by_j,
     )
 
 
-def _to_arrays(rows):
-    a = np.array([r[0] for r in rows], dtype=np.intp)
-    b = np.array([r[1] for r in rows], dtype=np.intp)
-    ph = np.array([r[2] for r in rows], dtype=complex)
-    tgt = np.array([r[3] for r in rows], dtype=np.intp)
-    return a, b, ph, tgt
+# --- mask-array helpers for build_support_sets ------------------------------
+#
+# A string is packed into one int64 key, x << MAX_QUBITS | z. Key order is
+# PauliString order for a fixed n, so sorted keys give sorted strings.
+
+_PHASES = np.array(_PHASE_VALUES, dtype=complex)
+_LOW = (1 << MAX_QUBITS) - 1
+
+
+def _masks(strings) -> tuple[np.ndarray, np.ndarray]:
+    x = np.array([p.x_mask for p in strings], dtype=np.int64)
+    z = np.array([p.z_mask for p in strings], dtype=np.int64)
+    return x, z
+
+
+def _key(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return (x << MAX_QUBITS) | z
+
+
+def _unkey(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) masks of packed keys."""
+    return keys >> MAX_QUBITS, keys & _LOW
+
+
+def _first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in order of first occurrence, and each key's index among them."""
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.intp)
+    rank[order] = np.arange(len(uniq))
+    return uniq[order], rank[inverse]
+
+
+def _strings(n: int, x: np.ndarray, z: np.ndarray) -> tuple[PauliString, ...]:
+    return tuple(PauliString(n, xi, zi) for xi, zi in zip(x.tolist(), z.tolist()))
+
+
+def _split(values, sorted_by: np.ndarray, count: int) -> list:
+    """values (an array or list) cut into `count` runs at the bounds of
+    sorted_by = 0, 1, ..."""
+    bounds = np.searchsorted(sorted_by, np.arange(count + 1))
+    return [values[bounds[i] : bounds[i + 1]] for i in range(count)]

@@ -252,6 +252,10 @@ class IncrementalState:
         self.two_n = float(2**s.n)
         self._offdiag = np.zeros(len(s.closure), dtype=bool)
         self._offdiag[s.g1_closure_idx] = True
+        # ansatz-major copies of the gradient tables: a sampled block reads a
+        # few contiguous rows instead of gathering strided columns
+        self._grad_phase_by_j = np.ascontiguousarray(s.grad_phase.T)
+        self._grad_tgt_by_j = np.ascontiguousarray(s.grad_tgt.T)
         self.r = np.array(r, dtype=float)
         self.theta = np.array(theta, dtype=float)
         self._rebuild()
@@ -284,7 +288,9 @@ class IncrementalState:
         J = np.unique(coords % d)
 
         t = self.two_n * self.khk[s.g1_closure_idx].real
-        W = s.grad_phase[:, J] * self.hk[s.grad_tgt[:, J]]
+        # the transpose has the memory order of a column gather s.grad_phase[:, J],
+        # which keeps the matmul below summing in the same order
+        W = (self._grad_phase_by_j[J] * self.hk[self._grad_tgt_by_j[J]]).T
         W = W * (self.two_n * np.exp(-1j * self.theta[J]))[None, :]
         tw = t.astype(complex) @ W
         tw_full = np.zeros(d, dtype=complex)
@@ -361,29 +367,29 @@ class IncrementalState:
         touched_hk = np.unique(tgt)
 
         # K'(HK) corrections: old-K against the H*K delta, then K delta
-        # against the updated H*K
-        E_A = (
-            np.concatenate([s.khk_entries_by_s[si] for si in touched_hk])
-            if len(touched_hk)
-            else np.empty(0, dtype=np.intp)
-        )
+        # against the updated H*K. Entry (a, si) of the khk tables sits at
+        # a * |hk| + si, so each correction is one broadcast over that grid.
+        n_hk = len(s.hk_strings)
+        khk_phase = s.khk_phase.reshape(s.d, n_hk)
+        khk_tgt = s.khk_tgt.reshape(s.d, n_hk)
         contrib_A = (
-            k_old.conj()[s.khk_src_a[E_A]] * dhk[s.khk_src_s[E_A]] * s.khk_phase[E_A]
-        )
+            (k_old.conj()[None, :] * dhk[touched_hk][:, None]) * khk_phase[:, touched_hk].T
+        ).ravel()
+        tgt_A = khk_tgt[:, touched_hk].T.ravel()
         self.hk += dhk
-        E_B = np.concatenate([s.khk_entries_by_a[j] for j in J])
         contrib_B = (
-            (k_new - k_old).conj()[s.khk_src_a[E_B]]
-            * self.hk[s.khk_src_s[E_B]]
-            * s.khk_phase[E_B]
-        )
-        tgt_AB = np.concatenate([s.khk_tgt[E_A], s.khk_tgt[E_B]])
-        contrib_AB = np.concatenate([contrib_A, contrib_B])
-        touched_khk = np.unique(tgt_AB)
+            ((k_new - k_old).conj()[J][:, None] * self.hk[None, :n_hk]) * khk_phase[J]
+        ).ravel()
+        tgt_B = khk_tgt[J].ravel()
+        touched = np.zeros(len(s.closure), dtype=bool)
+        touched[tgt_A] = True
+        touched[tgt_B] = True
+        touched_khk = np.flatnonzero(touched)
         tk = touched_khk[self._offdiag[touched_khk]]
         t_old = self.two_n * self.khk[tk].real
         dkhk = np.zeros(len(s.closure), dtype=complex)
-        np.add.at(dkhk, tgt_AB, contrib_AB)
+        np.add.at(dkhk, tgt_A, contrib_A)
+        np.add.at(dkhk, tgt_B, contrib_B)
         self.khk += dkhk
         t_new = self.two_n * self.khk[tk].real
         self.f_value += float(np.sum(t_new * t_new) - np.sum(t_old * t_old))

@@ -164,6 +164,23 @@ class TestDiagonalize:
         # the partial trace and last params still land on disk
         assert (out / "trace.jsonl").exists() and (out / "params.json").exists()
 
+    @pytest.mark.parametrize("key", ["r", "theta"])
+    def test_non_finite_start_params_is_exit_1(self, tmp_path, capsys, key):
+        start = {"n": 2, "ansatz": ["XY", "ZZ"], "r": [0.6, 0.8], "theta": [0.3, 0.1]}
+        start[key][1] = float("nan")  # json writes it as NaN, and reads it back
+        cfg = {
+            "model": {"family": "xxz", "n": 2, "j": 1.0, "delta": 1.0},
+            "ansatz_source": {"kind": "file",
+                              "path": write_json(tmp_path / "start.json", start)},
+            "algorithm": "gd",
+            "opt": {"max_iters": 10},
+        }
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"non-finite value in {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dense_infeasible_is_exit_3(self, tmp_path, capsys):
         word = "XX" + "I" * 11
         params = write_json(tmp_path / "start.json", {
@@ -200,6 +217,18 @@ class TestSweep:
         path = write_json(tmp_path / "sweep.json", base_config(tmp_path / "o"))
         assert main(["diagonalize", "--config", path, "--sweep",
                      "--out-dir", str(tmp_path / "runs")]) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_is_exit_1(self, tmp_path, capsys, monkeypatch, value):
+        # rejected before the pool starts, so no worker runs
+        monkeypatch.setenv("PAULI_DIAG_THREADS", value)
+        cfg = base_config(tmp_path / "unused", max_iters=5)
+        del cfg["output"]
+        path = write_json(tmp_path / "sweep.json", [cfg])
+        assert main(["diagonalize", "--config", path, "--sweep",
+                     "--out-dir", str(tmp_path / "runs")]) == 1
+        assert "PAULI_DIAG_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_config_error_in_one_run_sets_exit_code(self, tmp_path, capsys):
         good = base_config(tmp_path / "unused", max_iters=5)
@@ -255,6 +284,16 @@ class TestVerify:
         out, _ = finished_run
         assert main(["verify", str(tmp_path / "gone.txt"),
                      str(out / "params.json")]) == 1
+
+
+    @pytest.mark.parametrize("coeff", ["nan", "inf"])
+    def test_non_finite_hamiltonian_line_is_exit_1(self, finished_run, tmp_path,
+                                                   capsys, coeff):
+        out, _ = finished_run
+        ham = tmp_path / "bad.txt"
+        ham.write_text(f"1.0 XXI\n{coeff} XXI\n1.0 ZZI\n")
+        assert main(["verify", str(ham), str(out / "params.json")]) == 1
+        assert f"line 2: non-finite coefficient '{coeff}'" in capsys.readouterr().err
 
 
 class TestLiedim:

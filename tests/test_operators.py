@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from paulidiag.operators import (
     HERMITIAN_TOL,
     PRUNE_TOL,
     PauliSum,
+    SupportSets,
     build_support_sets,
     conjugate,
     load_hamiltonian,
@@ -14,7 +16,7 @@ from paulidiag.operators import (
     sum_multiply,
     trace_with,
 )
-from paulidiag.pauli import PauliString, parse
+from paulidiag.pauli import MAX_QUBITS, PauliString, multiply, parse
 
 from conftest import dense_terms, dense_word
 
@@ -44,6 +46,12 @@ class TestPauliSum:
         x = parse("X")
         assert len(PauliSum(1, [(x, PRUNE_TOL)])) == 1
         assert len(PauliSum(1, [(x, PRUNE_TOL / 10)])) == 0
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(0, float("nan"))])
+    def test_rejects_non_finite(self, c):
+        # a NaN fails abs(c) >= PRUNE_TOL and would otherwise be pruned silently
+        with pytest.raises(ValueError, match="non-finite"):
+            PauliSum(1, [(parse("X"), c)])
 
     def test_constructors(self):
         assert len(PauliSum.zero(3)) == 0
@@ -152,6 +160,13 @@ class TestHamiltonianFiles:
         with pytest.raises(ValueError, match="line 2"):
             load_hamiltonian(path)
 
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient(self, tmp_path, coeff):
+        path = tmp_path / "h.txt"
+        path.write_text(f"0.5 XX\n{coeff} ZZ\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_hamiltonian(path)
+
     def test_malformed_word(self, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("0.5 XW\n")
@@ -203,6 +218,12 @@ class TestSupportSets:
             build_support_sets(h, ())
         with pytest.raises(ValueError):
             build_support_sets(PauliSum.zero(1), (parse("X"),))
+
+    def test_rejects_non_hermitian(self):
+        # the cost reads only Re tr(K'HK P), so the 0.5i ZI term would vanish
+        h = PauliSum.from_words({"XX": 1.0, "ZI": 0.5j})
+        with pytest.raises(ValueError, match="Hermitian"):
+            build_support_sets(h, (parse("II"), parse("XY")))
 
     def test_closure_soundness(self, rng):
         # every string K'HK can produce lies inside closure, off-diagonal ones in g1
@@ -262,3 +283,154 @@ class TestSupportSets:
         assert s1.g1 == s2.g1
         assert s1.g2 == s2.g2
         assert s1.closure == s2.closure
+
+
+def reference_tables(h: PauliSum, ansatz) -> dict:
+    """Every SupportSets table built entry by entry with pauli.multiply: the
+    loop reference the mask-array build must reproduce exactly."""
+    d = len(ansatz)
+    h_strings = tuple(sorted(h.strings()))
+    hk_index: dict = {}
+    hk_rows = []
+    for i, q in enumerate(h_strings):
+        for b, pb in enumerate(ansatz):
+            ph, t = multiply(q, pb)
+            hk_rows.append((i, b, ph.value, hk_index.setdefault(t, len(hk_index))))
+    closure_index: dict = {}
+    khk_rows = []
+    for a, pa in enumerate(ansatz):
+        for si, hs in enumerate(hk_index):
+            ph, t = multiply(pa, hs)
+            khk_rows.append((a, si, ph.value, closure_index.setdefault(t, len(closure_index))))
+    closure = tuple(closure_index)
+    g1 = tuple(sorted(p for p in closure if not p.is_diagonal))
+    grad = [[multiply(p, pj) for pj in ansatz] for p in g1]
+    pair_map: dict = {}
+    for i, pi in enumerate(ansatz):
+        for j, pj in enumerate(ansatz):
+            ph, p = multiply(pi, pj)
+            if not p.is_identity:
+                pair_map.setdefault(p, []).append((j, i, ph.value))
+    g2 = tuple(sorted(pair_map))
+    phi_rows = [(t, j, jp, c) for t, p in enumerate(g2) for j, jp, c in pair_map[p]]
+
+    def entries(rows, match, count):
+        return [
+            np.array([e for e, r in enumerate(rows) if match(r, v)], dtype=np.intp)
+            for v in range(count)
+        ]
+
+    tables = {
+        "h_strings": h_strings,
+        "hk_strings": tuple(hk_index),
+        "closure": closure,
+        "g1": g1,
+        "g2": g2,
+        "g2_pairs": {p: tuple(pair_map[p]) for p in g2},
+        "grad_tgt": np.array(
+            [[hk_index.get(t, len(hk_index)) for _, t in row] for row in grad],
+            dtype=np.intp,
+        ).reshape(len(g1), d),
+        "grad_phase": np.array(
+            [[ph.value for ph, _ in row] for row in grad], dtype=complex
+        ).reshape(len(g1), d),
+        "g1_closure_idx": np.array([closure_index[p] for p in g1], dtype=np.intp),
+        "diag_closure_idx": np.array(
+            [i for i, p in enumerate(closure) if p.is_diagonal], dtype=np.intp
+        ),
+        "hk_entries_by_k": entries(hk_rows, lambda r, v: r[1] == v, d),
+        "phi_entries_by_j": entries(phi_rows, lambda r, v: v in (r[1], r[2]), d),
+    }
+    for prefix, rows, names in (
+        ("hk", hk_rows, ("src_h", "src_k", "phase", "tgt")),
+        ("khk", khk_rows, ("src_a", "src_s", "phase", "tgt")),
+        ("phi", phi_rows, ("p", "j", "jp", "phase")),
+    ):
+        for c, name in enumerate(names):
+            dtype = complex if name == "phase" else np.intp
+            tables[f"{prefix}_{name}"] = np.array([r[c] for r in rows], dtype=dtype)
+    return tables
+
+
+def assert_tables_equal(s, ref: dict) -> None:
+    for name, want in ref.items():
+        got = getattr(s, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            if want.dtype.kind == "c":  # the phases match down to signed zeros
+                for part in ("real", "imag"):
+                    np.testing.assert_array_equal(
+                        np.signbit(getattr(got, part)), np.signbit(getattr(want, part)),
+                        err_msg=name,
+                    )
+        elif isinstance(want, list):
+            assert len(got) == len(want), name
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype, name
+                np.testing.assert_array_equal(g, w, err_msg=name)
+        elif isinstance(want, dict):
+            assert list(got) == list(want), name
+            for key, value in want.items():
+                assert repr(got[key]) == repr(value), (name, key)
+        else:
+            assert got == want, name
+
+
+def strings_of(words) -> tuple[PauliString, ...]:
+    return tuple(parse(w) for w in words)
+
+
+class TestMaskArrayBuild:
+    """build_support_sets against the loop reference, field by field."""
+
+    @pytest.mark.parametrize("h_words,ansatz_words", [
+        # n = 1, one ansatz string: no pair products, empty phi tables
+        ({"Z": 1.0}, ("X",)),
+        ({"Z": 1.0, "X": 0.3}, ("I", "X", "Y", "Z")),
+        # identity term in H, identity in the ansatz, colliding pair
+        # products (XI*IX = II*XX = IX*XI = XX)
+        ({"II": 0.7, "ZZ": -1.0, "XY": 0.25}, ("II", "IX", "XI", "XX", "YZ")),
+        # diagonal-only H and ansatz: no g1, grad tables of shape (0, d)
+        ({"ZI": 1.0, "IZ": 0.5}, ("II", "ZZ")),
+    ])
+    def test_handpicked_instances(self, h_words, ansatz_words):
+        h = PauliSum.from_words(h_words)
+        ansatz = strings_of(ansatz_words)
+        assert_tables_equal(build_support_sets(h, ansatz), reference_tables(h, ansatz))
+
+    def test_random_instances(self, rng):
+        for n in (1, 2, 3, 4):
+            for _ in range(4):
+                h = random_sum(rng, n, int(rng.integers(1, 2 * n + 3)))
+                if rng.random() < 0.5:
+                    h = h + PauliSum.identity(n, 0.4)
+                ansatz = {p for p, _ in random_sum(rng, n, int(rng.integers(1, 7))).items()}
+                if rng.random() < 0.5:
+                    ansatz.add(PauliString.identity(n))
+                ansatz = tuple(rng.permutation(sorted(ansatz)))
+                assert_tables_equal(
+                    build_support_sets(h, ansatz), reference_tables(h, ansatz)
+                )
+
+    def test_full_width_strings(self, rng):
+        # X or Y on qubit 23 sets bit 47 of the packed key x << 24 | z
+        n = MAX_QUBITS
+        full = (1 << n) - 1
+
+        def draw(count):
+            return {
+                PauliString(n, int(x) | (1 << (n - 1)), int(z))
+                for x, z in rng.integers(0, full + 1, size=(count, 2))
+            }
+
+        h = PauliSum(n, [(p, c) for p, c in zip(sorted(draw(4)), (1.0, -0.5, 0.25, 2.0))])
+        ansatz = tuple(sorted(draw(5) | {PauliString.identity(n)}))
+        assert_tables_equal(build_support_sets(h, ansatz), reference_tables(h, ansatz))
+
+    def test_reference_covers_every_table(self):
+        # guards the reference against a field added to SupportSets later
+        h = PauliSum.from_words({"Z": 1.0})
+        ref = reference_tables(h, (parse("X"),))
+        inputs = {"n", "ansatz", "h_ref", "h_coeffs"}
+        assert set(ref) | inputs == {f.name for f in dataclasses.fields(SupportSets)}

@@ -12,7 +12,9 @@ from paulidiag.pauli import (
     Phase,
     commutes,
     multiply,
+    multiply_masks,
     parse,
+    popcount,
 )
 
 from conftest import dense_word
@@ -159,6 +161,71 @@ class TestMultiply:
             dense_word(a.word) @ dense_word(b.word),
             atol=1e-14,
         )
+
+
+@st.composite
+def y_heavy_strings(draw, n):
+    # every bit of y carries Y; sparse extra X and Z bits on top
+    full = (1 << n) - 1
+    y = draw(st.integers(0, full))
+    extra_x = draw(st.integers(0, full)) & draw(st.integers(0, full))
+    extra_z = draw(st.integers(0, full)) & draw(st.integers(0, full))
+    return PauliString(n, y | extra_x, y | extra_z)
+
+
+def assert_masks_match_multiply(pairs):
+    """multiply_masks on the stacked pairs equals multiply pair by pair."""
+    ax, az, bx, bz = (
+        np.array([getattr(p[side], mask) for p in pairs], dtype=np.int64)
+        for side, mask in ((0, "x_mask"), (0, "z_mask"), (1, "x_mask"), (1, "z_mask"))
+    )
+    k, cx, cz = multiply_masks(ax, az, bx, bz)
+    for (a, b), ki, xi, zi in zip(pairs, k.tolist(), cx.tolist(), cz.tolist()):
+        ph, c = multiply(a, b)
+        assert (ki, xi, zi) == (ph.k, c.x_mask, c.z_mask), (a, b)
+
+
+class TestMultiplyMasks:
+    def test_all_single_qubit_pairs(self):
+        strings = [parse(w) for w in words(1)]
+        assert_masks_match_multiply([(a, b) for a in strings for b in strings])
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.tuples(y_heavy_strings(n), y_heavy_strings(n)), min_size=1, max_size=20
+    )))
+    def test_y_heavy(self, pairs):
+        assert_masks_match_multiply(pairs)
+
+    @settings(max_examples=60)
+    @given(st.lists(
+        st.tuples(pauli_strings(n=MAX_QUBITS), pauli_strings(n=MAX_QUBITS)),
+        min_size=1, max_size=20,
+    ))
+    def test_full_width_masks(self, pairs):
+        # the top qubit carrying X sets bit 47 of the packed key x << 24 | z
+        full = (1 << MAX_QUBITS) - 1
+        top = PauliString(MAX_QUBITS, full, full)
+        assert_masks_match_multiply(pairs + [(top, top), (top, pairs[0][0])])
+
+    def test_broadcast_is_row_major_outer_product(self):
+        a = [parse(w) for w in ("XYZ", "YYI", "IZX")]
+        b = [parse(w) for w in ("ZZZ", "XIY")]
+        ax = np.array([p.x_mask for p in a], dtype=np.int64)
+        az = np.array([p.z_mask for p in a], dtype=np.int64)
+        bx = np.array([p.x_mask for p in b], dtype=np.int64)
+        bz = np.array([p.z_mask for p in b], dtype=np.int64)
+        k, cx, cz = multiply_masks(ax[:, None], az[:, None], bx, bz)
+        assert k.shape == cx.shape == cz.shape == (3, 2)
+        for i, pa in enumerate(a):
+            for j, pb in enumerate(b):
+                ph, c = multiply(pa, pb)
+                assert (k[i, j], cx[i, j], cz[i, j]) == (ph.k, c.x_mask, c.z_mask)
+
+    @given(st.lists(st.integers(0, (1 << MAX_QUBITS) - 1), min_size=1, max_size=50))
+    def test_popcount(self, values):
+        got = popcount(np.array(values, dtype=np.int64))
+        assert got.tolist() == [v.bit_count() for v in values]
 
 
 class TestCommutes:
