@@ -8,7 +8,15 @@ Subcommands:
   trace-export  convert a JSON-lines trace into plot-ready CSV files
 
 Exit codes: 0 success, 1 config or input error, 2 radial collapse,
-3 dense verification infeasible, 4 bounds violated (verify only).
+3 dense verification infeasible, 4 bounds violated (verify only),
+5 non-finite cost or gradient (trace.jsonl and params.json are written,
+no report).
+
+A --sweep runs its configs in a pool of worker processes and prints one
+line per run. A run that raises an unexpected error prints
+"run_XXX: error: <Type>: <message>" (its traceback goes to stderr) and
+counts as exit 1; the other runs still finish and print their summaries.
+The sweep's exit code is the first non-zero code in run order.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -289,6 +298,9 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
 
     final = trace.records[-1]
     iterations = final.iteration
+    if trace.stop_reason == "non_finite":
+        return 5, (f"aborted: final_F={final.F_total:.3e} grad_norm={final.grad_norm:.3e} "
+                   f"iterations={iterations} stop=non_finite")
     try:
         rep0 = diag_report(h, kp0, trace.records[0].f_value, trace.records[0].penalty)
         rep1 = diag_report(h, trace.final_params, final.f_value, final.penalty)
@@ -329,6 +341,10 @@ def _sweep_worker(item):
         return index, 1, f"config error: {exc}"
     except DenseLimitError as exc:
         return index, 3, f"dense limit: {exc}"
+    except Exception as exc:
+        # one failing run must not lose the others' results
+        traceback.print_exc()
+        return index, 1, f"error: {type(exc).__name__}: {exc}"
     return index, code, summary
 
 

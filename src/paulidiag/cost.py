@@ -26,6 +26,7 @@ same gradients, far cheaper); see _dense_path_applies.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -154,7 +155,7 @@ class _DenseWork:
     """Dense tables for one (H, ansatz) pair: H as a matrix plus, for every
     ansatz string, its action on basis column c (target row and weight)."""
 
-    __slots__ = ("dim", "h_mat", "perm", "weight", "_flat")
+    __slots__ = ("dim", "h_mat", "perm", "weight", "_flat", "_gather")
 
     def __init__(self, s: SupportSets):
         n = s.n
@@ -173,6 +174,8 @@ class _DenseWork:
         for j, p in enumerate(s.ansatz):
             self.perm[j], self.weight[j] = stripe(p)
         self._flat = (self.perm * dim + cols[None, :]).ravel()
+        # flat positions of G[c, perm[j, c]], the entries gathered for dK'/dk_j
+        self._gather = cols[None, :] * dim + self.perm
         self.h_mat = np.zeros((dim, dim), dtype=complex)
         for q, coeff in zip(s.h_strings, s.h_coeffs):
             rows, w = stripe(q)
@@ -219,19 +222,14 @@ def _evaluate_dense(work: _DenseWork, r: np.ndarray, theta: np.ndarray, want_gra
 
     # dF = 2 Re tr(dK' G) with G = 2^{n+1} HK offdiag(K'HK) + (2/2^n) K T
     g_mat = (2.0 * dim) * (hk @ m_off) + (2.0 / dim) * (k @ t_less)
-    gvec = np.sum(
-        work.weight * g_mat[np.arange(dim)[None, :], work.perm], axis=1
-    )
+    gvec = np.sum(work.weight * g_mat.ravel().take(work._gather), axis=1)
     gvec *= np.exp(-1j * theta)
     grad_r = 2.0 * gvec.real
     grad_theta = 2.0 * r * gvec.imag
     return f, penalty, grad_r, grad_theta
 
 
-def _evaluate(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
-    work = _dense_work_for(s)
-    if work is not None:
-        return _evaluate_dense(work, r, theta, want_grad)
+def _evaluate_sparse(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
     kc = s.k_coeffs(r, theta)
     hk = s.hk_vector(kc)
     khk = s.khk_vector(kc, hk)
@@ -266,10 +264,20 @@ def _evaluate(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool)
     return f, penalty, grad_r, grad_theta
 
 
+def _evaluator(s: SupportSets):
+    """The evaluation routine for s, called as fn(r, theta, want_grad) and
+    returning (f, penalty, grad_r, grad_theta): the dense path when it
+    applies, else the support tables."""
+    work = _dense_work_for(s)
+    if work is not None:
+        return functools.partial(_evaluate_dense, work)
+    return functools.partial(_evaluate_sparse, s)
+
+
 def eval_f(h: PauliSum, kp: KParams, s: SupportSets) -> float:
     """Off-diagonal cost sum_{P in g1} tr(K'HK P)^2."""
     _check(h, kp, s)
-    f, _, _, _ = _evaluate(s, kp.r, kp.theta, want_grad=False)
+    f, _, _, _ = _evaluator(s)(kp.r, kp.theta, False)
     return f
 
 
@@ -293,12 +301,12 @@ def eval_phi(kp: KParams, p: PauliString, s: SupportSets) -> complex:
 def eval_F(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:
     """Total cost, values only."""
     _check(h, kp, s)
-    f, penalty, _, _ = _evaluate(s, kp.r, kp.theta, want_grad=False)
+    f, penalty, _, _ = _evaluator(s)(kp.r, kp.theta, False)
     return CostReport(f_value=f, penalty=penalty, total=f + penalty)
 
 
 def eval_grad(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:
     """Total cost with its exact gradient."""
     _check(h, kp, s)
-    f, penalty, gr, gt = _evaluate(s, kp.r, kp.theta, want_grad=True)
+    f, penalty, gr, gt = _evaluator(s)(kp.r, kp.theta, True)
     return CostReport(f_value=f, penalty=penalty, total=f + penalty, grad_r=gr, grad_theta=gt)

@@ -1,8 +1,12 @@
 """Normalized gradient descent and randomized coordinate descent.
 
 Both optimizers walk x_{t+1} = (r(y_t)/||r(y_t)||, theta(y_t)) with
-y_t = x_t - a_t g_t. GD uses the full exact gradient recomputed from scratch
-every iteration. RCD samples S of the 2d coordinates uniformly without
+y_t = x_t - a_t g_t, in one shared loop that owns the stop tests, the trace
+records, radial collapse and the final params. Inside it r and theta are
+plain arrays: the ansatz/Hamiltonian check runs once at entry and KParams is
+built once, for final_params. Only the step differs. GD uses the full exact
+gradient recomputed from scratch every iteration (dense or table path, chosen
+once at entry). RCD samples S of the 2d coordinates uniformly without
 replacement, computes only those partials from cached coefficient tables
 (K'HK over the closure, H*K over its support, phi over g2) and updates the
 caches incrementally: a sparse correction for the stepped parameters followed
@@ -11,12 +15,20 @@ scratch every refresh_every iterations and the observed drift is recorded.
 
 With S = 2d the sampled set is always the full coordinate set, so one RCD
 iteration reproduces one GD iteration (same step, seed-independent); run_rcd
-delegates that case to run_gd.
+takes GD's step in that case.
+
+Stop reasons: "converged" (F < stop_tol), "stationary" (gradient norm below
+grad_tol; RCD confirms it on the full gradient), "max_iters" and
+"non_finite" (F or the gradient norm is NaN or infinite; that iteration is
+recorded and final_params are the params it was evaluated at). A radial
+collapse raises RadialCollapseError carrying the trace so far.
 
 Per-iteration trace records: for RCD the recorded grad_norm / alpha_estimate
 cover the sampled coordinates only; at S = 2d they equal the full quantities.
 alpha_estimate is log(||g||^2/4) / log F, the local Lojasiewicz exponent read
 off with mu = 1; it is NaN when F is 0 or 1 or the gradient vanishes.
+wall_time is stamped after the evaluation, the stop tests and y_t, before
+the update: it leaves out the renormalization and RCD's cache updates.
 """
 
 from __future__ import annotations
@@ -24,11 +36,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import KParams, eval_grad
+from .cost import KParams, _check, _evaluator
+from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
 
 RADIAL_COLLAPSE_TOL = 1e-14
@@ -176,65 +189,94 @@ class OptTrace:
                 fh.write(json.dumps(rec.as_dict()) + "\n")
 
 
-def _require_unit_r(kp: KParams) -> None:
-    if abs(kp.r_norm - 1.0) > 1e-8:
-        raise ValueError(f"initial amplitudes must be unit norm, got ||r|| = {kp.r_norm}")
+def _support_for(h: PauliSum, kp0: KParams, support: SupportSets | None) -> SupportSets:
+    """Entry checks shared by both optimizers; returns the support tables."""
+    if abs(kp0.r_norm - 1.0) > 1e-8:
+        raise ValueError(f"initial amplitudes must be unit norm, got ||r|| = {kp0.r_norm}")
+    if support is None:
+        return build_support_sets(h, kp0.ansatz)
+    _check(h, kp0, support)
+    return support
+
+
+def _full_grad(s: SupportSets):
+    """GD's step: the exact full gradient at (r, theta), with its norm."""
+    evaluate = _evaluator(s)
+
+    def grad(r, theta):
+        f, penalty, gr, gt = evaluate(r, theta, True)
+        return f, penalty, gr, gt, float(np.sqrt(np.dot(gr, gr) + np.dot(gt, gt)))
+
+    return grad
+
+
+def _drive(kp0: KParams, cfg: OptConfig, lr: LRSchedule, trace: OptTrace,
+           grad, stationary=None, advance=None) -> OptTrace:
+    """The loop GD and RCD share, on plain r and theta arrays.
+
+    grad(r, theta) returns (f, penalty, grad_r, grad_theta, grad_norm);
+    stationary() confirms a gradient norm below grad_tol before the run stops
+    on it; advance(t, y_r, y_theta, nr), when given, moves the caches across
+    the step and returns the new (r, theta), which are otherwise
+    (y_r / nr, y_theta).
+    KParams is built once, for trace.final_params."""
+    r, theta = kp0.r, kp0.theta
+    for t in range(cfg.max_iters + 1):
+        t0 = time.perf_counter()
+        f_value, penalty, gr, gt, gnorm = grad(r, theta)
+        total = f_value + penalty
+        if not (math.isfinite(total) and math.isfinite(gnorm)):
+            stop = "non_finite"
+        elif total < cfg.stop_tol:
+            stop = "converged"
+        elif gnorm < cfg.grad_tol and (stationary is None or stationary()):
+            stop = "stationary"
+        elif t == cfg.max_iters:
+            stop = "max_iters"
+        else:
+            stop = ""
+        if stop:
+            nr = float(np.linalg.norm(r))
+        else:
+            a = lr_schedule_eval(lr, t)
+            y_r = r - a * gr
+            y_theta = theta - a * gt
+            nr = float(np.linalg.norm(y_r))
+        trace.records.append(
+            TraceRecord(
+                iteration=t,
+                F_total=total,
+                f_value=f_value,
+                penalty=penalty,
+                grad_norm=gnorm,
+                alpha_estimate=estimate_alpha(total, gnorm),
+                r_norm_pre_normalization=nr,
+                wall_time=time.perf_counter() - t0,
+            )
+        )
+        if stop:
+            trace.stop_reason = stop
+            break
+        if nr < RADIAL_COLLAPSE_TOL:
+            trace.stop_reason = "radial_collapse"
+            trace.final_params = kp0.with_params(r, theta)
+            raise RadialCollapseError(t, nr, trace)
+        if advance is None:
+            r, theta = y_r / nr, y_theta
+        else:
+            r, theta = advance(t, y_r, y_theta, nr)
+
+    trace.final_params = kp0.with_params(r, theta)
+    return trace
 
 
 def run_gd(
     h: PauliSum, kp0: KParams, cfg: OptConfig, support: SupportSets | None = None
 ) -> OptTrace:
     """Algorithm: full-gradient descent with per-step amplitude renormalization."""
-    _require_unit_r(kp0)
-    s = support if support is not None else build_support_sets(h, kp0.ansatz)
+    s = _support_for(h, kp0, support)
     lr = cfg.lr if cfg.lr is not None else GD_DEFAULT_LR
-    trace = OptTrace()
-    x = kp0
-    for t in range(cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        rep = eval_grad(h, x, s)
-        alpha = estimate_alpha(rep.total, rep.grad_norm)
-
-        def record(r_norm_pre: float) -> None:
-            trace.records.append(
-                TraceRecord(
-                    iteration=t,
-                    F_total=rep.total,
-                    f_value=rep.f_value,
-                    penalty=rep.penalty,
-                    grad_norm=rep.grad_norm,
-                    alpha_estimate=alpha,
-                    r_norm_pre_normalization=r_norm_pre,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
-
-        if rep.total < cfg.stop_tol:
-            record(x.r_norm)
-            trace.stop_reason = "converged"
-            break
-        if rep.grad_norm < cfg.grad_tol:
-            record(x.r_norm)
-            trace.stop_reason = "stationary"
-            break
-        if t == cfg.max_iters:
-            record(x.r_norm)
-            trace.stop_reason = "max_iters"
-            break
-
-        a = lr_schedule_eval(lr, t)
-        y_r = x.r - a * rep.grad_r
-        y_theta = x.theta - a * rep.grad_theta
-        nr = float(np.linalg.norm(y_r))
-        record(nr)
-        if nr < RADIAL_COLLAPSE_TOL:
-            trace.stop_reason = "radial_collapse"
-            trace.final_params = x
-            raise RadialCollapseError(t, nr, trace)
-        x = x.with_params(y_r / nr, y_theta)
-
-    trace.final_params = x
-    return trace
+    return _drive(kp0, cfg, lr, OptTrace(), _full_grad(s))
 
 
 # --- incremental caches for RCD ----------------------------------------------
@@ -273,9 +315,6 @@ class IncrementalState:
     @property
     def total(self) -> float:
         return self.f_value + self.penalty
-
-    def params(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.r.copy(), self.theta.copy()
 
     def sparse_grad(self, coords: np.ndarray):
         """Exact partials for the sampled coordinate indices (r_j for
@@ -452,77 +491,36 @@ def run_rcd(
     Each iteration samples block_size coordinates uniformly without
     replacement, steps them with exact partials from the incremental caches,
     then renormalizes r. block_size = 2d always samples every coordinate, so
-    that case runs the full-gradient loop outright (bit-identical trajectory,
-    no sampling, no incremental caches)."""
-    _require_unit_r(kp0)
-    s = support if support is not None else build_support_sets(h, kp0.ansatz)
+    that case takes GD's full-gradient step outright (bit-identical
+    trajectory, no sampling, no incremental caches)."""
+    s = _support_for(h, kp0, support)
     d = s.d
     if cfg.block_size > 2 * d:
         raise ValueError(f"block_size {cfg.block_size} exceeds 2d = {2 * d}")
     lr = cfg.lr if cfg.lr is not None else RCD_DEFAULT_LR
+    trace = OptTrace()
     if cfg.block_size == 2 * d:
-        return run_gd(h, kp0, replace(cfg, lr=lr), s)
+        return _drive(kp0, cfg, lr, trace, _full_grad(s))
     rng = np.random.default_rng(cfg.seed)
     state = IncrementalState(s, kp0.r, kp0.theta)
-    trace = OptTrace()
+    coords = None
 
-    def current_params() -> KParams:
-        r, theta = state.params()
-        return kp0.with_params(r, theta)
-
-    for t in range(cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        f_value, penalty = state.f_value, state.penalty
-        total = f_value + penalty
+    def sampled_grad(r, theta):
+        # the caches hold the loop's (r, theta); the arguments are not read
+        nonlocal coords
         coords = rng.choice(2 * d, size=cfg.block_size, replace=False)
         gr, gt, gnorm = state.sparse_grad(coords)
-        alpha = estimate_alpha(total, gnorm)
+        return state.f_value, state.penalty, gr, gt, gnorm
 
-        def record(r_norm_pre: float) -> None:
-            trace.records.append(
-                TraceRecord(
-                    iteration=t,
-                    F_total=total,
-                    f_value=f_value,
-                    penalty=penalty,
-                    grad_norm=gnorm,
-                    alpha_estimate=alpha,
-                    r_norm_pre_normalization=r_norm_pre,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
+    def stationary():
+        # a sampled block can have zero partials away from stationarity,
+        # so confirm against the full gradient before stopping
+        return state.sparse_grad(np.arange(2 * d))[2] < cfg.grad_tol
 
-        r_now = float(np.linalg.norm(state.r))
-        if total < cfg.stop_tol:
-            record(r_now)
-            trace.stop_reason = "converged"
-            break
-        if gnorm < cfg.grad_tol:
-            # a sampled block can have zero partials away from stationarity,
-            # so confirm against the full gradient before stopping
-            _, _, full_gnorm = state.sparse_grad(np.arange(2 * d))
-            if full_gnorm < cfg.grad_tol:
-                record(r_now)
-                trace.stop_reason = "stationary"
-                break
-        if t == cfg.max_iters:
-            record(r_now)
-            trace.stop_reason = "max_iters"
-            break
-
-        a = lr_schedule_eval(lr, t)
-        y_r = state.r - a * gr
-        y_theta = state.theta - a * gt
-        nr = float(np.linalg.norm(y_r))
-        record(nr)
-        if nr < RADIAL_COLLAPSE_TOL:
-            trace.stop_reason = "radial_collapse"
-            trace.final_params = current_params()
-            raise RadialCollapseError(t, nr, trace)
-        J = np.unique(coords % d)
-        state.apply_update(J, y_r, y_theta, nr)
+    def advance(t, y_r, y_theta, nr):
+        state.apply_update(np.unique(coords % d), y_r, y_theta, nr)
         if (t + 1) % cfg.refresh_every == 0:
             trace.refresh_drifts.append(state.refresh())
+        return state.r, state.theta
 
-    trace.final_params = current_params()
-    return trace
+    return _drive(kp0, cfg, lr, trace, sampled_grad, stationary, advance)

@@ -1,10 +1,12 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from paulidiag import cli
 from paulidiag.cli import main
 from paulidiag.cost import KParams, eval_F
 from paulidiag.models import build_xxz
@@ -181,6 +183,24 @@ class TestDiagonalize:
         assert f"non-finite value in {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_cost_is_exit_5(self, tmp_path, capsys):
+        # a finite coupling of 1e200 overflows F at the first evaluation
+        cfg = {
+            "model": {"family": "xxz", "n": 2, "j": 1e200, "delta": 1.0},
+            "ansatz_source": {"kind": "full_basis"},
+            "algorithm": "gd",
+            "opt": {"max_iters": 10},
+        }
+        path = write_json(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["diagonalize", "--config", path, "--out-dir", str(out)])
+        assert code == 5
+        assert "stop=non_finite" in capsys.readouterr().out
+        lines = (out / "trace.jsonl").read_text().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["iter"] == 0
+        assert json.loads((out / "params.json").read_text())["n"] == 2
+
     def test_dense_infeasible_is_exit_3(self, tmp_path, capsys):
         word = "XX" + "I" * 11
         params = write_json(tmp_path / "start.json", {
@@ -239,6 +259,31 @@ class TestSweep:
         assert main(["diagonalize", "--config", path, "--sweep",
                      "--out-dir", str(tmp_path / "runs")]) == 1
         assert "config error" in capsys.readouterr().out
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched run_single")
+    def test_unexpected_error_in_one_run_keeps_the_others(self, tmp_path, capsys,
+                                                          monkeypatch):
+        real_run_single = cli.run_single
+
+        def run_single(cfg, out_dir, seed_override=None):
+            if cfg.get("explode"):
+                raise RuntimeError("boom")
+            return real_run_single(cfg, out_dir, seed_override)
+
+        monkeypatch.setattr(cli, "run_single", run_single)
+        good = base_config(tmp_path / "unused", max_iters=5)
+        del good["output"]
+        bad = dict(good, explode=True)
+        path = write_json(tmp_path / "sweep.json", [good, bad, good])
+        code = main(["diagonalize", "--config", path, "--sweep",
+                     "--out-dir", str(tmp_path / "runs")])
+        assert code != 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "run_001: error: RuntimeError: boom"
+        for i in (0, 2):
+            assert lines[i].startswith(f"run_{i:03d}: initial_error=")
+            assert (tmp_path / "runs" / f"run_{i:03d}" / "report.json").exists()
 
 
 class TestVerify:

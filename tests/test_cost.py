@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,43 @@ class TestDensePath:
             gscale = max(1.0, np.abs(slow.grad_r).max(), np.abs(slow.grad_theta).max())
             assert np.abs(fast.grad_r - slow.grad_r).max() < 1e-12 * gscale
             assert np.abs(fast.grad_theta - slow.grad_theta).max() < 1e-12 * gscale
+
+    def test_flat_gather_matches_fancy_index(self, rng):
+        def fancy_index_reference(work, r, theta):
+            # the dense evaluation with the gradient gathered by the 2-D
+            # fancy index G[c, perm[j, c]]
+            dim = work.dim
+            k = work.k_matrix(r * np.exp(1j * theta))
+            hk = work.h_mat @ k
+            m_off = k.conj().T @ hk
+            np.fill_diagonal(m_off, 0.0)
+            f = float(dim * np.vdot(m_off, m_off).real)
+            t_less = k.conj().T @ k
+            t_less[np.diag_indices(dim)] -= np.trace(t_less) / dim
+            penalty = float(np.vdot(t_less, t_less).real / dim)
+            g_mat = (2.0 * dim) * (hk @ m_off) + (2.0 / dim) * (k @ t_less)
+            gvec = np.sum(work.weight * g_mat[np.arange(dim)[None, :], work.perm], axis=1)
+            gvec *= np.exp(-1j * theta)
+            return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
+
+        for n in (1, 2, 3, 4):
+            words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+            for _ in range(3):
+                d = int(rng.integers(2**n, min(4**n, 2**n + 12) + 1))
+                picks = rng.choice(np.arange(1, 4**n), size=d - 1, replace=False)
+                ansatz = tuple(sorted(parse(words[i]) for i in [0, *picks]))
+                m = min(2 * n + 1, 4**n)
+                hw = rng.choice(4**n, size=m, replace=False)
+                h = PauliSum(n, [(parse(words[i]), c)
+                                 for i, c in zip(hw, rng.uniform(-1, 1, m))])
+                s = build_support_sets(h, ansatz)
+                work = cost_mod._dense_work_for(s)
+                assert work is not None
+                r = rng.uniform(0.2, 1.0, d)
+                r /= np.linalg.norm(r)
+                theta = rng.uniform(0.0, 2 * np.pi, d)
+                got = cost_mod._evaluate_dense(work, r, theta, True)
+                want = fancy_index_reference(work, r, theta)
+                assert got[:2] == want[:2]
+                assert np.array_equal(got[2], want[2])
+                assert np.array_equal(got[3], want[3])

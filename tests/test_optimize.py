@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from paulidiag import cost, optimize
 from paulidiag.cost import KParams, eval_F, eval_grad
 from paulidiag.operators import PauliSum, build_support_sets
 from paulidiag.optimize import (
@@ -10,6 +12,7 @@ from paulidiag.optimize import (
     LRSchedule,
     OptConfig,
     RadialCollapseError,
+    TraceRecord,
     estimate_alpha,
     lr_schedule_eval,
     rolling_median,
@@ -264,3 +267,93 @@ class TestTraceSerialization:
         run_gd(h, kp, cfg, s).save_jsonl(p1)
         run_gd(h, kp, cfg, s).save_jsonl(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_gd(h, kp0, cfg, s):
+    """GD as a loop over KParams: eval_grad and with_params at every step."""
+    records = []
+    x = kp0
+    for t in range(cfg.max_iters + 1):
+        rep = eval_grad(h, x, s)
+
+        def record(r_norm_pre):
+            records.append(TraceRecord(
+                t, rep.total, rep.f_value, rep.penalty, rep.grad_norm,
+                estimate_alpha(rep.total, rep.grad_norm), r_norm_pre, 0.0,
+            ))
+
+        if rep.total < cfg.stop_tol or rep.grad_norm < cfg.grad_tol or t == cfg.max_iters:
+            record(x.r_norm)
+            break
+        a = lr_schedule_eval(cfg.lr, t)
+        y_r = x.r - a * rep.grad_r
+        y_theta = x.theta - a * rep.grad_theta
+        nr = float(np.linalg.norm(y_r))
+        record(nr)
+        x = x.with_params(y_r / nr, y_theta)
+    return records, x
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("n, d", [(2, 8), (3, 5)])  # dense path, table path
+    def test_trajectory_matches_per_step_loop(self, rng, n, d):
+        h, kp, s = random_instance(rng, n, d)
+        assert cost._dense_path_applies(n, d) == (n == 2)
+        a = 0.04 / max(1.0, eval_F(h, kp, s).total)
+        cfg = OptConfig(max_iters=60, lr=LRSchedule.constant(a), stop_tol=0.0)
+        want, x = reference_gd(h, kp, cfg, s)
+        for trace in (run_gd(h, kp, cfg, s),
+                      run_rcd(h, kp, replace(cfg, block_size=2 * d), s)):
+            assert len(trace.records) == len(want) == 61
+            for got, ref in zip(trace.records, want):
+                assert got.as_dict() == ref.as_dict()
+            assert np.array_equal(trace.final_params.r, x.r)
+            assert np.array_equal(trace.final_params.theta, x.theta)
+
+    @pytest.mark.parametrize("block", [4, None])  # RCD block 4; None: GD
+    def test_no_per_step_kparams_and_one_check(self, rng, monkeypatch, block):
+        h, kp, s = random_instance(rng, 3, 6)
+        counts = {"init": 0, "check": 0}
+        real_init, real_check = KParams.__init__, cost._check
+
+        def counting_init(self, *args, **kwargs):
+            counts["init"] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_check(*args):
+            counts["check"] += 1
+            return real_check(*args)
+
+        monkeypatch.setattr(KParams, "__init__", counting_init)
+        monkeypatch.setattr(cost, "_check", counting_check)
+        monkeypatch.setattr(optimize, "_check", counting_check, raising=False)
+        lr = LRSchedule.constant(0.01)
+        if block is None:
+            trace = run_gd(h, kp, OptConfig(max_iters=50, lr=lr, stop_tol=0.0), s)
+        else:
+            cfg = OptConfig(max_iters=50, lr=lr, stop_tol=0.0, block_size=block)
+            trace = run_rcd(h, kp, cfg, s)
+        assert len(trace.records) == 51
+        assert counts["init"] <= 2
+        assert counts["check"] == 1
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("run", [run_gd, run_rcd])
+    @pytest.mark.parametrize("words", [("I", "X", "Z"), ("II", "XI", "ZZ")])
+    def test_overflowing_cost_stops_with_a_record(self, run, words):
+        # 1e200 is a finite coefficient, but F ~ 1e400 overflows; the first
+        # set of words takes the dense path, the second the table path
+        n = len(words[0])
+        h = PauliSum.from_words({"X" * n: 1e200, "Z" + "I" * (n - 1): 1.0})
+        ansatz = tuple(parse(w) for w in words)
+        kp = KParams(ansatz, np.array([0.8, 0.36, 0.48]), np.array([0.0, 0.1, 0.2]))
+        s = build_support_sets(h, ansatz)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(h, kp, OptConfig(max_iters=20, stop_tol=0.0, block_size=2), s)
+        assert trace.stop_reason == "non_finite"
+        assert len(trace.records) == 1
+        rec = trace.records[0]
+        assert not (math.isfinite(rec.F_total) and math.isfinite(rec.grad_norm))
+        np.testing.assert_array_equal(trace.final_params.r, kp.r)
+        np.testing.assert_array_equal(trace.final_params.theta, kp.theta)
