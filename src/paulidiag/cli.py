@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 config or input error, 2 radial collapse,
 no report).
 
 A --sweep runs its configs in a pool of worker processes and prints one
-line per run. A run that raises an unexpected error prints
+line per run. A run whose config is invalid, or is not a JSON object,
+prints "run_XXX: config error: <message>" and counts as exit 1. A run that
+raises an unexpected error prints
 "run_XXX: error: <Type>: <message>" (its traceback goes to stderr) and
 counts as exit 1; the other runs still finish and print their summaries.
 The sweep's exit code is the first non-zero code in run order.
@@ -81,6 +83,31 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _number(value, key: str, integer: bool = False):
+    """A config value as a finite float, or as an int when integer is set.
+
+    Booleans, strings, NaN, infinities (and integers beyond the float range)
+    and fractions for an integer key raise ConfigError naming the key, where
+    int() would truncate and float() would pass NaN through."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    if integer and value != int(value):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _section(cfg, key: str) -> dict:
+    """cfg[key], an object (empty when the key is absent)."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: expected an object")
+    raw = cfg.get(key, {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key}: expected an object")
+    return raw
+
+
 def _prefix_from_config(raw) -> list:
     return [tuple(gate) for gate in raw]
 
@@ -90,29 +117,35 @@ def build_model(spec: dict):
     if not isinstance(spec, dict):
         raise ConfigError("model: expected an object")
     family = _require(spec, "family", "model")
+
+    def number(key, default=None, integer=False):
+        value = _require(spec, key, "model") if default is None else spec.get(key, default)
+        return _number(value, f"model.{key}", integer)
+
+    def numbers(key):
+        return [_number(v, f"model.{key}") for v in _require(spec, key, "model")]
+
     try:
         if family == "xxz":
-            h = build_xxz(int(_require(spec, "n", "model")),
-                          float(spec.get("j", 1.0)), float(spec.get("delta", 1.0)))
+            h = build_xxz(number("n", integer=True), number("j", 1.0), number("delta", 1.0))
             return h, None
         if family == "hubbard":
-            h = build_hubbard(int(_require(spec, "sites", "model")),
-                              float(spec.get("t", 1.0)), float(spec.get("u", 4.0)))
+            h = build_hubbard(number("sites", integer=True), number("t", 1.0), number("u", 4.0))
             return h, None
         if family == "random_udu":
             h, u, _ = build_random_udu(
-                int(_require(spec, "n", "model")),
-                int(_require(spec, "n_diag", "model")),
-                int(_require(spec, "n_rot", "model")),
-                int(spec.get("seed", 0)),
+                number("n", integer=True),
+                number("n_diag", integer=True),
+                number("n_rot", integer=True),
+                number("seed", 0, integer=True),
             )
             return h, expand_rotation_product(u)
         if family == "example_hams":
             h, u, _ = build_example_hams(
-                int(_require(spec, "n", "model")),
-                float(_require(spec, "theta", "model")),
-                list(_require(spec, "c", "model")),
-                list(_require(spec, "d", "model")),
+                number("n", integer=True),
+                number("theta"),
+                numbers("c"),
+                numbers("d"),
                 clifford_prefix=_prefix_from_config(spec.get("prefix", [])) or None,
             )
             return h, u
@@ -147,7 +180,7 @@ def load_params(path) -> KParams:
     for key in ("n", "ansatz", "r", "theta"):
         if key not in raw:
             raise ConfigError(f"{path}: missing key {key!r}")
-    n = int(raw["n"])
+    n = _number(raw["n"], f"{path}: n", integer=True)
     try:
         ansatz = tuple(parse(w, n) for w in raw["ansatz"])
         kp = KParams(ansatz, np.array(raw["r"], dtype=float),
@@ -189,7 +222,7 @@ def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
         if ref_h.n != h.n:
             raise ConfigError("warm_start reference has a different qubit count")
         return warm_start_from_dense(
-            ref_h, prune_tol=float(source.get("prune_tol", 1e-12))
+            ref_h, prune_tol=_number(source.get("prune_tol", 1e-12), "ansatz_source.prune_tol")
         )
     if kind == "file":
         kp = load_params(_require(source, "path", "ansatz_source"))
@@ -217,32 +250,34 @@ def _lr_from_config(raw) -> LRSchedule | None:
     if not isinstance(raw, dict):
         raise ConfigError("opt.lr: expected an object")
     kind = raw.get("kind", "constant")
+    if kind not in ("constant", "decay"):
+        raise ConfigError(f"opt.lr: unknown kind {kind!r}")
+    keys = ("a0",) if kind == "constant" else ("a0", "rate")
+    args = [_number(_require(raw, key, "opt.lr"), f"opt.lr.{key}") for key in keys]
     try:
-        if kind == "constant":
-            return LRSchedule.constant(float(_require(raw, "a0", "opt.lr")))
-        if kind == "decay":
-            return LRSchedule.decay(float(_require(raw, "a0", "opt.lr")),
-                                    float(_require(raw, "rate", "opt.lr")))
+        return LRSchedule(kind, *args)
     except ValueError as exc:
         raise ConfigError(f"opt.lr: {exc}") from exc
-    raise ConfigError(f"opt.lr: unknown kind {kind!r}")
+
+
+def _opt_seed(cfg) -> int:
+    return _number(_section(cfg, "opt").get("seed", 0), "opt.seed", integer=True)
+
+
+# opt.* keys with their defaults; a key with an integer default takes integers
+_OPT_DEFAULTS = {"max_iters": 5000, "block_size": 4, "stop_tol": 1e-10, "grad_tol": 1e-12}
 
 
 def _opt_config(cfg: dict, seed_override) -> OptConfig:
-    raw = cfg.get("opt", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("opt: expected an object")
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    """opt.* as an OptConfig; keys it does not know (such as the retired
+    refresh_every) are ignored."""
+    raw = _section(cfg, "opt")
+    values = {key: _number(raw.get(key, default), f"opt.{key}", isinstance(default, int))
+              for key, default in _OPT_DEFAULTS.items()}
+    seed = _opt_seed(cfg) if seed_override is None else int(seed_override)
+    lr = _lr_from_config(raw.get("lr"))
     try:
-        return OptConfig(
-            max_iters=int(raw.get("max_iters", 5000)),
-            lr=_lr_from_config(raw.get("lr")),
-            block_size=int(raw.get("block_size", 4)),
-            seed=seed,
-            stop_tol=float(raw.get("stop_tol", 1e-10)),
-            grad_tol=float(raw.get("grad_tol", 1e-12)),
-            refresh_every=int(raw.get("refresh_every", 50)),
-        )
+        return OptConfig(lr=lr, seed=seed, **values)
     except ValueError as exc:
         raise ConfigError(f"opt: {exc}") from exc
 
@@ -272,11 +307,9 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
     opt_cfg = _opt_config(cfg, seed_override)
 
     kp0 = build_initial_params(cfg, h, u_expansion)
-    init = cfg.get("init", {})
-    if not isinstance(init, dict):
-        raise ConfigError("init: expected an object")
-    kp0 = _perturbed(kp0, float(init.get("perturb", 0.0)),
-                     int(init.get("seed", opt_cfg.seed + 1000)))
+    init = _section(cfg, "init")
+    kp0 = _perturbed(kp0, _number(init.get("perturb", 0.0), "init.perturb"),
+                     _number(init.get("seed", opt_cfg.seed + 1000), "init.seed", integer=True))
 
     support = build_support_sets(h, kp0.ansatz)
     if opt_cfg.lr is None:
@@ -321,7 +354,6 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
         "initial_frob_error": rep0.frob_error,
         "iterations": iterations,
         "stop_reason": trace.stop_reason,
-        "cache_drift_max": trace.drift_max,
     })
     (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
     summary = (f"initial_error={rep0.frob_error:.6g} "
@@ -332,11 +364,9 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
 
 def _sweep_worker(item):
     index, cfg, out_dir, seed_override = item
-    base_seed = seed_override
-    if base_seed is None:
-        base_seed = cfg.get("opt", {}).get("seed", 0)
     try:
-        code, summary = run_single(cfg, Path(out_dir), int(base_seed) + index)
+        base_seed = _opt_seed(cfg) if seed_override is None else seed_override
+        code, summary = run_single(cfg, Path(out_dir), base_seed + index)
     except ConfigError as exc:
         return index, 1, f"config error: {exc}"
     except DenseLimitError as exc:
@@ -388,10 +418,7 @@ def cmd_diagonalize(args) -> int:
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config}: expected a JSON object")
     if out_dir is None:
-        output = raw.get("output", {})
-        if not isinstance(output, dict):
-            raise ConfigError("output: expected an object")
-        out_dir = Path(output.get("dir", "."))
+        out_dir = Path(_section(raw, "output").get("dir", "."))
     code, summary = run_single(raw, out_dir, args.seed_override)
     print(summary)
     return code

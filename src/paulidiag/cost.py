@@ -248,20 +248,23 @@ def _evaluate_sparse(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad
     grad_r = 4.0 * tw.real
     grad_theta = 4.0 * r * tw.imag
 
-    # penalty part: d|phi_P|^2 = 2 Re(conj(phi_P) dphi_P), entry by entry
     if len(s.phi_p):
-        d = s.d
-        a = (
-            phi.conj()[s.phi_p]
-            * s.phi_phase
-            * np.exp(1j * (theta[s.phi_j] - theta[s.phi_jp]))
-        )
-        grad_r += 2.0 * np.bincount(s.phi_j, weights=a.real * r[s.phi_jp], minlength=d)
-        grad_r += 2.0 * np.bincount(s.phi_jp, weights=a.real * r[s.phi_j], minlength=d)
-        rr = r[s.phi_j] * r[s.phi_jp]
-        grad_theta -= 2.0 * np.bincount(s.phi_j, weights=a.imag * rr, minlength=d)
-        grad_theta += 2.0 * np.bincount(s.phi_jp, weights=a.imag * rr, minlength=d)
+        _add_penalty_grad(s, r, theta, phi, grad_r, grad_theta)
     return f, penalty, grad_r, grad_theta
+
+
+def _add_penalty_grad(s: SupportSets, r, theta, phi, grad_r, grad_theta, e=slice(None)):
+    """Add the penalty part of the gradient, d|phi_P|^2 = 2 Re(conj(phi_P)
+    dphi_P), entry by entry over the phi entries e (all of them by default).
+    A partial in j is complete when e holds every entry with an end at j."""
+    d = s.d
+    j, jp = s.phi_j[e], s.phi_jp[e]
+    a = phi.conj()[s.phi_p[e]] * s.phi_phase[e] * np.exp(1j * (theta[j] - theta[jp]))
+    grad_r += 2.0 * np.bincount(j, weights=a.real * r[jp], minlength=d)
+    grad_r += 2.0 * np.bincount(jp, weights=a.real * r[j], minlength=d)
+    rr = r[j] * r[jp]
+    grad_theta -= 2.0 * np.bincount(j, weights=a.imag * rr, minlength=d)
+    grad_theta += 2.0 * np.bincount(jp, weights=a.imag * rr, minlength=d)
 
 
 def _evaluator(s: SupportSets):

@@ -235,13 +235,11 @@ class SupportSets:
     # fall outside the support
     hk_strings: tuple[PauliString, ...] = field(repr=False)
 
-    # flat build tables (entry arrays)
-    hk_src_h: np.ndarray = field(repr=False)
-    hk_src_k: np.ndarray = field(repr=False)
+    # flat build tables over row-major entry grids: hk entry (i, b) is
+    # h_strings[i] * P_b and sits at i * d + b; khk entry (a, s) is
+    # P_a * hk_strings[s] and sits at a * |hk_strings| + s
     hk_phase: np.ndarray = field(repr=False)
     hk_tgt: np.ndarray = field(repr=False)
-    khk_src_a: np.ndarray = field(repr=False)
-    khk_src_s: np.ndarray = field(repr=False)
     khk_phase: np.ndarray = field(repr=False)
     khk_tgt: np.ndarray = field(repr=False)
 
@@ -259,11 +257,6 @@ class SupportSets:
     g1_closure_idx: np.ndarray = field(repr=False)
     diag_closure_idx: np.ndarray = field(repr=False)
 
-    # per-parameter entry groupings used by the incremental optimizer caches
-    # (the khk tables need none: entry (a, s) sits at a * |hk_strings| + s)
-    hk_entries_by_k: list = field(repr=False)
-    phi_entries_by_j: list = field(repr=False)
-
     @property
     def d(self) -> int:
         return len(self.ansatz)
@@ -277,18 +270,16 @@ class SupportSets:
 
     def hk_vector(self, k_coeffs: np.ndarray) -> np.ndarray:
         """Coefficients of H*K over hk_strings, sentinel zero appended."""
-        w = self.h_coeffs[self.hk_src_h] * k_coeffs[self.hk_src_k] * self.hk_phase
-        vec = _accumulate(self.hk_tgt, w, len(self.hk_strings))
+        # both operands carry two axes: a (1, 1) * (1,) product skips the
+        # vector loop and rounds differently from the gathered entry rows
+        w = self.h_coeffs[:, None] * k_coeffs[None, :] * self.hk_phase.reshape(-1, self.d)
+        vec = _accumulate(self.hk_tgt, w.ravel(), len(self.hk_strings))
         return np.append(vec, 0j)
 
     def khk_vector(self, k_coeffs: np.ndarray, hk_vec: np.ndarray) -> np.ndarray:
-        """Coefficients of K'(HK) over closure."""
-        w = (
-            k_coeffs.conj()[self.khk_src_a]
-            * hk_vec[self.khk_src_s]
-            * self.khk_phase
-        )
-        return _accumulate(self.khk_tgt, w, len(self.closure))
+        """Coefficients of K'(HK) over closure; hk_vec is hk_vector's output."""
+        w = k_coeffs.conj()[:, None] * hk_vec[None, :-1] * self.khk_phase.reshape(self.d, -1)
+        return _accumulate(self.khk_tgt, w.ravel(), len(self.closure))
 
     def phi_vector(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """phi_P over g2 (identity excluded; its value is ||r||^2)."""
@@ -329,16 +320,12 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
     k, cx, cz = multiply_masks(hx[:, None], hz[:, None], ax, az)
     hk_keys, hk_tgt = _first_occurrence(_key(cx, cz).ravel())
     hk_x, hk_z = _unkey(hk_keys)
-    hk_src_h = np.repeat(np.arange(len(h_strings)), d)
-    hk_src_k = np.tile(np.arange(d), len(h_strings))
     hk_phase = _PHASES[k.ravel()]
 
     # closure = strings of K'(HK), and its build table; entry (a, s) is P_a * S_s
     k, cx, cz = multiply_masks(ax[:, None], az[:, None], hk_x, hk_z)
     closure_keys, khk_tgt = _first_occurrence(_key(cx, cz).ravel())
     cl_x, cl_z = _unkey(closure_keys)
-    khk_src_a = np.repeat(np.arange(d), len(hk_keys))
-    khk_src_s = np.tile(np.arange(len(hk_keys)), d)
     khk_phase = _PHASES[k.ravel()]
 
     # g1: the off-diagonal (x != 0) closure strings, sorted by key
@@ -374,16 +361,8 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
     entries = list(zip(
         phi_j.tolist(), phi_jp.tolist(), [_PHASE_VALUES[v] for v in phi_k.tolist()]
     ))
-    g2_pairs = {p: tuple(e) for p, e in zip(g2, _split(entries, phi_p, len(g2)))}
-
-    # the hk table is a row-major (|H|, d) grid: column b lists P_b's entries
-    hk_entries_by_k = list(np.arange(len(hk_tgt)).reshape(-1, d).T.copy())
-    # entry e touches j through phi_j[e] or phi_jp[e], never both (P_j P_j = I
-    # is not in phi), so each group lists distinct entries in ascending order
-    both = np.concatenate([phi_j, phi_jp])
-    entry_ids = np.tile(np.arange(len(phi_j)), 2)
-    order = np.lexsort((entry_ids, both))
-    phi_entries_by_j = _split(entry_ids[order], both[order], d)
+    bounds = np.searchsorted(phi_p, np.arange(len(g2) + 1))
+    g2_pairs = {p: tuple(entries[bounds[i] : bounds[i + 1]]) for i, p in enumerate(g2)}
 
     return SupportSets(
         n=n,
@@ -396,12 +375,8 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
         h_strings=h_strings,
         h_coeffs=h_coeffs,
         hk_strings=_strings(n, hk_x, hk_z),
-        hk_src_h=hk_src_h,
-        hk_src_k=hk_src_k,
         hk_phase=hk_phase,
         hk_tgt=hk_tgt,
-        khk_src_a=khk_src_a,
-        khk_src_s=khk_src_s,
         khk_phase=khk_phase,
         khk_tgt=khk_tgt,
         grad_tgt=grad_tgt,
@@ -412,8 +387,6 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
         phi_phase=phi_phase,
         g1_closure_idx=g1_closure_idx,
         diag_closure_idx=diag_closure_idx,
-        hk_entries_by_k=hk_entries_by_k,
-        phi_entries_by_j=phi_entries_by_j,
     )
 
 
@@ -452,10 +425,3 @@ def _first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _strings(n: int, x: np.ndarray, z: np.ndarray) -> tuple[PauliString, ...]:
     return tuple(PauliString(n, xi, zi) for xi, zi in zip(x.tolist(), z.tolist()))
-
-
-def _split(values, sorted_by: np.ndarray, count: int) -> list:
-    """values (an array or list) cut into `count` runs at the bounds of
-    sorted_by = 0, 1, ..."""
-    bounds = np.searchsorted(sorted_by, np.arange(count + 1))
-    return [values[bounds[i] : bounds[i + 1]] for i in range(count)]

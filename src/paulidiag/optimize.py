@@ -7,11 +7,11 @@ plain arrays: the ansatz/Hamiltonian check runs once at entry and KParams is
 built once, for final_params. Only the step differs. GD uses the full exact
 gradient recomputed from scratch every iteration (dense or table path, chosen
 once at entry). RCD samples S of the 2d coordinates uniformly without
-replacement, computes only those partials from cached coefficient tables
-(K'HK over the closure, H*K over its support, phi over g2) and updates the
-caches incrementally: a sparse correction for the stepped parameters followed
-by an exact global rescale for the normalization. Caches are rebuilt from
-scratch every refresh_every iterations and the observed drift is recorded.
+replacement and computes only those partials, from cached coefficient tables
+(K'HK over the closure, H*K over its support, phi over g2): the off-diagonal
+part costs |g1| S instead of |g1| d. After every step the caches are rebuilt
+from scratch at the new params, so they never drift; OptTrace.refresh_drifts
+stays empty and drift_max reads 0.0.
 
 With S = 2d the sampled set is always the full coordinate set, so one RCD
 iteration reproduces one GD iteration (same step, seed-independent); run_rcd
@@ -28,7 +28,7 @@ cover the sampled coordinates only; at S = 2d they equal the full quantities.
 alpha_estimate is log(||g||^2/4) / log F, the local Lojasiewicz exponent read
 off with mu = 1; it is NaN when F is 0 or 1 or the gradient vanishes.
 wall_time is stamped after the evaluation, the stop tests and y_t, before
-the update: it leaves out the renormalization and RCD's cache updates.
+the update: it leaves out the renormalization and RCD's cache rebuild.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import KParams, _check, _evaluator
+from .cost import KParams, _add_penalty_grad, _check, _evaluator
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
 
@@ -99,17 +99,14 @@ class OptConfig:
     seed: int = 0
     stop_tol: float = 1e-10
     grad_tol: float = 1e-12
-    refresh_every: int = 50
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
-        if self.stop_tol < 0 or self.grad_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.refresh_every < 1:
-            raise ValueError("refresh_every must be positive")
+        if not (self.stop_tol >= 0 and self.grad_tol >= 0):
+            raise ValueError("tolerances must be nonnegative numbers")
 
 
 GD_DEFAULT_LR = LRSchedule.constant(0.05)
@@ -168,6 +165,8 @@ class OptTrace:
     records: list[TraceRecord] = field(default_factory=list)
     final_params: KParams | None = None
     stop_reason: str = ""
+    # the RCD caches are rebuilt every step and never drift, so this stays
+    # empty and drift_max reads 0.0; bench/pipeline.py still reads both
     refresh_drifts: list[float] = field(default_factory=list)
 
     @property
@@ -210,16 +209,17 @@ def _full_grad(s: SupportSets):
     return grad
 
 
-def _drive(kp0: KParams, cfg: OptConfig, lr: LRSchedule, trace: OptTrace,
-           grad, stationary=None, advance=None) -> OptTrace:
+def _drive(kp0: KParams, cfg: OptConfig, lr: LRSchedule, grad,
+           stationary=None, advance=None) -> OptTrace:
     """The loop GD and RCD share, on plain r and theta arrays.
 
     grad(r, theta) returns (f, penalty, grad_r, grad_theta, grad_norm);
     stationary() confirms a gradient norm below grad_tol before the run stops
-    on it; advance(t, y_r, y_theta, nr), when given, moves the caches across
+    on it; advance(y_r, y_theta, nr), when given, moves the caches across
     the step and returns the new (r, theta), which are otherwise
     (y_r / nr, y_theta).
     KParams is built once, for trace.final_params."""
+    trace = OptTrace()
     r, theta = kp0.r, kp0.theta
     for t in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
@@ -264,7 +264,7 @@ def _drive(kp0: KParams, cfg: OptConfig, lr: LRSchedule, trace: OptTrace,
         if advance is None:
             r, theta = y_r / nr, y_theta
         else:
-            r, theta = advance(t, y_r, y_theta, nr)
+            r, theta = advance(y_r, y_theta, nr)
 
     trace.final_params = kp0.with_params(r, theta)
     return trace
@@ -276,211 +276,77 @@ def run_gd(
     """Algorithm: full-gradient descent with per-step amplitude renormalization."""
     s = _support_for(h, kp0, support)
     lr = cfg.lr if cfg.lr is not None else GD_DEFAULT_LR
-    return _drive(kp0, cfg, lr, OptTrace(), _full_grad(s))
+    return _drive(kp0, cfg, lr, _full_grad(s))
 
 
-# --- incremental caches for RCD ----------------------------------------------
+# --- coefficient caches for RCD ---------------------------------------------
 
 
 class IncrementalState:
-    """Cached coefficient tables of K'HK, H*K and phi for the current params.
+    """Coefficient tables of K'HK, H*K and phi at the current params.
 
-    apply_update moves the caches across one sparse coordinate step plus the
-    global renormalization rescale; refresh rebuilds everything from scratch
-    and reports the accumulated drift."""
+    sparse_grad reads them to compute a sampled block of partials;
+    apply_update adopts a step and refresh rebuilds every table from scratch
+    with the SupportSets routines the table evaluator uses, so the tables
+    always equal a fresh evaluation at (r, theta)."""
 
     def __init__(self, s: SupportSets, r: np.ndarray, theta: np.ndarray):
         self.s = s
         self.two_n = float(2**s.n)
-        self._offdiag = np.zeros(len(s.closure), dtype=bool)
-        self._offdiag[s.g1_closure_idx] = True
         # ansatz-major copies of the gradient tables: a sampled block reads a
         # few contiguous rows instead of gathering strided columns
         self._grad_phase_by_j = np.ascontiguousarray(s.grad_phase.T)
         self._grad_tgt_by_j = np.ascontiguousarray(s.grad_tgt.T)
         self.r = np.array(r, dtype=float)
         self.theta = np.array(theta, dtype=float)
-        self._rebuild()
+        self.refresh()
 
-    def _rebuild(self):
+    def refresh(self) -> None:
+        """Rebuild every table from scratch at (r, theta)."""
         s = self.s
-        self.k = s.k_coeffs(self.r, self.theta)
-        self.hk = s.hk_vector(self.k)
-        self.khk = s.khk_vector(self.k, self.hk)
+        k = s.k_coeffs(self.r, self.theta)
+        self.hk = s.hk_vector(k)
+        self.khk = s.khk_vector(k, self.hk)
         self.phi = s.phi_vector(self.r, self.theta)
         t = self.two_n * self.khk[s.g1_closure_idx].real
         self.f_value = float(np.sum(t * t))
         self.penalty = float(np.sum(self.phi.real**2 + self.phi.imag**2))
-
-    @property
-    def total(self) -> float:
-        return self.f_value + self.penalty
 
     def sparse_grad(self, coords: np.ndarray):
         """Exact partials for the sampled coordinate indices (r_j for
         coords < d, theta_{j-d} otherwise), zeros elsewhere."""
         s = self.s
         d = s.d
+        r, theta = self.r, self.theta
         coords = np.asarray(coords)
-        r_coords = coords[coords < d]
-        t_coords = coords[coords >= d] - d
         J = np.unique(coords % d)
 
         t = self.two_n * self.khk[s.g1_closure_idx].real
         # the transpose has the memory order of a column gather s.grad_phase[:, J],
         # which keeps the matmul below summing in the same order
         W = (self._grad_phase_by_j[J] * self.hk[self._grad_tgt_by_j[J]]).T
-        W = W * (self.two_n * np.exp(-1j * self.theta[J]))[None, :]
-        tw = t.astype(complex) @ W
-        tw_full = np.zeros(d, dtype=complex)
-        tw_full[J] = tw
-        gr = np.zeros(d)
-        gt = np.zeros(d)
-        gr[r_coords] = 4.0 * tw_full[r_coords].real
-        gt[t_coords] = 4.0 * self.r[t_coords] * tw_full[t_coords].imag
-
-        if len(s.phi_p) and len(J) > d // 4:
-            # wide blocks: the dense bincount formula beats the per-index loop
-            r, theta, phi = self.r, self.theta, self.phi
-            a = (
-                phi.conj()[s.phi_p]
-                * s.phi_phase
-                * np.exp(1j * (theta[s.phi_j] - theta[s.phi_jp]))
-            )
-            pen_r = 2.0 * np.bincount(s.phi_j, weights=a.real * r[s.phi_jp], minlength=d)
-            pen_r += 2.0 * np.bincount(s.phi_jp, weights=a.real * r[s.phi_j], minlength=d)
-            rr = r[s.phi_j] * r[s.phi_jp]
-            pen_t = -2.0 * np.bincount(s.phi_j, weights=a.imag * rr, minlength=d)
-            pen_t += 2.0 * np.bincount(s.phi_jp, weights=a.imag * rr, minlength=d)
-            gr[r_coords] += pen_r[r_coords]
-            gt[t_coords] += pen_t[t_coords]
-        elif len(s.phi_p):
-            r, theta, phi = self.r, self.theta, self.phi
-            r_set = set(r_coords.tolist())
-            t_set = set(t_coords.tolist())
-            for j in J.tolist():
-                E = s.phi_entries_by_j[j]
-                if not len(E):
-                    continue
-                ej, ejp = s.phi_j[E], s.phi_jp[E]
-                a = (
-                    phi.conj()[s.phi_p[E]]
-                    * s.phi_phase[E]
-                    * np.exp(1j * (theta[ej] - theta[ejp]))
-                )
-                j_side = ej == j
-                if j in r_set:
-                    partner_r = np.where(j_side, r[ejp], r[ej])
-                    gr[j] += 2.0 * float(np.sum(a.real * partner_r))
-                if j in t_set:
-                    rr = r[ej] * r[ejp]
-                    signed = np.where(j_side, -a.imag, a.imag)
-                    gt[j] += 2.0 * float(np.sum(signed * rr))
-
-        gnorm = float(np.sqrt(np.dot(gr, gr) + np.dot(gt, gt)))
-        return gr, gt, gnorm
-
-    def apply_update(self, J: np.ndarray, y_r: np.ndarray, y_theta: np.ndarray, nr: float):
-        """Advance caches to ((y_r)/nr, y_theta); only ansatz indices J moved."""
-        s = self.s
-        if len(J) == s.d:
-            # full block touches every cache entry; a fresh rebuild is cheaper
-            # than the incremental correction and leaves zero drift
-            self.r = y_r / nr
-            self.theta = np.array(y_theta, dtype=float)
-            self._rebuild()
-            return
-        k_old = self.k
-        k_new = y_r * np.exp(1j * y_theta)
-
-        # H*K correction from the changed K coefficients
-        E = np.concatenate([s.hk_entries_by_k[j] for j in J])
-        contrib = (
-            s.h_coeffs[s.hk_src_h[E]]
-            * (k_new - k_old)[s.hk_src_k[E]]
-            * s.hk_phase[E]
-        )
-        tgt = s.hk_tgt[E]
-        dhk = np.zeros(len(s.hk_strings) + 1, dtype=complex)
-        np.add.at(dhk, tgt, contrib)
-        touched_hk = np.unique(tgt)
-
-        # K'(HK) corrections: old-K against the H*K delta, then K delta
-        # against the updated H*K. Entry (a, si) of the khk tables sits at
-        # a * |hk| + si, so each correction is one broadcast over that grid.
-        n_hk = len(s.hk_strings)
-        khk_phase = s.khk_phase.reshape(s.d, n_hk)
-        khk_tgt = s.khk_tgt.reshape(s.d, n_hk)
-        contrib_A = (
-            (k_old.conj()[None, :] * dhk[touched_hk][:, None]) * khk_phase[:, touched_hk].T
-        ).ravel()
-        tgt_A = khk_tgt[:, touched_hk].T.ravel()
-        self.hk += dhk
-        contrib_B = (
-            ((k_new - k_old).conj()[J][:, None] * self.hk[None, :n_hk]) * khk_phase[J]
-        ).ravel()
-        tgt_B = khk_tgt[J].ravel()
-        touched = np.zeros(len(s.closure), dtype=bool)
-        touched[tgt_A] = True
-        touched[tgt_B] = True
-        touched_khk = np.flatnonzero(touched)
-        tk = touched_khk[self._offdiag[touched_khk]]
-        t_old = self.two_n * self.khk[tk].real
-        dkhk = np.zeros(len(s.closure), dtype=complex)
-        np.add.at(dkhk, tgt_A, contrib_A)
-        np.add.at(dkhk, tgt_B, contrib_B)
-        self.khk += dkhk
-        t_new = self.two_n * self.khk[tk].real
-        self.f_value += float(np.sum(t_new * t_new) - np.sum(t_old * t_old))
-
-        # phi corrections for every pair entry touching J
+        W = W * (self.two_n * np.exp(-1j * theta[J]))[None, :]
+        tw = np.zeros(d, dtype=complex)
+        tw[J] = t.astype(complex) @ W
+        gr = 4.0 * tw.real
+        gt = 4.0 * r * tw.imag
         if len(s.phi_p):
-            E_phi = np.unique(np.concatenate([s.phi_entries_by_j[j] for j in J]))
-            if len(E_phi):
-                ej, ejp = s.phi_j[E_phi], s.phi_jp[E_phi]
-                c = s.phi_phase[E_phi]
-                old_c = (
-                    c * self.r[ej] * self.r[ejp]
-                    * np.exp(1j * (self.theta[ej] - self.theta[ejp]))
-                )
-                new_c = c * y_r[ej] * y_r[ejp] * np.exp(1j * (y_theta[ej] - y_theta[ejp]))
-                tgt_p = s.phi_p[E_phi]
-                touched_phi = np.unique(tgt_p)
-                pen_old = self.phi[touched_phi]
-                pen_old = float(np.sum(pen_old.real**2 + pen_old.imag**2))
-                dphi = np.zeros(len(s.g2), dtype=complex)
-                np.add.at(dphi, tgt_p, new_c - old_c)
-                self.phi += dphi
-                pen_new = self.phi[touched_phi]
-                pen_new = float(np.sum(pen_new.real**2 + pen_new.imag**2))
-                self.penalty += pen_new - pen_old
+            # only the phi entries with an end in J reach the sampled partials
+            in_j = np.zeros(d, dtype=bool)
+            in_j[J] = True
+            _add_penalty_grad(s, r, theta, self.phi, gr, gt, in_j[s.phi_j] | in_j[s.phi_jp])
 
-        # adopt parameters, then fold the normalization rescale into the caches;
-        # r uses the same division run_gd performs so the trajectories match
-        # bit for bit at S = 2d
-        inv = 1.0 / nr
+        out = np.zeros(2 * d)
+        out[coords] = np.concatenate([gr, gt])[coords]
+        gr, gt = out[:d], out[d:]
+        return gr, gt, float(np.sqrt(np.dot(gr, gr) + np.dot(gt, gt)))
+
+    def apply_update(self, y_r: np.ndarray, y_theta: np.ndarray, nr: float) -> None:
+        """Adopt the step to (y_r / nr, y_theta) and rebuild the tables."""
+        # r uses the same division as GD's step
         self.r = y_r / nr
         self.theta = np.array(y_theta, dtype=float)
-        self.k = k_new * inv
-        self.hk *= inv
-        self.khk *= inv * inv
-        self.phi *= inv * inv
-        self.f_value *= inv**4
-        self.penalty *= inv**4
-
-    def refresh(self) -> float:
-        """Rebuild from scratch; returns the worst relative drift seen."""
-        old = (self.hk, self.khk, self.phi, self.f_value, self.penalty)
-        self._rebuild()
-        hk_o, khk_o, phi_o, f_o, pen_o = old
-        drift = max(
-            float(np.max(np.abs(hk_o - self.hk), initial=0.0)),
-            float(np.max(np.abs(khk_o - self.khk), initial=0.0)),
-            float(np.max(np.abs(phi_o - self.phi), initial=0.0)),
-            abs(f_o - self.f_value) / max(1.0, abs(self.f_value)),
-            abs(pen_o - self.penalty) / max(1.0, abs(self.penalty)),
-        )
-        return drift
+        self.refresh()
 
 
 def run_rcd(
@@ -489,25 +355,22 @@ def run_rcd(
     """Randomized coordinate descent over the 2d coordinates (r, theta).
 
     Each iteration samples block_size coordinates uniformly without
-    replacement, steps them with exact partials from the incremental caches,
+    replacement, steps them with exact partials from the coefficient caches,
     then renormalizes r. block_size = 2d always samples every coordinate, so
     that case takes GD's full-gradient step outright (bit-identical
-    trajectory, no sampling, no incremental caches)."""
+    trajectory, no sampling, no caches)."""
     s = _support_for(h, kp0, support)
     d = s.d
     if cfg.block_size > 2 * d:
         raise ValueError(f"block_size {cfg.block_size} exceeds 2d = {2 * d}")
     lr = cfg.lr if cfg.lr is not None else RCD_DEFAULT_LR
-    trace = OptTrace()
     if cfg.block_size == 2 * d:
-        return _drive(kp0, cfg, lr, trace, _full_grad(s))
+        return _drive(kp0, cfg, lr, _full_grad(s))
     rng = np.random.default_rng(cfg.seed)
     state = IncrementalState(s, kp0.r, kp0.theta)
-    coords = None
 
     def sampled_grad(r, theta):
         # the caches hold the loop's (r, theta); the arguments are not read
-        nonlocal coords
         coords = rng.choice(2 * d, size=cfg.block_size, replace=False)
         gr, gt, gnorm = state.sparse_grad(coords)
         return state.f_value, state.penalty, gr, gt, gnorm
@@ -517,10 +380,8 @@ def run_rcd(
         # so confirm against the full gradient before stopping
         return state.sparse_grad(np.arange(2 * d))[2] < cfg.grad_tol
 
-    def advance(t, y_r, y_theta, nr):
-        state.apply_update(np.unique(coords % d), y_r, y_theta, nr)
-        if (t + 1) % cfg.refresh_every == 0:
-            trace.refresh_drifts.append(state.refresh())
+    def advance(y_r, y_theta, nr):
+        state.apply_update(y_r, y_theta, nr)
         return state.r, state.theta
 
-    return _drive(kp0, cfg, lr, trace, sampled_grad, stationary, advance)
+    return _drive(kp0, cfg, lr, sampled_grad, stationary, advance)

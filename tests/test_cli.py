@@ -220,6 +220,36 @@ class TestDiagonalize:
         assert (out / "trace.jsonl").exists()
 
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("init", "perturb", "abc", "init.perturb: expected a number, got 'abc'"),
+        ("init", "seed", 1.5, "init.seed: expected an integer, got 1.5"),
+        ("init", "seed", True, "init.seed: expected a number, got True"),
+        ("opt", "seed", "abc", "opt.seed: expected a number, got 'abc'"),
+        ("opt", "max_iters", 5.7, "opt.max_iters: expected an integer, got 5.7"),
+        ("opt", "max_iters", float("inf"), "opt.max_iters: expected a finite number"),
+        ("opt", "stop_tol", float("nan"), "opt.stop_tol: expected a finite number, got nan"),
+        ("model", "delta", float("nan"), "model.delta: expected a finite number, got nan"),
+    ])
+    def test_bad_config_number_is_exit_1(self, tmp_path, capsys, section, key, value,
+                                         message):
+        cfg = base_config(tmp_path / "out")
+        cfg.setdefault(section, {})[key] = value  # json writes NaN and Infinity
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_is_accepted_and_refresh_every_ignored(self, tmp_path, capsys):
+        # a config written for the incremental RCD caches still runs
+        cfg = base_config(tmp_path / "out", max_iters=5.0)
+        cfg["opt"]["refresh_every"] = 50
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 0
+        assert "iterations=5 " in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "cache_drift_max" not in report
+
+
 class TestSweep:
     def test_runs_all_with_distinct_seeds(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "unused", max_iters=15)
@@ -259,6 +289,16 @@ class TestSweep:
         assert main(["diagonalize", "--config", path, "--sweep",
                      "--out-dir", str(tmp_path / "runs")]) == 1
         assert "config error" in capsys.readouterr().out
+
+    def test_non_object_entry_is_a_config_error_for_that_run(self, tmp_path, capsys):
+        good = base_config(tmp_path / "unused", max_iters=5)
+        del good["output"]
+        path = write_json(tmp_path / "sweep.json", [good, "oops"])
+        assert main(["diagonalize", "--config", path, "--sweep",
+                     "--out-dir", str(tmp_path / "runs")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("run_000: initial_error=")
+        assert lines[1] == "run_001: config error: config: expected an object"
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the workers must inherit the patched run_single")

@@ -9,6 +9,7 @@ from paulidiag.operators import (
     PRUNE_TOL,
     PauliSum,
     SupportSets,
+    _accumulate,
     build_support_sets,
     conjugate,
     load_hamiltonian,
@@ -285,9 +286,10 @@ class TestSupportSets:
         assert s1.closure == s2.closure
 
 
-def reference_tables(h: PauliSum, ansatz) -> dict:
+def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
     """Every SupportSets table built entry by entry with pauli.multiply: the
-    loop reference the mask-array build must reproduce exactly."""
+    loop reference the mask-array build must reproduce exactly. Also returns
+    the hk and khk entry rows (i, b, phase, tgt) and (a, s, phase, tgt)."""
     d = len(ansatz)
     h_strings = tuple(sorted(h.strings()))
     hk_index: dict = {}
@@ -314,12 +316,6 @@ def reference_tables(h: PauliSum, ansatz) -> dict:
     g2 = tuple(sorted(pair_map))
     phi_rows = [(t, j, jp, c) for t, p in enumerate(g2) for j, jp, c in pair_map[p]]
 
-    def entries(rows, match, count):
-        return [
-            np.array([e for e, r in enumerate(rows) if match(r, v)], dtype=np.intp)
-            for v in range(count)
-        ]
-
     tables = {
         "h_strings": h_strings,
         "hk_strings": tuple(hk_index),
@@ -338,21 +334,35 @@ def reference_tables(h: PauliSum, ansatz) -> dict:
         "diag_closure_idx": np.array(
             [i for i, p in enumerate(closure) if p.is_diagonal], dtype=np.intp
         ),
-        "hk_entries_by_k": entries(hk_rows, lambda r, v: r[1] == v, d),
-        "phi_entries_by_j": entries(phi_rows, lambda r, v: v in (r[1], r[2]), d),
     }
     for prefix, rows, names in (
-        ("hk", hk_rows, ("src_h", "src_k", "phase", "tgt")),
-        ("khk", khk_rows, ("src_a", "src_s", "phase", "tgt")),
-        ("phi", phi_rows, ("p", "j", "jp", "phase")),
+        ("hk", hk_rows, {"phase": 2, "tgt": 3}),
+        ("khk", khk_rows, {"phase": 2, "tgt": 3}),
+        ("phi", phi_rows, {"p": 0, "j": 1, "jp": 2, "phase": 3}),
     ):
-        for c, name in enumerate(names):
+        for name, c in names.items():
             dtype = complex if name == "phase" else np.intp
             tables[f"{prefix}_{name}"] = np.array([r[c] for r in rows], dtype=dtype)
-    return tables
+    return tables, hk_rows, khk_rows
 
 
-def assert_tables_equal(s, ref: dict) -> None:
+def assert_vectors_match_rows(s, hk_rows, khk_rows, rng) -> None:
+    """hk_vector and khk_vector against the entry-row formula, gathered per
+    row: row (i, b, phase, tgt) adds h_i k_b phase to slot tgt of H*K, row
+    (a, s, phase, tgt) adds conj(k_a) hk_s phase to slot tgt of K'(HK)."""
+    d = len(s.ansatz)
+    k = rng.uniform(0.1, 1.0, d) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, d))
+    i, b, phase, tgt = (np.array(col) for col in zip(*hk_rows))
+    hk = np.append(_accumulate(tgt, s.h_coeffs[i] * k[b] * phase, len(s.hk_strings)), 0j)
+    a, si, phase, tgt = (np.array(col) for col in zip(*khk_rows))
+    khk = _accumulate(tgt, k.conj()[a] * hk[si] * phase, len(s.closure))
+    assert np.array_equal(s.hk_vector(k), hk)
+    assert np.array_equal(s.khk_vector(k, hk), khk)
+
+
+def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
+    s = build_support_sets(h, ansatz)
+    ref, hk_rows, khk_rows = reference_tables(h, ansatz)
     for name, want in ref.items():
         got = getattr(s, name)
         if isinstance(want, np.ndarray):
@@ -364,17 +374,13 @@ def assert_tables_equal(s, ref: dict) -> None:
                         np.signbit(getattr(got, part)), np.signbit(getattr(want, part)),
                         err_msg=name,
                     )
-        elif isinstance(want, list):
-            assert len(got) == len(want), name
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype, name
-                np.testing.assert_array_equal(g, w, err_msg=name)
         elif isinstance(want, dict):
             assert list(got) == list(want), name
             for key, value in want.items():
                 assert repr(got[key]) == repr(value), (name, key)
         else:
             assert got == want, name
+    assert_vectors_match_rows(s, hk_rows, khk_rows, rng)
 
 
 def strings_of(words) -> tuple[PauliString, ...]:
@@ -394,10 +400,8 @@ class TestMaskArrayBuild:
         # diagonal-only H and ansatz: no g1, grad tables of shape (0, d)
         ({"ZI": 1.0, "IZ": 0.5}, ("II", "ZZ")),
     ])
-    def test_handpicked_instances(self, h_words, ansatz_words):
-        h = PauliSum.from_words(h_words)
-        ansatz = strings_of(ansatz_words)
-        assert_tables_equal(build_support_sets(h, ansatz), reference_tables(h, ansatz))
+    def test_handpicked_instances(self, rng, h_words, ansatz_words):
+        assert_matches_reference(PauliSum.from_words(h_words), strings_of(ansatz_words), rng)
 
     def test_random_instances(self, rng):
         for n in (1, 2, 3, 4):
@@ -409,9 +413,7 @@ class TestMaskArrayBuild:
                 if rng.random() < 0.5:
                     ansatz.add(PauliString.identity(n))
                 ansatz = tuple(rng.permutation(sorted(ansatz)))
-                assert_tables_equal(
-                    build_support_sets(h, ansatz), reference_tables(h, ansatz)
-                )
+                assert_matches_reference(h, ansatz, rng)
 
     def test_full_width_strings(self, rng):
         # X or Y on qubit 23 sets bit 47 of the packed key x << 24 | z
@@ -426,11 +428,11 @@ class TestMaskArrayBuild:
 
         h = PauliSum(n, [(p, c) for p, c in zip(sorted(draw(4)), (1.0, -0.5, 0.25, 2.0))])
         ansatz = tuple(sorted(draw(5) | {PauliString.identity(n)}))
-        assert_tables_equal(build_support_sets(h, ansatz), reference_tables(h, ansatz))
+        assert_matches_reference(h, ansatz, rng)
 
     def test_reference_covers_every_table(self):
         # guards the reference against a field added to SupportSets later
         h = PauliSum.from_words({"Z": 1.0})
-        ref = reference_tables(h, (parse("X"),))
+        ref, _, _ = reference_tables(h, (parse("X"),))
         inputs = {"n", "ansatz", "h_ref", "h_coeffs"}
         assert set(ref) | inputs == {f.name for f in dataclasses.fields(SupportSets)}

@@ -63,7 +63,7 @@ class TestSchedules:
         with pytest.raises(ValueError):
             OptConfig(max_iters=10, block_size=0)
         with pytest.raises(ValueError):
-            OptConfig(max_iters=10, refresh_every=0)
+            OptConfig(max_iters=10, stop_tol=math.nan)
 
 
 class TestAlpha:
@@ -174,7 +174,7 @@ class TestRunRCD:
         cfg_gd = OptConfig(max_iters=40, lr=LRSchedule.constant(a), stop_tol=0.0)
         cfg_rcd = OptConfig(
             max_iters=40, lr=LRSchedule.constant(a), stop_tol=0.0,
-            block_size=2 * d, seed=123, refresh_every=20,
+            block_size=2 * d, seed=123,
         )
         tg = run_gd(h, kp, cfg_gd, s)
         tr = run_rcd(h, kp, cfg_rcd, s)
@@ -188,12 +188,42 @@ class TestRunRCD:
                 b.r_norm_pre_normalization, rel=5e-11
             )
 
-    def test_refresh_drift_small(self, rng):
+    def test_caches_equal_a_fresh_evaluation_after_every_step(self, rng):
         h, kp, s = random_instance(rng, 3, 6)
-        cfg = OptConfig(max_iters=60, block_size=3, seed=7, refresh_every=10, stop_tol=0.0)
-        trace = run_rcd(h, kp, cfg, s)
-        assert len(trace.refresh_drifts) == 6
-        assert trace.drift_max < 1e-9
+        d = kp.d
+        state = IncrementalState(s, kp.r, kp.theta)
+        steps = np.random.default_rng(7)
+        for _ in range(50):
+            coords = steps.choice(2 * d, size=3, replace=False)
+            gr, gt, _ = state.sparse_grad(coords)
+            y_r, y_theta = state.r - 0.01 * gr, state.theta - 0.01 * gt
+            state.apply_update(y_r, y_theta, float(np.linalg.norm(y_r)))
+            r, theta = state.r, state.theta
+            k = s.k_coeffs(r, theta)
+            hk = s.hk_vector(k)
+            khk = s.khk_vector(k, hk)
+            phi = s.phi_vector(r, theta)
+            f, penalty, _, _ = cost._evaluate_sparse(s, r, theta, False)
+            assert np.array_equal(state.hk, hk)
+            assert np.array_equal(state.khk, khk)
+            assert np.array_equal(state.phi, phi)
+            assert state.f_value == f and state.penalty == penalty
+
+    @pytest.mark.parametrize("n, d, with_g2", [(1, 1, False), (2, 5, True), (3, 7, True)])
+    def test_sparse_grad_matches_full_gradient_for_every_block_width(self, rng, n, d, with_g2):
+        h, kp, s = random_instance(rng, n, d)
+        assert (len(s.phi_p) > 0) == with_g2
+        full = eval_grad(h, kp, s)
+        want = np.concatenate([full.grad_r, full.grad_theta])
+        state = IncrementalState(s, kp.r, kp.theta)
+        for width in range(1, 2 * d + 1):
+            coords = rng.choice(2 * d, size=width, replace=False)
+            gr, gt, gnorm = state.sparse_grad(coords)
+            got = np.concatenate([gr, gt])
+            np.testing.assert_allclose(got[coords], want[coords], rtol=1e-10, atol=1e-12)
+            others = np.setdiff1d(np.arange(2 * d), coords)
+            assert np.all(got[others] == 0.0)
+            assert gnorm == pytest.approx(np.linalg.norm(got), rel=1e-14)
 
     def test_only_sampled_coords_move(self, rng):
         h, kp, s = random_instance(rng, 2, 4)
