@@ -9,15 +9,19 @@ The ansatz operator is K(r, theta) = sum_j r_j e^{i theta_j} P_j. The cost is
 where phi_P is the coefficient of P in K'K. Traces carry the unnormalized
 2^n factor, so F is degree-4 homogeneous in r: F(s r, theta) = s^4 F(r, theta).
 
-Gradients are exact. With t_P = tr(K'HK P) and P P_j = c R,
+Gradients are exact. With t_P = tr(K'HK P) on g1 (0 on the diagonal closure
+strings), S_s the H*K strings and P_j S_s = c P,
 
-    dF/dr_j     = 4 sum_{P in g1} t_P Re(e^{-i theta_j} c tr(HK R)) + penalty part
-    dF/dtheta_j = 4 sum_{P in g1} t_P r_j Im(e^{-i theta_j} c tr(HK R)) + penalty part
+    dF/dr_j     = 4 Re(tw_j) + penalty part
+    dF/dtheta_j = 4 r_j Im(tw_j) + penalty part
+    tw_j        = e^{-i theta_j} sum_s c t_P tr(HK S_s)
 
-The inner traces are lookups into the H*K coefficient table, so one gradient
-costs O(d^2 M + |g1| d) after the support tables are built. Both signs were
-validated against central finite differences; the theta sign is +4 for this
-operator order.
+so coordinate j reads row j of the K'(HK) product grid that f itself is
+accumulated from, and its penalty part reads row j and column j of the pair
+grid that phi is accumulated from. One full gradient costs O(d |hk|) after
+the support tables are built, a block J of coordinates O(|J| (|hk| + 2d)).
+Both signs were validated against central finite differences; the theta sign
+is +4 for this operator order.
 
 When the qubit count is small and the ansatz is at least Hilbert-dimension
 sized, evaluation switches to direct 2^n x 2^n matrix algebra (same values,
@@ -26,6 +30,7 @@ same gradients, far cheaper); see _dense_path_applies.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import weakref
 from dataclasses import dataclass
@@ -229,42 +234,59 @@ def _evaluate_dense(work: _DenseWork, r: np.ndarray, theta: np.ndarray, want_gra
     return f, penalty, grad_r, grad_theta
 
 
-def _evaluate_sparse(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
+def _table_values(s: SupportSets, r: np.ndarray, theta: np.ndarray):
+    """The table path's coefficient vectors at (r, theta): (hk, khk, t, phi,
+    f, penalty), where t is 2^n Re khk on the g1 slots of the closure and 0
+    on its diagonal strings."""
     kc = s.k_coeffs(r, theta)
     hk = s.hk_vector(kc)
     khk = s.khk_vector(kc, hk)
-    two_n = float(2**s.n)
-    t = two_n * khk[s.g1_closure_idx].real
-    f = float(np.sum(t * t))
+    t_g1 = float(2**s.n) * khk[s.g1_closure_idx].real
+    t = np.zeros(len(s.closure))
+    t[s.g1_closure_idx] = t_g1
     phi = s.phi_vector(r, theta)
+    f = float(np.sum(t_g1 * t_g1))
     penalty = float(np.sum(phi.real**2 + phi.imag**2))
+    return hk, khk, t, phi, f, penalty
+
+
+def _evaluate_sparse(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
+    hk, _, t, phi, f, penalty = _table_values(s, r, theta)
     if not want_grad:
         return f, penalty, None, None
-
-    # off-diagonal part: W[P, j] = e^{-i theta_j} c_{P,j} tr(HK * strip(P P_j))
-    W = s.grad_phase * hk[s.grad_tgt]
-    W = W * (two_n * np.exp(-1j * theta))[None, :]
-    tw = t @ W
-    grad_r = 4.0 * tw.real
-    grad_theta = 4.0 * r * tw.imag
-
-    if len(s.phi_p):
-        _add_penalty_grad(s, r, theta, phi, grad_r, grad_theta)
+    grad_r, grad_theta = _offdiag_grad(s, r, theta, hk, t, slice(None))
+    _add_penalty_grad(s, r, theta, phi, grad_r, grad_theta, slice(None))
     return f, penalty, grad_r, grad_theta
 
 
-def _add_penalty_grad(s: SupportSets, r, theta, phi, grad_r, grad_theta, e=slice(None)):
-    """Add the penalty part of the gradient, d|phi_P|^2 = 2 Re(conj(phi_P)
-    dphi_P), entry by entry over the phi entries e (all of them by default).
-    A partial in j is complete when e holds every entry with an end at j."""
+def _offdiag_grad(s: SupportSets, r, theta, hk, t, J):
+    """f's partials in r_J and theta_J, from rows J of the khk grid. With
+    P_j S_s = c P (khk entry (j, s)), coordinate j reads
+
+        tw_j = 2^n e^{-i theta_j} sum_s c t_P hk_s
+
+    where t is _table_values' closure-length t, so entries landing on a
+    diagonal string add 0."""
+    w = s.khk_phase.reshape(s.d, -1)[J] * t[s.grad_tgt[J]]
+    tw = (w @ hk) * (float(2**s.n) * np.exp(-1j * theta[J]))
+    return 4.0 * tw.real, 4.0 * r[J] * tw.imag
+
+
+def _add_penalty_grad(s: SupportSets, r, theta, phi, grad_r, grad_theta, J):
+    """Add the penalty's partials in r_J and theta_J (grad_r and grad_theta
+    are indexed like J), d|phi_P|^2 = 2 Re(conj(phi_P) dphi_P). Pair-grid
+    entry (i, j), P_i P_j = c P, adds c r_i r_j e^{i(theta_j - theta_i)} to
+    phi_P, so the terms of coordinate m sit in row m and column m."""
+    if not len(s.g2):
+        return
     d = s.d
-    j, jp = s.phi_j[e], s.phi_jp[e]
-    a = phi.conj()[s.phi_p[e]] * s.phi_phase[e] * np.exp(1j * (theta[j] - theta[jp]))
-    grad_r += 2.0 * np.bincount(j, weights=a.real * r[jp], minlength=d)
-    grad_r += 2.0 * np.bincount(jp, weights=a.real * r[j], minlength=d)
-    rr = r[j] * r[jp]
-    grad_theta -= 2.0 * np.bincount(j, weights=a.imag * rr, minlength=d)
-    grad_theta += 2.0 * np.bincount(jp, weights=a.imag * rr, minlength=d)
+    cphi = phi.conj()
+    tgt, phase = s.phi_p.reshape(d, d), s.phi_phase.reshape(d, d)
+    e = np.exp(1j * theta)
+    rows = ((cphi[tgt[J]] * phase[J]) @ (e * r)) * e[J].conj()
+    cols = ((e.conj() * r) @ (cphi[tgt[:, J]] * phase[:, J])) * e[J]
+    grad_r += 2.0 * (rows.real + cols.real)
+    grad_theta += 2.0 * r[J] * (rows.imag - cols.imag)
 
 
 def _evaluator(s: SupportSets):
@@ -292,13 +314,10 @@ def eval_phi(kp: KParams, p: PauliString, s: SupportSets) -> complex:
         raise ValueError(f"string on {p.n} qubits, ansatz on {kp.n}")
     if p.is_identity:
         return complex(np.dot(kp.r, kp.r))
-    entries = s.g2_pairs.get(p)
-    if entries is None:
+    i = bisect.bisect_left(s.g2, p)
+    if i == len(s.g2) or s.g2[i] != p:
         raise ValueError(f"{p.word} is not a product of two ansatz strings")
-    r, theta = kp.r, kp.theta
-    return complex(
-        sum(c * r[j] * r[jp] * np.exp(1j * (theta[j] - theta[jp])) for j, jp, c in entries)
-    )
+    return complex(s.phi_vector(kp.r, kp.theta)[i])
 
 
 def eval_F(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:

@@ -17,22 +17,15 @@ from .pauli import PauliString, commutes, multiply, parse
 from .verify import pauli_decompose, to_dense
 
 
-def _word(n: int, ops: dict[int, str]) -> PauliString:
-    chars = ["I"] * n
-    for q, op in ops.items():
-        chars[q] = op
-    return PauliString.from_word("".join(chars))
-
-
 def build_xxz(n: int, j: float, delta: float) -> PauliSum:
     """Open XXZ chain: j*(XX + YY) plus delta*ZZ on each bond; 3(n-1) terms."""
     if n < 2:
         raise ValueError("need at least 2 sites")
     terms: dict[PauliString, complex] = {}
     for i in range(n - 1):
-        terms[_word(n, {i: "X", i + 1: "X"})] = j
-        terms[_word(n, {i: "Y", i + 1: "Y"})] = j
-        terms[_word(n, {i: "Z", i + 1: "Z"})] = delta
+        terms[PauliString.from_ops(n, {i: "X", i + 1: "X"})] = j
+        terms[PauliString.from_ops(n, {i: "Y", i + 1: "Y"})] = j
+        terms[PauliString.from_ops(n, {i: "Z", i + 1: "Z"})] = delta
     return PauliSum(n, terms)
 
 
@@ -51,13 +44,13 @@ def build_hubbard(sites: int, t: float, u: float) -> PauliSum:
     for j in range(sites - 1):
         for spin in (0, 1):
             a, b = 2 * j + spin, 2 * (j + 1) + spin
-            terms[_word(n, {a: "X", b: "X"})] = -t / 2
-            terms[_word(n, {a: "Y", b: "Y"})] = -t / 2
+            terms[PauliString.from_ops(n, {a: "X", b: "X"})] = -t / 2
+            terms[PauliString.from_ops(n, {a: "Y", b: "Y"})] = -t / 2
     for j in range(sites):
         up, dn = 2 * j, 2 * j + 1
-        terms[_word(n, {up: "Z"})] = -u / 4
-        terms[_word(n, {dn: "Z"})] = -u / 4
-        terms[_word(n, {up: "Z", dn: "Z"})] = u / 4
+        terms[PauliString.from_ops(n, {up: "Z"})] = -u / 4
+        terms[PauliString.from_ops(n, {dn: "Z"})] = -u / 4
+        terms[PauliString.from_ops(n, {up: "Z", dn: "Z"})] = u / 4
     return PauliSum(n, terms)
 
 
@@ -176,18 +169,23 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
         kind = gate[0]
         if kind == "s":
             q = gate[1]
-            g = PauliSum(n, {ident: (1 + 1j) / 2, _word(n, {q: "Z"}): (1 - 1j) / 2})
+            g = PauliSum(
+                n, {ident: (1 + 1j) / 2, PauliString.from_ops(n, {q: "Z"}): (1 - 1j) / 2}
+            )
         elif kind == "h":
             q = gate[1]
             inv_sqrt2 = 1.0 / math.sqrt(2.0)
-            g = PauliSum(n, {_word(n, {q: "X"}): inv_sqrt2, _word(n, {q: "Z"}): inv_sqrt2})
+            g = PauliSum(n, {
+                PauliString.from_ops(n, {q: "X"}): inv_sqrt2,
+                PauliString.from_ops(n, {q: "Z"}): inv_sqrt2,
+            })
         elif kind == "cnot":
             ctl, tgt = gate[1], gate[2]
             g = PauliSum(n, {
                 ident: 0.5,
-                _word(n, {ctl: "Z"}): 0.5,
-                _word(n, {tgt: "X"}): 0.5,
-                _word(n, {ctl: "Z", tgt: "X"}): -0.5,
+                PauliString.from_ops(n, {ctl: "Z"}): 0.5,
+                PauliString.from_ops(n, {tgt: "X"}): 0.5,
+                PauliString.from_ops(n, {ctl: "Z", tgt: "X"}): -0.5,
             })
         elif kind == "rot":
             angle, p = gate[1], gate[2]
@@ -238,26 +236,30 @@ def build_example_hams(
         raise ValueError("every entry of d must be nonzero")
 
     gens = [
-        _word(n, {0: "X", 1: "Y"}),
-        _word(n, {0: "Z", 1: "Y"}),
-        _word(n, {1: "Z"}),
+        PauliString.from_ops(n, {0: "X", 1: "Y"}),
+        PauliString.from_ops(n, {0: "Z", 1: "Y"}),
+        PauliString.from_ops(n, {1: "Z"}),
     ]
     for j in range(3, n + 1):
         chain = {q: "Y" for q in range(2, j - 1)}
-        gens.append(_word(n, {1: "X", **chain, j - 1: "Z"}))
+        gens.append(PauliString.from_ops(n, {1: "X", **chain, j - 1: "Z"}))
     for i in range(len(gens)):
         for k in range(i):
             assert not commutes(gens[i], gens[k]), "generator family must anticommute"
 
     a_sum = PauliSum(n, {g: coeff for g, coeff in zip(gens, c_vec)})
     ident = PauliString.identity(n)
-    rot = PauliSum(n, {ident: math.cos(theta), _word(n, {1: "Z"}): 1j * math.sin(theta)})
+    rot = PauliSum(
+        n, {ident: math.cos(theta), PauliString.from_ops(n, {1: "Z"}): 1j * math.sin(theta)}
+    )
     u = sum_multiply(rot, a_sum)
     if clifford_prefix:
         u = sum_multiply(_prefix_to_sum(n, clifford_prefix), u)
 
     d_sum = PauliSum(n, {ident: 1.0})
-    d_sum = d_sum + PauliSum(n, {_word(n, {q: "Y"}): dv for q, dv in enumerate(d_vec)})
+    d_sum = d_sum + PauliSum(
+        n, {PauliString.from_ops(n, {q: "Y"}): dv for q, dv in enumerate(d_vec)}
+    )
     h = sum_multiply(sum_multiply(u, d_sum), u.adjoint())
     return h, u, d_sum
 

@@ -7,17 +7,18 @@ build_support_sets precomputes, for a Hamiltonian H and an ansatz list
 (P_1..P_d), everything the cost evaluator needs:
 
 * g1: the off-diagonal strings that can appear in K'HK (ansatz closure),
-* g2: the non-identity products P_i P_j with their (j, j_P, c) index tables,
-* flat integer/phase tables that let the hot loops run as numpy gathers and
-  bincount accumulations instead of per-term dict arithmetic.
+* g2: the non-identity products P_i P_j,
+* three row-major product grids (H P_b, P_a (HK), P_i P_j), each a flat
+  phase and target-slot table, so that values are bincount accumulations
+  and gradients are row gathers instead of per-term dict arithmetic.
 
-The build itself works on int64 x/z mask arrays. Each product family (H P_b,
-P_a (HK), g1 P_j, P_i P_j) is one broadcast of pauli.multiply_masks, strings
-are deduplicated through packed int64 keys (n <= MAX_QUBITS = 24 makes
-x << 24 | z fit), and PauliString objects are created only for the returned
-string tuples and g2_pairs. Distinct strings are numbered in order of first
-occurrence in row-major entry order, and g1/g2 follow PauliString order, so
-every table is independent of how the products are computed.
+The build itself works on int64 x/z mask arrays. Each grid is one broadcast
+of pauli.multiply_masks, strings are deduplicated through packed int64 keys
+(n <= MAX_QUBITS = 24 makes x << 24 | z fit), and PauliString objects are
+created only for the returned string tuples. Distinct strings are numbered
+in order of first occurrence in row-major entry order, and g1/g2 follow
+PauliString order, so every table is independent of how the products are
+computed.
 """
 
 from __future__ import annotations
@@ -215,15 +216,26 @@ class SupportSets:
     g1 holds the off-diagonal strings of the conjugation closure
     {strip(P_a Q_i P_b)}; the coefficient of any string outside the closure is
     identically zero in K'HK, whatever the parameters. g2 holds the
-    non-identity pair products P_i P_j; g2_pairs[P] lists (j, j_P, c) with
-    P_{j_P} P_j = c P, which is exactly the index structure behind phi_P.
+    non-identity pair products P_i P_j, the strings phi_P is defined on.
+
+    The tables are three row-major product grids, each a flat phase array
+    plus a flat target-slot array:
+
+    * hk: entry (i, b) is h_strings[i] * P_b, at i * d + b, slot in hk_strings;
+    * khk: entry (a, s) is P_a * hk_strings[s], at a * |hk| + s, slot in
+      closure;
+    * phi: entry (i, j) is P_i * P_j, at i * d + j, slot in g2; the identity
+      diagonal has phase 0 (and slot 0).
+
+    Values bincount each grid into its slots. Gradients read the same grids
+    by rows: the khk row j and the phi row and column j hold every term the
+    partials in r_j and theta_j need.
     """
 
     n: int
     ansatz: tuple[PauliString, ...]
     g1: tuple[PauliString, ...]
     g2: tuple[PauliString, ...]
-    g2_pairs: dict[PauliString, tuple[tuple[int, int, complex], ...]]
     closure: tuple[PauliString, ...]
 
     # fixed Hamiltonian data
@@ -231,65 +243,56 @@ class SupportSets:
     h_strings: tuple[PauliString, ...] = field(repr=False)
     h_coeffs: np.ndarray = field(repr=False)
 
-    # H*K product support; the last slot is a zero sentinel for lookups that
-    # fall outside the support
+    # H*K product support
     hk_strings: tuple[PauliString, ...] = field(repr=False)
 
-    # flat build tables over row-major entry grids: hk entry (i, b) is
-    # h_strings[i] * P_b and sits at i * d + b; khk entry (a, s) is
-    # P_a * hk_strings[s] and sits at a * |hk_strings| + s
+    # the product grids
     hk_phase: np.ndarray = field(repr=False)
     hk_tgt: np.ndarray = field(repr=False)
     khk_phase: np.ndarray = field(repr=False)
     khk_tgt: np.ndarray = field(repr=False)
-
-    # gradient lookup tables, shape (|g1|, d)
-    grad_tgt: np.ndarray = field(repr=False)
-    grad_phase: np.ndarray = field(repr=False)
-
-    # phi entry tables
     phi_p: np.ndarray = field(repr=False)
-    phi_j: np.ndarray = field(repr=False)
-    phi_jp: np.ndarray = field(repr=False)
     phi_phase: np.ndarray = field(repr=False)
 
-    # index of each g1 string inside closure, and the diagonal complement
+    # index of each g1 string inside closure
     g1_closure_idx: np.ndarray = field(repr=False)
-    diag_closure_idx: np.ndarray = field(repr=False)
 
     @property
     def d(self) -> int:
         return len(self.ansatz)
 
     @property
-    def dim(self) -> int:
-        return 2**self.n
+    def grad_tgt(self) -> np.ndarray:
+        """The khk grid's target slots as a (d, |hk|) view: row j holds the
+        closure slot of P_j * hk_strings[s], which the off-diagonal gradient
+        in coordinate j gathers through."""
+        return self.khk_tgt.reshape(self.d, -1)
 
     def k_coeffs(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return r * np.exp(1j * theta)
 
     def hk_vector(self, k_coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of H*K over hk_strings, sentinel zero appended."""
+        """Coefficients of H*K over hk_strings."""
         # both operands carry two axes: a (1, 1) * (1,) product skips the
         # vector loop and rounds differently from the gathered entry rows
         w = self.h_coeffs[:, None] * k_coeffs[None, :] * self.hk_phase.reshape(-1, self.d)
-        vec = _accumulate(self.hk_tgt, w.ravel(), len(self.hk_strings))
-        return np.append(vec, 0j)
+        return _accumulate(self.hk_tgt, w.ravel(), len(self.hk_strings))
 
     def khk_vector(self, k_coeffs: np.ndarray, hk_vec: np.ndarray) -> np.ndarray:
         """Coefficients of K'(HK) over closure; hk_vec is hk_vector's output."""
-        w = k_coeffs.conj()[:, None] * hk_vec[None, :-1] * self.khk_phase.reshape(self.d, -1)
+        w = k_coeffs.conj()[:, None] * hk_vec[None, :] * self.khk_phase.reshape(self.d, -1)
         return _accumulate(self.khk_tgt, w.ravel(), len(self.closure))
 
     def phi_vector(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """phi_P over g2 (identity excluded; its value is ||r||^2)."""
         w = (
-            self.phi_phase
-            * r[self.phi_j]
-            * r[self.phi_jp]
-            * np.exp(1j * (theta[self.phi_j] - theta[self.phi_jp]))
+            self.phi_phase.reshape(self.d, self.d)
+            * r[None, :]
+            * r[:, None]
+            * np.exp(1j * (theta[None, :] - theta[:, None]))
         )
-        return _accumulate(self.phi_p, w, len(self.g2))
+        # the diagonal's zeros land in slot 0, which d = 1 (g2 empty) drops
+        return _accumulate(self.phi_p, w.ravel(), len(self.g2))[: len(self.g2)]
 
 
 def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
@@ -331,45 +334,22 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
     # g1: the off-diagonal (x != 0) closure strings, sorted by key
     off = np.flatnonzero(cl_x != 0)
     g1_closure_idx = off[np.argsort(closure_keys[off])]
-    diag_closure_idx = np.flatnonzero(cl_x == 0)
     g1_x, g1_z = cl_x[g1_closure_idx], cl_z[g1_closure_idx]
 
-    # gradient lookup: for each (P in g1, j) the string P*P_j inside hk support
-    k, rx, rz = multiply_masks(g1_x[:, None], g1_z[:, None], ax, az)
-    grad_keys = _key(rx, rz)
-    hk_order = np.argsort(hk_keys)
-    hk_sorted = hk_keys[hk_order]
-    pos = np.minimum(np.searchsorted(hk_sorted, grad_keys), len(hk_keys) - 1)
-    grad_tgt = np.where(hk_sorted[pos] == grad_keys, hk_order[pos], len(hk_keys))
-    grad_phase = _PHASES[k]
-
-    # pair products P_i P_j -> phi index tables; entry (i, j) is P_i * P_j,
-    # the identity (i == j, the ansatz being distinct) left out
+    # pair grid; entry (i, j) is P_i * P_j. The ansatz being distinct, only
+    # the diagonal is the identity: it points at slot 0 with phase 0
     k, px, pz = multiply_masks(ax[:, None], az[:, None], ax, az)
     pair_keys = _key(px, pz).ravel()
-    pair = np.flatnonzero(pair_keys != 0)
-    g2_keys, pair_p = np.unique(pair_keys[pair], return_inverse=True)
-    order = np.argsort(pair_p, kind="stable")
-    pair = pair[order]
-    phi_p = pair_p[order]
-    phi_j = pair % d
-    phi_jp = pair // d
-    phi_k = k.ravel()[pair]
-    phi_phase = _PHASES[phi_k]
-
-    g2 = _strings(n, *_unkey(g2_keys))
-    entries = list(zip(
-        phi_j.tolist(), phi_jp.tolist(), [_PHASE_VALUES[v] for v in phi_k.tolist()]
-    ))
-    bounds = np.searchsorted(phi_p, np.arange(len(g2) + 1))
-    g2_pairs = {p: tuple(entries[bounds[i] : bounds[i + 1]]) for i, p in enumerate(g2)}
+    ident = pair_keys == 0
+    g2_keys, phi_p = np.unique(pair_keys, return_inverse=True)
+    phi_p = np.where(ident, 0, phi_p - 1)
+    phi_phase = np.where(ident, 0j, _PHASES[k.ravel()])
 
     return SupportSets(
         n=n,
         ansatz=ansatz,
         g1=_strings(n, g1_x, g1_z),
-        g2=g2,
-        g2_pairs=g2_pairs,
+        g2=_strings(n, *_unkey(g2_keys[1:])),
         closure=_strings(n, cl_x, cl_z),
         h_ref=h,
         h_strings=h_strings,
@@ -379,14 +359,9 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
         hk_tgt=hk_tgt,
         khk_phase=khk_phase,
         khk_tgt=khk_tgt,
-        grad_tgt=grad_tgt,
-        grad_phase=grad_phase,
         phi_p=phi_p,
-        phi_j=phi_j,
-        phi_jp=phi_jp,
         phi_phase=phi_phase,
         g1_closure_idx=g1_closure_idx,
-        diag_closure_idx=diag_closure_idx,
     )
 
 

@@ -8,10 +8,11 @@ built once, for final_params. Only the step differs. GD uses the full exact
 gradient recomputed from scratch every iteration (dense or table path, chosen
 once at entry). RCD samples S of the 2d coordinates uniformly without
 replacement and computes only those partials, from cached coefficient tables
-(K'HK over the closure, H*K over its support, phi over g2): the off-diagonal
-part costs |g1| S instead of |g1| d. After every step the caches are rebuilt
-from scratch at the new params, so they never drift; OptTrace.refresh_drifts
-stays empty and drift_max reads 0.0.
+(K'HK over the closure, H*K over its support, phi over g2) and the same
+gradient functions as GD's table path, on the rows of the sampled ansatz
+indices J only: O(|J| (|hk| + 2d)) instead of O(d |hk|). After every step the
+caches are rebuilt from scratch at the new params, so they never drift;
+OptTrace.refresh_drifts stays empty and drift_max reads 0.0.
 
 With S = 2d the sampled set is always the full coordinate set, so one RCD
 iteration reproduces one GD iteration (same step, seed-independent); run_rcd
@@ -40,7 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import KParams, _add_penalty_grad, _check, _evaluator
+from .cost import (
+    KParams, _add_penalty_grad, _check, _evaluator, _offdiag_grad, _table_values,
+)
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
 
@@ -287,57 +290,38 @@ class IncrementalState:
 
     sparse_grad reads them to compute a sampled block of partials;
     apply_update adopts a step and refresh rebuilds every table from scratch
-    with the SupportSets routines the table evaluator uses, so the tables
-    always equal a fresh evaluation at (r, theta)."""
+    with the routine the table evaluator uses, so the tables always equal a
+    fresh evaluation at (r, theta)."""
 
     def __init__(self, s: SupportSets, r: np.ndarray, theta: np.ndarray):
         self.s = s
-        self.two_n = float(2**s.n)
-        # ansatz-major copies of the gradient tables: a sampled block reads a
-        # few contiguous rows instead of gathering strided columns
-        self._grad_phase_by_j = np.ascontiguousarray(s.grad_phase.T)
-        self._grad_tgt_by_j = np.ascontiguousarray(s.grad_tgt.T)
         self.r = np.array(r, dtype=float)
         self.theta = np.array(theta, dtype=float)
         self.refresh()
 
     def refresh(self) -> None:
         """Rebuild every table from scratch at (r, theta)."""
-        s = self.s
-        k = s.k_coeffs(self.r, self.theta)
-        self.hk = s.hk_vector(k)
-        self.khk = s.khk_vector(k, self.hk)
-        self.phi = s.phi_vector(self.r, self.theta)
-        t = self.two_n * self.khk[s.g1_closure_idx].real
-        self.f_value = float(np.sum(t * t))
-        self.penalty = float(np.sum(self.phi.real**2 + self.phi.imag**2))
+        self.hk, self.khk, self.t, self.phi, self.f_value, self.penalty = _table_values(
+            self.s, self.r, self.theta
+        )
 
     def sparse_grad(self, coords: np.ndarray):
         """Exact partials for the sampled coordinate indices (r_j for
-        coords < d, theta_{j-d} otherwise), zeros elsewhere."""
+        coords < d, theta_{j-d} otherwise), zeros elsewhere. They read rows J
+        of the khk grid and rows and columns J of the pair grid, J being the
+        sampled ansatz indices."""
         s = self.s
         d = s.d
         r, theta = self.r, self.theta
         coords = np.asarray(coords)
         J = np.unique(coords % d)
+        gr_j, gt_j = _offdiag_grad(s, r, theta, self.hk, self.t, J)
+        _add_penalty_grad(s, r, theta, self.phi, gr_j, gt_j, J)
 
-        t = self.two_n * self.khk[s.g1_closure_idx].real
-        # the transpose has the memory order of a column gather s.grad_phase[:, J],
-        # which keeps the matmul below summing in the same order
-        W = (self._grad_phase_by_j[J] * self.hk[self._grad_tgt_by_j[J]]).T
-        W = W * (self.two_n * np.exp(-1j * theta[J]))[None, :]
-        tw = np.zeros(d, dtype=complex)
-        tw[J] = t.astype(complex) @ W
-        gr = 4.0 * tw.real
-        gt = 4.0 * r * tw.imag
-        if len(s.phi_p):
-            # only the phi entries with an end in J reach the sampled partials
-            in_j = np.zeros(d, dtype=bool)
-            in_j[J] = True
-            _add_penalty_grad(s, r, theta, self.phi, gr, gt, in_j[s.phi_j] | in_j[s.phi_jp])
-
+        grad = np.zeros(2 * d)
+        grad[J], grad[d + J] = gr_j, gt_j
         out = np.zeros(2 * d)
-        out[coords] = np.concatenate([gr, gt])[coords]
+        out[coords] = grad[coords]
         gr, gt = out[:d], out[d:]
         return gr, gt, float(np.sqrt(np.dot(gr, gr) + np.dot(gt, gt)))
 

@@ -53,21 +53,8 @@ def _parity(v: np.ndarray) -> np.ndarray:
 
 
 def string_to_dense(p: PauliString) -> np.ndarray:
-    """2^n x 2^n complex matrix of a Pauli string.
-
-    Built directly as a signed permutation: column b maps to row b XOR x
-    with sign (-1)^{popcount(b AND z)} and a global i^{#Y} phase.
-    """
-    _check_dense_n(p.n)
-    dim = 1 << p.n
-    xr = _revbits(p.x_mask, p.n)
-    zr = _revbits(p.z_mask, p.n)
-    cols = np.arange(dim, dtype=np.int64)
-    signs = 1.0 - 2.0 * _parity(cols & zr)
-    phase = 1j ** ((p.x_mask & p.z_mask).bit_count() % 4)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[cols ^ xr, cols] = phase * signs
-    return mat
+    """2^n x 2^n complex matrix of a Pauli string (to_dense of the one-term sum)."""
+    return to_dense(PauliSum(p.n, [(p, 1.0)]))
 
 
 def to_dense(a: PauliSum) -> np.ndarray:
@@ -346,22 +333,13 @@ def generating_set_check(n: int) -> bool:
     if not 3 <= n <= 6:
         raise ValueError("supported range is 3 <= n <= 6")
 
-    def word(pairs: dict[int, str]) -> PauliString:
-        chars = ["I"] * n
-        for q, op in pairs.items():
-            chars[q] = op
-        return PauliString.from_word("".join(chars))
-
     gens = [
-        word({0: "Z"}),
-        word({1: "Z"}),
-        word({0: "X"}),
-        word({1: "X"}),
-        word({0: "Z", 1: "Z"}),
+        PauliString.from_ops(n, ops)
+        for ops in ({0: "Z"}, {1: "Z"}, {0: "X"}, {1: "X"}, {0: "Z", 1: "Z"})
     ]
     for j in range(3, n + 1):
         chain = {q: "Y" for q in range(2, j - 1)}
-        gens.append(word({1: "X", **chain, j - 1: "Z"}))
-        gens.append(word({1: "Z", **chain, j - 1: "X"}))
+        gens.append(PauliString.from_ops(n, {1: "X", **chain, j - 1: "Z"}))
+        gens.append(PauliString.from_ops(n, {1: "Z", **chain, j - 1: "X"}))
     result = lie_closure_dim(gens, cap=4 ** n)
     return result.dim == 4 ** n - 1 and not result.hit_cap

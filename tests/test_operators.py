@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
+from paulidiag import cost
+from paulidiag.cost import KParams, eval_phi
 from paulidiag.operators import (
     HERMITIAN_TOL,
     PRUNE_TOL,
@@ -17,6 +19,7 @@ from paulidiag.operators import (
     sum_multiply,
     trace_with,
 )
+from paulidiag.optimize import IncrementalState
 from paulidiag.pauli import MAX_QUBITS, PauliString, multiply, parse
 
 from conftest import dense_terms, dense_word
@@ -199,8 +202,9 @@ class TestSupportSets:
         assert tuple(p.word for p in s.g1) == ("Y",)
         assert tuple(p.word for p in s.g2) == ("X",)
         assert set(p.word for p in s.closure) == {"Z", "Y"}
-        pairs = s.g2_pairs[parse("X")]
-        assert sorted(pairs) == [(0, 1, (1 + 0j)), (1, 0, (1 + 0j))]
+        # phi_X = conj(k_I) k_X + conj(k_X) k_I: the pair grid's two off-diagonal entries
+        kp = KParams(s.ansatz, np.array([0.6, 0.8]), np.array([0.3, -0.4]))
+        assert eval_phi(kp, parse("X"), s) == pytest.approx(2 * 0.6 * 0.8 * np.cos(0.7))
 
     def test_full_basis_xxz2(self):
         h = PauliSum.from_words({"XX": 1.0, "YY": 1.0, "ZZ": 1.0})
@@ -260,7 +264,7 @@ class TestSupportSets:
             hk = sum_multiply(h, k)
             for idx, p in enumerate(s.hk_strings):
                 assert hk_vec[idx] == pytest.approx(hk.coefficient(p), abs=1e-13)
-            assert hk_vec[-1] == 0j  # sentinel
+            assert len(hk_vec) == len(s.hk_strings)
 
             khk_vec = s.khk_vector(kc, hk_vec)
             khk = conjugate(h, k)
@@ -286,11 +290,11 @@ class TestSupportSets:
         assert s1.closure == s2.closure
 
 
-def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
+def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list, list]:
     """Every SupportSets table built entry by entry with pauli.multiply: the
     loop reference the mask-array build must reproduce exactly. Also returns
-    the hk and khk entry rows (i, b, phase, tgt) and (a, s, phase, tgt)."""
-    d = len(ansatz)
+    the hk, khk and pair entry rows (i, b, phase, tgt), (a, s, phase, tgt) and
+    (i, j, phase, tgt), each in row-major grid order."""
     h_strings = tuple(sorted(h.strings()))
     hk_index: dict = {}
     hk_rows = []
@@ -306,15 +310,15 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
             khk_rows.append((a, si, ph.value, closure_index.setdefault(t, len(closure_index))))
     closure = tuple(closure_index)
     g1 = tuple(sorted(p for p in closure if not p.is_diagonal))
-    grad = [[multiply(p, pj) for pj in ansatz] for p in g1]
-    pair_map: dict = {}
-    for i, pi in enumerate(ansatz):
-        for j, pj in enumerate(ansatz):
-            ph, p = multiply(pi, pj)
-            if not p.is_identity:
-                pair_map.setdefault(p, []).append((j, i, ph.value))
-    g2 = tuple(sorted(pair_map))
-    phi_rows = [(t, j, jp, c) for t, p in enumerate(g2) for j, jp, c in pair_map[p]]
+    products = [[multiply(pi, pj) for pj in ansatz] for pi in ansatz]
+    g2 = tuple(sorted({p for row in products for _, p in row if not p.is_identity}))
+    g2_index = {p: t for t, p in enumerate(g2)}
+    # the identity diagonal adds phase 0 to slot 0
+    pair_rows = [
+        (i, j, 0j, 0) if p.is_identity else (i, j, ph.value, g2_index[p])
+        for i, row in enumerate(products)
+        for j, (ph, p) in enumerate(row)
+    ]
 
     tables = {
         "h_strings": h_strings,
@@ -322,47 +326,91 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
         "closure": closure,
         "g1": g1,
         "g2": g2,
-        "g2_pairs": {p: tuple(pair_map[p]) for p in g2},
-        "grad_tgt": np.array(
-            [[hk_index.get(t, len(hk_index)) for _, t in row] for row in grad],
-            dtype=np.intp,
-        ).reshape(len(g1), d),
-        "grad_phase": np.array(
-            [[ph.value for ph, _ in row] for row in grad], dtype=complex
-        ).reshape(len(g1), d),
         "g1_closure_idx": np.array([closure_index[p] for p in g1], dtype=np.intp),
-        "diag_closure_idx": np.array(
-            [i for i, p in enumerate(closure) if p.is_diagonal], dtype=np.intp
-        ),
     }
     for prefix, rows, names in (
         ("hk", hk_rows, {"phase": 2, "tgt": 3}),
         ("khk", khk_rows, {"phase": 2, "tgt": 3}),
-        ("phi", phi_rows, {"p": 0, "j": 1, "jp": 2, "phase": 3}),
+        ("phi", pair_rows, {"phase": 2, "p": 3}),
     ):
         for name, c in names.items():
             dtype = complex if name == "phase" else np.intp
             tables[f"{prefix}_{name}"] = np.array([r[c] for r in rows], dtype=dtype)
-    return tables, hk_rows, khk_rows
+    return tables, hk_rows, khk_rows, pair_rows
 
 
-def assert_vectors_match_rows(s, hk_rows, khk_rows, rng) -> None:
-    """hk_vector and khk_vector against the entry-row formula, gathered per
-    row: row (i, b, phase, tgt) adds h_i k_b phase to slot tgt of H*K, row
-    (a, s, phase, tgt) adds conj(k_a) hk_s phase to slot tgt of K'(HK)."""
+def assert_vectors_match_rows(s, hk_rows, khk_rows, pair_rows, rng) -> None:
+    """hk_vector, khk_vector and phi_vector against the entry-row formula,
+    gathered per row: row (i, b, phase, tgt) adds h_i k_b phase to slot tgt of
+    H*K, row (a, s, phase, tgt) adds conj(k_a) hk_s phase to slot tgt of
+    K'(HK), row (i, j, phase, tgt) adds phase r_j r_i e^{i(theta_j - theta_i)}
+    to slot tgt of phi."""
     d = len(s.ansatz)
-    k = rng.uniform(0.1, 1.0, d) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, d))
+    r, theta = rng.uniform(0.1, 1.0, d), rng.uniform(0.0, 2 * np.pi, d)
+    k = s.k_coeffs(r, theta)
     i, b, phase, tgt = (np.array(col) for col in zip(*hk_rows))
-    hk = np.append(_accumulate(tgt, s.h_coeffs[i] * k[b] * phase, len(s.hk_strings)), 0j)
+    hk = _accumulate(tgt, s.h_coeffs[i] * k[b] * phase, len(s.hk_strings))
     a, si, phase, tgt = (np.array(col) for col in zip(*khk_rows))
     khk = _accumulate(tgt, k.conj()[a] * hk[si] * phase, len(s.closure))
+    i, j, phase, tgt = (np.array(col) for col in zip(*pair_rows))
+    w = phase * r[j] * r[i] * np.exp(1j * (theta[j] - theta[i]))
+    phi = _accumulate(tgt, w, len(s.g2))[: len(s.g2)]
     assert np.array_equal(s.hk_vector(k), hk)
     assert np.array_equal(s.khk_vector(k, hk), khk)
+    assert np.array_equal(s.phi_vector(r, theta), phi)
+
+
+def loop_gradient(h: PauliSum, ansatz, r, theta) -> np.ndarray:
+    """(grad_r, grad_theta) of F from per-term loops over PauliSum products:
+    the off-diagonal part per (P, j), P an off-diagonal string of K'HK (so
+    in g1) and P P_j = c R, 4 t_P (Re, r_j Im)(e^{-i theta_j} c tr(HK R));
+    the penalty part per pair (i, j) with P_i P_j = c P != I, through
+    a = conj(phi_P) c e^{i(theta_j - theta_i)}."""
+    n, d = h.n, len(ansatz)
+    k = PauliSum(n, list(zip(ansatz, r * np.exp(1j * theta))))
+    hk = sum_multiply(h, k)
+    khk = conjugate(h, k)
+    kk = sum_multiply(k.adjoint(), k)
+    grad_r, grad_theta = np.zeros(d), np.zeros(d)
+    for p, c in khk.items():
+        if p.is_diagonal:
+            continue
+        t = 2**n * c.real
+        for j, pj in enumerate(ansatz):
+            ph, rs = multiply(p, pj)
+            w = np.exp(-1j * theta[j]) * ph.value * trace_with(hk, rs)
+            grad_r[j] += 4 * t * w.real
+            grad_theta[j] += 4 * t * r[j] * w.imag
+    for i, pi in enumerate(ansatz):
+        for j, pj in enumerate(ansatz):
+            ph, p = multiply(pi, pj)
+            if p.is_identity:
+                continue
+            a = kk.coefficient(p).conjugate() * ph.value * np.exp(1j * (theta[j] - theta[i]))
+            grad_r[j] += 2 * a.real * r[i]
+            grad_r[i] += 2 * a.real * r[j]
+            grad_theta[j] -= 2 * a.imag * r[i] * r[j]
+            grad_theta[i] += 2 * a.imag * r[i] * r[j]
+    return np.concatenate([grad_r, grad_theta])
+
+
+def assert_gradient_matches_loop(s, h: PauliSum, ansatz, rng) -> None:
+    """The table gradient, full and on a sampled block, against loop_gradient."""
+    d = len(ansatz)
+    r, theta = rng.uniform(0.1, 1.0, d), rng.uniform(0.0, 2 * np.pi, d)
+    want = loop_gradient(h, ansatz, r, theta)
+    atol = 1e-12 * max(np.max(np.abs(want)), 1.0)
+    _, _, gr, gt = cost._evaluate_sparse(s, r, theta, True)
+    np.testing.assert_allclose(np.concatenate([gr, gt]), want, rtol=1e-12, atol=atol)
+    coords = rng.choice(2 * d, size=int(rng.integers(1, 2 * d + 1)), replace=False)
+    gr, gt, _ = IncrementalState(s, r, theta).sparse_grad(coords)
+    got = np.concatenate([gr, gt])
+    np.testing.assert_allclose(got[coords], want[coords], rtol=1e-12, atol=atol)
 
 
 def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
     s = build_support_sets(h, ansatz)
-    ref, hk_rows, khk_rows = reference_tables(h, ansatz)
+    ref, hk_rows, khk_rows, pair_rows = reference_tables(h, ansatz)
     for name, want in ref.items():
         got = getattr(s, name)
         if isinstance(want, np.ndarray):
@@ -374,13 +422,10 @@ def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
                         np.signbit(getattr(got, part)), np.signbit(getattr(want, part)),
                         err_msg=name,
                     )
-        elif isinstance(want, dict):
-            assert list(got) == list(want), name
-            for key, value in want.items():
-                assert repr(got[key]) == repr(value), (name, key)
         else:
             assert got == want, name
-    assert_vectors_match_rows(s, hk_rows, khk_rows, rng)
+    assert_vectors_match_rows(s, hk_rows, khk_rows, pair_rows, rng)
+    assert_gradient_matches_loop(s, h, ansatz, rng)
 
 
 def strings_of(words) -> tuple[PauliString, ...]:
@@ -391,13 +436,14 @@ class TestMaskArrayBuild:
     """build_support_sets against the loop reference, field by field."""
 
     @pytest.mark.parametrize("h_words,ansatz_words", [
-        # n = 1, one ansatz string: no pair products, empty phi tables
+        # n = 1, one ansatz string: g2 empty, a one-entry pair grid
         ({"Z": 1.0}, ("X",)),
         ({"Z": 1.0, "X": 0.3}, ("I", "X", "Y", "Z")),
         # identity term in H, identity in the ansatz, colliding pair
         # products (XI*IX = II*XX = IX*XI = XX)
         ({"II": 0.7, "ZZ": -1.0, "XY": 0.25}, ("II", "IX", "XI", "XX", "YZ")),
-        # diagonal-only H and ansatz: no g1, grad tables of shape (0, d)
+        # diagonal-only H and ansatz: no g1, every khk entry lands on a
+        # diagonal string
         ({"ZI": 1.0, "IZ": 0.5}, ("II", "ZZ")),
     ])
     def test_handpicked_instances(self, rng, h_words, ansatz_words):
@@ -433,6 +479,6 @@ class TestMaskArrayBuild:
     def test_reference_covers_every_table(self):
         # guards the reference against a field added to SupportSets later
         h = PauliSum.from_words({"Z": 1.0})
-        ref, _, _ = reference_tables(h, (parse("X"),))
+        ref, _, _, _ = reference_tables(h, (parse("X"),))
         inputs = {"n", "ansatz", "h_ref", "h_coeffs"}
         assert set(ref) | inputs == {f.name for f in dataclasses.fields(SupportSets)}

@@ -212,7 +212,7 @@ class TestRunRCD:
     @pytest.mark.parametrize("n, d, with_g2", [(1, 1, False), (2, 5, True), (3, 7, True)])
     def test_sparse_grad_matches_full_gradient_for_every_block_width(self, rng, n, d, with_g2):
         h, kp, s = random_instance(rng, n, d)
-        assert (len(s.phi_p) > 0) == with_g2
+        assert (len(s.g2) > 0) == with_g2
         full = eval_grad(h, kp, s)
         want = np.concatenate([full.grad_r, full.grad_theta])
         state = IncrementalState(s, kp.r, kp.theta)
