@@ -181,15 +181,23 @@ def load_params(path) -> KParams:
         if key not in raw:
             raise ConfigError(f"{path}: missing key {key!r}")
     n = _number(raw["n"], f"{path}: n", integer=True)
+    if not isinstance(raw["ansatz"], list):
+        raise ConfigError(f"{path}: ansatz: expected a list of Pauli words")
+    for word in raw["ansatz"]:
+        if not isinstance(word, str):
+            raise ConfigError(f"{path}: ansatz entry {word!r} is not a Pauli word")
     try:
         ansatz = tuple(parse(w, n) for w in raw["ansatz"])
         kp = KParams(ansatz, np.array(raw["r"], dtype=float),
                      np.array(raw["theta"], dtype=float))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for key in ("r", "theta"):
         if not np.all(np.isfinite(getattr(kp, key))):
             raise ConfigError(f"{path}: non-finite value in {key!r}")
+    if not np.any(kp.r):
+        # K = 0 has no normalization; the optimizers and reports need ||r|| = 1
+        raise ConfigError(f"{path}: 'r' is all zeros")
     return kp
 
 
@@ -455,6 +463,8 @@ def cmd_liedim(args) -> int:
     spec = raw.get("model", raw)
     h, _ = build_model(spec)
     full = 4 ** h.n - 1
+    if args.cap is not None and args.cap < 1:
+        raise ConfigError(f"--cap: expected at least 1, got {args.cap}")
     cap = args.cap if args.cap is not None else 4 ** h.n
     result_dim, hit_cap = lie_closure_dim(list(h.strings()), cap=cap)
     notes = ["saturated" if result_dim == full else "not saturated"]
@@ -473,13 +483,24 @@ def cmd_trace_export(args) -> int:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     records = []
+    alphas = []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {i}: {exc.msg}") from exc
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{path}: line {i}: expected a JSON object")
+        alpha = rec.get("alpha_estimate")
+        try:
+            alphas.append(math.nan if alpha is None else float(alpha))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{path}: line {i}: alpha_estimate: expected a number, got {alpha!r}"
+            ) from None
+        records.append(rec)
 
     out_dir = Path(args.out_dir) if args.out_dir else path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -498,10 +519,6 @@ def cmd_trace_export(args) -> int:
                     f"{path}: record {rec.get('iter', '?')}: missing field {exc}"
                 ) from exc
 
-    alphas = [
-        math.nan if rec.get("alpha_estimate") is None else float(rec["alpha_estimate"])
-        for rec in records
-    ]
     medians = rolling_median(alphas, window=20) if alphas else []
     alpha_path = out_dir / f"{stem}_alpha.csv"
     with open(alpha_path, "w", newline="") as fh:

@@ -25,7 +25,11 @@ is +4 for this operator order.
 
 When the qubit count is small and the ansatz is at least Hilbert-dimension
 sized, evaluation switches to direct 2^n x 2^n matrix algebra (same values,
-same gradients, far cheaper); see _dense_path_applies.
+same gradients, far cheaper); see _dense_path_applies. That path works on the
+Pauli x/z grid: K is one Hadamard matmul of its (2^n, 2^n) coefficient grid
+plus one fixed gather, its d partials are the adjoint (one gather of the
+matrix gradient plus one Hadamard matmul), and K'HK, K'K and the matrix
+gradient take three more matmuls, so no step touches a d x 2^n table.
 """
 
 from __future__ import annotations
@@ -126,12 +130,19 @@ def _check(h: PauliSum, kp: KParams, s: SupportSets) -> None:
 # --- dense matrix fast path ---------------------------------------------------
 #
 # For few qubits and an ansatz at least as large as the Hilbert dimension,
-# 2^n x 2^n matrix algebra beats the flat support tables by a wide margin:
-# K is scatter-built from the signed permutations of its strings, K'HK and
-# K'K are three small matmuls, and each parameter derivative is one gather
-# along the P_j stripe of the matrix gradient. verify.to_dense keeps its own
-# independent implementation of the same column -> (row, weight) convention,
-# so the dense verification route stays a genuine cross-check.
+# 2^n x 2^n matrix algebra beats the flat support tables by a wide margin.
+# Operators live on the Pauli x/z grid: a string with dense-index masks
+# (x, z) maps basis column c to row c ^ x with weight
+# i^{|x & z|} (-1)^{popcount(z & c)}. Scattering the phased coefficients of
+# a sum onto a (2^n, 2^n) grid C[z, x] and transforming its z axis with the
+# Sylvester-Hadamard matrix S[c, z] = (-1)^{popcount(c & z)} gives D = S C,
+# and the operator is A[row, col] = D[col, row ^ col], one fixed gather. A
+# parameter derivative is the adjoint: E[c, x] = G[c, c ^ x] is one fixed
+# gather of the matrix gradient G, and the partial in k_j is
+# i^{|x_j & z_j|} (S E)[z_j, x_j]. K'HK and K'K come from one matmul,
+# K' [HK | K], and G from one more. verify.to_dense keeps its own
+# independent implementation of the same column -> (row, weight)
+# convention, so the dense verification route stays a genuine cross-check.
 
 _DENSE_PATH_MAX_DIM = 16
 
@@ -149,49 +160,52 @@ def _revbits(mask: int, n: int) -> int:
     return out
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
-
-
 class _DenseWork:
-    """Dense tables for one (H, ansatz) pair: H as a matrix plus, for every
-    ansatz string, its action on basis column c (target row and weight)."""
+    """Dense tables for one (H, ansatz) pair: H as a matrix, the ansatz's
+    grid slots and phases, the Hadamard matrix, and the fixed flat indices of
+    the grid <-> matrix gathers and of the diagonals."""
 
-    __slots__ = ("dim", "h_mat", "perm", "weight", "_flat", "_gather")
+    __slots__ = ("dim", "h_mat", "hadamard", "k_slot", "k_phase",
+                 "_to_matrix", "_to_grid", "_diag_m", "_diag_t", "_scale")
 
     def __init__(self, s: SupportSets):
         n = s.n
         dim = 1 << n
-        cols = np.arange(dim, dtype=np.int64)
-
-        def stripe(p: PauliString):
-            rows = cols ^ _revbits(p.x_mask, n)
-            phase = 1j ** ((p.x_mask & p.z_mask).bit_count() % 4)
-            signs = 1.0 - 2.0 * _parity(cols & _revbits(p.z_mask, n))
-            return rows, phase * signs
-
         self.dim = dim
-        self.perm = np.empty((s.d, dim), dtype=np.int64)
-        self.weight = np.empty((s.d, dim), dtype=complex)
-        for j, p in enumerate(s.ansatz):
-            self.perm[j], self.weight[j] = stripe(p)
-        self._flat = (self.perm * dim + cols[None, :]).ravel()
-        # flat positions of G[c, perm[j, c]], the entries gathered for dK'/dk_j
-        self._gather = cols[None, :] * dim + self.perm
-        self.h_mat = np.zeros((dim, dim), dtype=complex)
-        for q, coeff in zip(s.h_strings, s.h_coeffs):
-            rows, w = stripe(q)
-            self.h_mat[rows, cols] += coeff * w
+        self.hadamard = functools.reduce(
+            np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n, np.ones((1, 1))
+        ).astype(complex)
+        rows = np.arange(dim)[:, None]
+        cols = np.arange(dim)[None, :]
+        # A[row, col] = D[col, row ^ col], and E[c, x] = G[c, c ^ x]
+        self._to_matrix = cols * dim + (rows ^ cols)
+        self._to_grid = rows * dim + (rows ^ cols)
+        # the two diagonals of the stacked (2 dim, dim) [K'HK; K'K], and the
+        # row scales that turn it into the right factor of G
+        self._diag_m = np.arange(dim) * (dim + 1)
+        self._diag_t = self._diag_m + dim * dim
+        self._scale = np.repeat([2.0 * dim, 2.0 / dim], dim)[:, None]
+        self.k_slot, self.k_phase = self._grid_slots(s.ansatz, n)
+        h_slot, h_phase = self._grid_slots(s.h_strings, n)
+        self.h_mat = self.matrix(h_slot, h_phase * s.h_coeffs)
 
-    def k_matrix(self, k_coeffs: np.ndarray) -> np.ndarray:
-        w = (self.weight * k_coeffs[:, None]).ravel()
-        size = self.dim * self.dim
-        re = np.bincount(self._flat, weights=w.real, minlength=size)
-        im = np.bincount(self._flat, weights=w.imag, minlength=size)
-        return (re + 1j * im).reshape(self.dim, self.dim)
+    def _grid_slots(self, strings, n: int):
+        slot = np.array([_revbits(p.z_mask, n) * self.dim + _revbits(p.x_mask, n)
+                         for p in strings], dtype=np.int64)
+        phase = np.array([1j ** ((p.x_mask & p.z_mask).bit_count() % 4) for p in strings])
+        return slot, phase
+
+    def matrix(self, slot: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The dense matrix of the sum with values at grid slots (the
+        strings' phases included; slots are distinct)."""
+        grid = np.zeros((self.dim, self.dim), dtype=complex)
+        grid.ravel()[slot] = values
+        return (self.hadamard @ grid).take(self._to_matrix)
+
+    def k_partials(self, g_mat: np.ndarray) -> np.ndarray:
+        """tr(P_j G) for every ansatz string P_j: the adjoint of matrix()."""
+        e = g_mat.take(self._to_grid)
+        return (self.hadamard @ e).take(self.k_slot) * self.k_phase
 
 
 _DENSE_WORK: "weakref.WeakKeyDictionary[SupportSets, _DenseWork]" = (
@@ -211,24 +225,27 @@ def _dense_work_for(s: SupportSets) -> _DenseWork | None:
 
 def _evaluate_dense(work: _DenseWork, r: np.ndarray, theta: np.ndarray, want_grad: bool):
     dim = work.dim
-    c = r * np.exp(1j * theta)
-    k = work.k_matrix(c)
-    hk = work.h_mat @ k
-    m_off = k.conj().T @ hk
-    np.fill_diagonal(m_off, 0.0)
+    e = np.exp(1j * theta)
+    k = work.matrix(work.k_slot, (r * e) * work.k_phase)
+    w = np.concatenate((work.h_mat @ k, k), axis=1)  # [HK | K]
+    # [K'HK; K'K] stacked, then offdiag(K'HK) on top and the traceless part
+    # of K'K below, formed entrywise so the near-identity case does not
+    # cancel catastrophically
+    b = (k.conj().T @ w).reshape(dim, 2, dim).transpose(1, 0, 2).reshape(2 * dim, dim)
+    flat = b.reshape(-1)
+    flat[work._diag_m] = 0.0
+    t_diag = flat[work._diag_t]
+    flat[work._diag_t] = t_diag - t_diag.sum() / dim
+    m_off, t_less = b[:dim], b[dim:]
     f = float(dim * np.vdot(m_off, m_off).real)
-    # traceless part of K'K, formed entrywise so the near-identity case does
-    # not cancel catastrophically
-    t_less = k.conj().T @ k
-    t_less[np.diag_indices(dim)] -= np.trace(t_less) / dim
     penalty = float(np.vdot(t_less, t_less).real / dim)
     if not want_grad:
         return f, penalty, None, None
 
-    # dF = 2 Re tr(dK' G) with G = 2^{n+1} HK offdiag(K'HK) + (2/2^n) K T
-    g_mat = (2.0 * dim) * (hk @ m_off) + (2.0 / dim) * (k @ t_less)
-    gvec = np.sum(work.weight * g_mat.ravel().take(work._gather), axis=1)
-    gvec *= np.exp(-1j * theta)
+    # dF = 2 Re tr(dK' G) with G = 2^{n+1} HK offdiag(K'HK) + (2/2^n) K T,
+    # that is [HK | K] times the row-scaled stack
+    b *= work._scale
+    gvec = work.k_partials(w @ b) * e.conj()
     grad_r = 2.0 * gvec.real
     grad_theta = 2.0 * r * gvec.imag
     return f, penalty, grad_r, grad_theta

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost import KParams, eval_F, k_as_sum
+from .cost import KParams, eval_F
 from .operators import PauliSum, build_support_sets
 from .pauli import PauliString, commutes, multiply
 
@@ -52,23 +52,49 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
+# terms x columns per block of _strings_to_dense (16 MB of weights)
+_DENSE_BLOCK = 1 << 20
+
+
+def _strings_to_dense(n: int, strings, coeffs) -> np.ndarray:
+    """2^n x 2^n matrix of sum_t coeffs[t] strings[t].
+
+    String t sends basis column c to row c ^ x_t with weight
+    i^{|x_t & z_t|} (-1)^{popcount(c & z_t)}, (x_t, z_t) its dense-index
+    masks. The (term, column) weights are formed at once; terms that share
+    an x mask fill the same entries, so they are summed in term order and
+    each x's column vector is scattered once.
+    """
+    _check_dense_n(n)
+    dim = 1 << n
+    x = np.array([p.x_mask for p in strings], dtype=np.int64)
+    z = np.array([p.z_mask for p in strings], dtype=np.int64)
+    xr, zr, y_count = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for q in range(n):
+        xr |= (x >> q & 1) << (n - 1 - q)
+        zr |= (z >> q & 1) << (n - 1 - q)
+        y_count += x >> q & z >> q & 1
+    scaled = np.asarray(coeffs, dtype=complex) * np.array([1, 1j, -1, -1j])[y_count & 3]
+    cols = np.arange(dim, dtype=np.int64)
+    mat = np.zeros((dim, dim), dtype=complex)
+    step = max(1, _DENSE_BLOCK // dim)
+    for lo in range(0, len(x), step):
+        order = lo + np.argsort(xr[lo:lo + step], kind="stable")
+        xs, starts = np.unique(xr[order], return_index=True)
+        w = scaled[order, None] * (1.0 - 2.0 * _parity(cols & zr[order, None]))
+        # a row-by-row sum, unlike np.add.reduceat, adds the terms in order
+        sums = [part.sum(axis=0) for part in np.split(w, starts[1:])]
+        mat[cols ^ xs[:, None], cols] += sums
+    return mat
+
+
 def string_to_dense(p: PauliString) -> np.ndarray:
     """2^n x 2^n complex matrix of a Pauli string (to_dense of the one-term sum)."""
     return to_dense(PauliSum(p.n, [(p, 1.0)]))
 
 
 def to_dense(a: PauliSum) -> np.ndarray:
-    _check_dense_n(a.n)
-    dim = 1 << a.n
-    mat = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim, dtype=np.int64)
-    for p, coeff in a.items():
-        xr = _revbits(p.x_mask, a.n)
-        zr = _revbits(p.z_mask, a.n)
-        signs = 1.0 - 2.0 * _parity(cols & zr)
-        phase = 1j ** ((p.x_mask & p.z_mask).bit_count() % 4)
-        mat[cols ^ xr, cols] += coeff * phase * signs
-    return mat
+    return _strings_to_dense(a.n, [p for p, _ in a.items()], [c for _, c in a.items()])
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
@@ -158,7 +184,8 @@ class DiagReport:
 
 
 def kparams_to_dense(kp: KParams) -> np.ndarray:
-    return to_dense(k_as_sum(kp))
+    """K = sum_j r_j e^{i theta_j} P_j as a dense matrix."""
+    return _strings_to_dense(kp.n, kp.ansatz, kp.r * np.exp(1j * kp.theta))
 
 
 def diag_report(

@@ -14,6 +14,11 @@ from paulidiag.operators import build_support_sets, save_hamiltonian
 from paulidiag.pauli import parse
 
 
+GOOD_RECORD = json.dumps({"iter": 0, "F_total": 1.0, "f_value": 1.0, "penalty": 0.0,
+                          "grad_norm": 2.0, "alpha_estimate": 1.0,
+                          "r_norm_pre_normalization": 1.0})
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload, indent=1))
     return str(path)
@@ -381,6 +386,44 @@ class TestVerify:
         assert f"line 2: non-finite coefficient '{coeff}'" in capsys.readouterr().err
 
 
+class TestParamsFile:
+    """A params file the library cannot use is an exit-1 input error naming
+    the file, in both commands that read one."""
+
+    START = {"n": 2, "ansatz": ["XY", "ZZ"], "r": [0.6, 0.8], "theta": [0.3, 0.1]}
+
+    def run(self, command, tmp_path, start):
+        params = write_json(tmp_path / "start.json", start)
+        if command == "verify":
+            ham = tmp_path / "h.txt"
+            save_hamiltonian(ham, build_xxz(2, 1.0, 1.0))
+            return main(["verify", str(ham), params]), params
+        cfg = {
+            "model": {"family": "xxz", "n": 2, "j": 1.0, "delta": 1.0},
+            "ansatz_source": {"kind": "file", "path": params},
+            "algorithm": "gd",
+            "opt": {"max_iters": 10},
+        }
+        path = write_json(tmp_path / "run.json", cfg)
+        return main(["diagonalize", "--config", path,
+                     "--out-dir", str(tmp_path / "out")]), params
+
+    @pytest.mark.parametrize("command", ["verify", "diagonalize"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("r", [0.0, 0.0], "'r' is all zeros"),
+        ("ansatz", ["XY", 5], "ansatz entry 5"),
+        ("ansatz", 5, "ansatz"),
+    ])
+    def test_unusable_params_are_exit_1(self, tmp_path, capsys, command, key, value,
+                                        message):
+        code, params = self.run(command, tmp_path, dict(self.START, **{key: value}))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {params}: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestLiedim:
     def test_example_with_rotation_prefix_saturates(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -402,6 +445,13 @@ class TestLiedim:
         path = write_json(tmp_path / "m.json", cfg)
         assert main(["liedim", "--config", path, "--cap", "5"]) == 0
         assert "cap hit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_is_exit_1(self, tmp_path, capsys, cap):
+        cfg = {"model": {"family": "xxz", "n": 3, "j": 1.0, "delta": 0.7}}
+        path = write_json(tmp_path / "m.json", cfg)
+        assert main(["liedim", "--config", path, "--cap", cap]) == 1
+        assert f"--cap: expected at least 1, got {cap}" in capsys.readouterr().err
 
 
 class TestTraceExport:
@@ -435,3 +485,19 @@ class TestTraceExport:
         trace.write_text(good + "\nnot json\n")
         assert main(["trace-export", str(trace)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3.5", '"text"', "null"])
+    def test_non_object_line_reports_number(self, tmp_path, capsys, line):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(GOOD_RECORD + "\n" + line + "\n")
+        assert main(["trace-export", str(trace)]) == 1
+        assert "line 2: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["fast", [1.0], {"a": 1}])
+    def test_non_numeric_alpha_reports_line(self, tmp_path, capsys, alpha):
+        trace = tmp_path / "trace.jsonl"
+        bad = dict(json.loads(GOOD_RECORD), iter=1, alpha_estimate=alpha)
+        trace.write_text(GOOD_RECORD + "\n" + json.dumps(bad) + "\n")
+        assert main(["trace-export", str(trace)]) == 1
+        assert f"line 2: alpha_estimate: expected a number, got {alpha!r}" in (
+            capsys.readouterr().err)

@@ -7,6 +7,7 @@ import paulidiag.cost as cost_mod
 from paulidiag.cost import CostReport, KParams, eval_F, eval_f, eval_grad, eval_phi, k_as_sum
 from paulidiag.operators import PauliSum, build_support_sets, sum_multiply
 from paulidiag.pauli import PauliString, parse
+from paulidiag.verify import string_to_dense
 
 from conftest import dense_terms, fd_gradient, random_instance
 
@@ -197,28 +198,28 @@ class TestDensePath:
             assert np.abs(fast.grad_r - slow.grad_r).max() < 1e-12 * gscale
             assert np.abs(fast.grad_theta - slow.grad_theta).max() < 1e-12 * gscale
 
-    def test_flat_gather_matches_fancy_index(self, rng):
-        def fancy_index_reference(work, r, theta):
-            # the dense evaluation with the gradient gathered by the 2-D
-            # fancy index G[c, perm[j, c]]
-            dim = work.dim
-            k = work.k_matrix(r * np.exp(1j * theta))
-            hk = work.h_mat @ k
-            m_off = k.conj().T @ hk
-            np.fill_diagonal(m_off, 0.0)
-            f = float(dim * np.vdot(m_off, m_off).real)
+    def test_grid_path_matches_string_sum_reference(self, rng):
+        def string_sum_reference(h, ansatz, r, theta):
+            # H and K summed from verify.string_to_dense, F from its
+            # definition and dF = 2 Re tr(dK' G) read string by string
+            dim = 2**h.n
+            hd = sum(c * string_to_dense(q) for q, c in h.items())
+            strings = [string_to_dense(p) for p in ansatz]
+            kc = r * np.exp(1j * theta)
+            k = sum(c * m for c, m in zip(kc, strings))
+            m_off = k.conj().T @ hd @ k
+            m_off -= np.diag(np.diag(m_off))
             t_less = k.conj().T @ k
-            t_less[np.diag_indices(dim)] -= np.trace(t_less) / dim
-            penalty = float(np.vdot(t_less, t_less).real / dim)
-            g_mat = (2.0 * dim) * (hk @ m_off) + (2.0 / dim) * (k @ t_less)
-            gvec = np.sum(work.weight * g_mat[np.arange(dim)[None, :], work.perm], axis=1)
-            gvec *= np.exp(-1j * theta)
+            t_less -= (np.trace(t_less) / dim) * np.eye(dim)
+            f = dim * np.linalg.norm(m_off) ** 2
+            penalty = np.linalg.norm(t_less) ** 2 / dim
+            g = (2.0 * dim) * (hd @ k @ m_off) + (2.0 / dim) * (k @ t_less)
+            gvec = np.array([np.trace(m @ g) for m in strings]) * np.exp(-1j * theta)
             return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
 
         for n in (1, 2, 3, 4):
             words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
-            for _ in range(3):
-                d = int(rng.integers(2**n, min(4**n, 2**n + 12) + 1))
+            for d in (2**n, int(rng.integers(2**n, 4**n + 1)), 4**n):
                 picks = rng.choice(np.arange(1, 4**n), size=d - 1, replace=False)
                 ansatz = tuple(sorted(parse(words[i]) for i in [0, *picks]))
                 m = min(2 * n + 1, 4**n)
@@ -231,8 +232,13 @@ class TestDensePath:
                 r = rng.uniform(0.2, 1.0, d)
                 r /= np.linalg.norm(r)
                 theta = rng.uniform(0.0, 2 * np.pi, d)
-                got = cost_mod._evaluate_dense(work, r, theta, True)
-                want = fancy_index_reference(work, r, theta)
-                assert got[:2] == want[:2]
-                assert np.array_equal(got[2], want[2])
-                assert np.array_equal(got[3], want[3])
+                f, penalty, gr, gt = cost_mod._evaluate_dense(work, r, theta, True)
+                assert cost_mod._evaluate_dense(work, r, theta, False) == (
+                    f, penalty, None, None)
+                want = string_sum_reference(h, ansatz, r, theta)
+                scale = max(1.0, want[0] + want[1])
+                assert f == pytest.approx(want[0], rel=1e-12, abs=1e-13 * scale)
+                assert penalty == pytest.approx(want[1], rel=1e-12, abs=1e-13 * scale)
+                gscale = max(1.0, np.abs(want[2]).max(), np.abs(want[3]).max())
+                assert np.abs(gr - want[2]).max() <= 1e-12 * gscale
+                assert np.abs(gt - want[3]).max() <= 1e-12 * gscale

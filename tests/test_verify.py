@@ -7,6 +7,7 @@ import pytest
 from paulidiag.cost import KParams, eval_F, k_as_sum
 from paulidiag.operators import PauliSum, build_support_sets
 from paulidiag.pauli import PauliString, parse
+import paulidiag.verify as verify_mod
 from paulidiag.verify import (
     DenseLimitError,
     LieClosure,
@@ -64,6 +65,30 @@ class TestToDense:
     def test_dense_limit(self):
         with pytest.raises(DenseLimitError):
             to_dense(PauliSum.identity(13))
+
+    @pytest.mark.parametrize("block", ["default", "one term"])
+    def test_equals_term_by_term_sum(self, rng, monkeypatch, block):
+        # the per-term loop the vectorised scatter replaced: each entry adds
+        # its terms in order, so the two agree exactly, also when the terms
+        # are split into blocks
+        for n in (1, 2, 3, 5):
+            if block == "one term":
+                monkeypatch.setattr(verify_mod, "_DENSE_BLOCK", 2**n)
+            words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+            picks = rng.choice(len(words), size=min(40, len(words)), replace=False)
+            coeffs = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
+            terms = [(words[i], c) for i, c in zip(picks, coeffs)]
+            want = np.zeros((2**n, 2**n), dtype=complex)
+            for word, c in terms:
+                want += c * dense_word(word)
+            s = PauliSum(n, [(parse(w), c) for w, c in terms])
+            assert np.array_equal(to_dense(s), want)
+            ansatz = tuple(parse(w) for w, _ in terms)
+            kp = KParams(ansatz, np.abs(coeffs), np.angle(coeffs))
+            k = np.zeros((2**n, 2**n), dtype=complex)
+            for word, c in zip((w for w, _ in terms), kp.r * np.exp(1j * kp.theta)):
+                k += c * dense_word(word)
+            assert np.array_equal(kparams_to_dense(kp), k)
 
 
 class TestPauliDecompose:
