@@ -42,6 +42,7 @@ from .models import (
     build_random_udu,
     build_xxz,
     expand_rotation_product,
+    params_from_expansion,
     warm_start_from_dense,
 )
 from .operators import PauliSum, build_support_sets, load_hamiltonian
@@ -125,22 +126,21 @@ def build_model(spec: dict):
     def numbers(key):
         return [_number(v, f"model.{key}") for v in _require(spec, key, "model")]
 
+    u = None
     try:
         if family == "xxz":
             h = build_xxz(number("n", integer=True), number("j", 1.0), number("delta", 1.0))
-            return h, None
-        if family == "hubbard":
+        elif family == "hubbard":
             h = build_hubbard(number("sites", integer=True), number("t", 1.0), number("u", 4.0))
-            return h, None
-        if family == "random_udu":
-            h, u, _ = build_random_udu(
+        elif family == "random_udu":
+            h, rotations, _ = build_random_udu(
                 number("n", integer=True),
                 number("n_diag", integer=True),
                 number("n_rot", integer=True),
                 number("seed", 0, integer=True),
             )
-            return h, expand_rotation_product(u)
-        if family == "example_hams":
+            u = expand_rotation_product(rotations)
+        elif family == "example_hams":
             h, u, _ = build_example_hams(
                 number("n", integer=True),
                 number("theta"),
@@ -148,19 +148,15 @@ def build_model(spec: dict):
                 numbers("d"),
                 clifford_prefix=_prefix_from_config(spec.get("prefix", [])) or None,
             )
-            return h, u
+        else:
+            raise ConfigError(f"model: unknown family {family!r}")
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}") from exc
-    raise ConfigError(f"model: unknown family {family!r}")
-
-
-def _params_from_expansion(expansion: PauliSum) -> KParams:
-    strings = tuple(sorted(expansion.strings()))
-    coeffs = np.array([expansion.coefficient(p) for p in strings])
-    r = np.abs(coeffs)
-    return KParams(strings, r / np.linalg.norm(r), np.angle(coeffs))
+    if len(h) == 0:
+        raise ConfigError("model: every coefficient is zero (empty Hamiltonian)")
+    return h, u
 
 
 def save_params(path, kp: KParams) -> None:
@@ -212,7 +208,7 @@ def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
                 "ansatz_source udu_support requires a model with a known "
                 "unitary (random_udu or example_hams)"
             )
-        return _params_from_expansion(u_expansion)
+        return params_from_expansion(u_expansion)
     if kind == "full_basis":
         if h.n > FULL_BASIS_MAX_QUBITS:
             raise ConfigError(
@@ -229,9 +225,13 @@ def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
         ref_h, _ = build_model(_require(source, "reference", "ansatz_source"))
         if ref_h.n != h.n:
             raise ConfigError("warm_start reference has a different qubit count")
-        return warm_start_from_dense(
-            ref_h, prune_tol=_number(source.get("prune_tol", 1e-12), "ansatz_source.prune_tol")
-        )
+        prune_tol = _number(source.get("prune_tol", 1e-12), "ansatz_source.prune_tol")
+        try:
+            return warm_start_from_dense(ref_h, prune_tol=prune_tol)
+        except DenseLimitError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"ansatz_source.prune_tol: {exc}") from exc
     if kind == "file":
         kp = load_params(_require(source, "path", "ansatz_source"))
         if kp.n != h.n:
@@ -315,6 +315,8 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
     opt_cfg = _opt_config(cfg, seed_override)
 
     kp0 = build_initial_params(cfg, h, u_expansion)
+    if algorithm == "rcd" and opt_cfg.block_size > 2 * kp0.d:
+        raise ConfigError(f"opt.block_size: {opt_cfg.block_size} exceeds 2d = {2 * kp0.d}")
     init = _section(cfg, "init")
     kp0 = _perturbed(kp0, _number(init.get("perturb", 0.0), "init.perturb"),
                      _number(init.get("seed", opt_cfg.seed + 1000), "init.seed", integer=True))
@@ -474,6 +476,9 @@ def cmd_liedim(args) -> int:
     return 0
 
 
+_COST_FIELDS = ("iter", "F_total", "f_value", "penalty", "grad_norm")
+
+
 def cmd_trace_export(args) -> int:
     import csv
 
@@ -493,6 +498,9 @@ def cmd_trace_export(args) -> int:
             raise ConfigError(f"{path}: line {i}: {exc.msg}") from exc
         if not isinstance(rec, dict):
             raise ConfigError(f"{path}: line {i}: expected a JSON object")
+        for key in _COST_FIELDS:
+            if key not in rec:
+                raise ConfigError(f"{path}: line {i}: missing field {key!r}")
         alpha = rec.get("alpha_estimate")
         try:
             alphas.append(math.nan if alpha is None else float(alpha))
@@ -509,15 +517,8 @@ def cmd_trace_export(args) -> int:
     cost_path = out_dir / f"{stem}_cost.csv"
     with open(cost_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "F_total", "f_value", "penalty", "grad_norm"])
-        for rec in records:
-            try:
-                writer.writerow([rec["iter"], rec["F_total"], rec["f_value"],
-                                 rec["penalty"], rec["grad_norm"]])
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(
-                    f"{path}: record {rec.get('iter', '?')}: missing field {exc}"
-                ) from exc
+        writer.writerow(_COST_FIELDS)
+        writer.writerows([rec[key] for key in _COST_FIELDS] for rec in records)
 
     medians = rolling_median(alphas, window=20) if alphas else []
     alpha_path = out_dir / f"{stem}_alpha.csv"

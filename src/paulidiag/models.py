@@ -78,14 +78,20 @@ class RotationProduct:
         return iter(self.factors)
 
 
+def _rotation(angle: float, p: PauliString) -> PauliSum:
+    """exp(i*angle*p) = cos(angle)*I + i*sin(angle)*p.
+
+    The two terms are added as sums: a dict literal would keep only one of
+    them when p is the identity.
+    """
+    return PauliSum.identity(p.n, math.cos(angle)) + PauliSum(p.n, {p: 1j * math.sin(angle)})
+
+
 def expand_rotation_product(rp: RotationProduct) -> PauliSum:
     """Exact Pauli-sum expansion: each factor is cos(a)*I + i*sin(a)*P."""
     acc = PauliSum.identity(rp.n)
-    ident = PauliString.identity(rp.n)
     for angle, p in rp.factors:
-        factor = PauliSum(rp.n, {ident: math.cos(angle)})
-        factor = factor + PauliSum(rp.n, {p: 1j * math.sin(angle)})
-        acc = sum_multiply(acc, factor)
+        acc = sum_multiply(acc, _rotation(angle, p))
     return acc
 
 
@@ -156,6 +162,10 @@ def build_random_udu(
     return h, u, d_sum
 
 
+# fields of each gate kind of _prefix_to_sum, the kind included
+_GATE_FIELDS = {"s": 2, "h": 2, "cnot": 3, "rot": 3}
+
+
 def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
     """Expand an ordered gate list into an exact Pauli-sum unitary.
 
@@ -166,7 +176,11 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
     ident = PauliString.identity(n)
     acc = PauliSum.identity(n)
     for gate in gates:
-        kind = gate[0]
+        kind = gate[0] if gate else None
+        if kind not in _GATE_FIELDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if len(gate) != _GATE_FIELDS[kind]:
+            raise ValueError(f"gate {list(gate)!r}: expected {_GATE_FIELDS[kind]} fields")
         if kind == "s":
             q = gate[1]
             g = PauliSum(
@@ -193,9 +207,7 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
                 p = parse(p, n)
             if p.n != n:
                 raise ValueError("rotation generator on wrong qubit count")
-            g = PauliSum(n, {ident: math.cos(angle)}) + PauliSum(n, {p: 1j * math.sin(angle)})
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
+            g = _rotation(angle, p)
         acc = sum_multiply(acc, g)
     return acc
 
@@ -248,15 +260,11 @@ def build_example_hams(
             assert not commutes(gens[i], gens[k]), "generator family must anticommute"
 
     a_sum = PauliSum(n, {g: coeff for g, coeff in zip(gens, c_vec)})
-    ident = PauliString.identity(n)
-    rot = PauliSum(
-        n, {ident: math.cos(theta), PauliString.from_ops(n, {1: "Z"}): 1j * math.sin(theta)}
-    )
-    u = sum_multiply(rot, a_sum)
+    u = sum_multiply(_rotation(theta, PauliString.from_ops(n, {1: "Z"})), a_sum)
     if clifford_prefix:
         u = sum_multiply(_prefix_to_sum(n, clifford_prefix), u)
 
-    d_sum = PauliSum(n, {ident: 1.0})
+    d_sum = PauliSum.identity(n)
     d_sum = d_sum + PauliSum(
         n, {PauliString.from_ops(n, {q: "Y"}): dv for q, dv in enumerate(d_vec)}
     )
@@ -283,10 +291,15 @@ def warm_start_from_dense(h: PauliSum, prune_tol: float = 1e-12) -> KParams:
     k = evecs * gauge.conj()
 
     expansion = pauli_decompose(k, h.n, prune_tol=prune_tol)
-    strings = tuple(sorted(expansion.strings()))
-    if not strings:
+    if len(expansion) == 0:
         raise ValueError("pruning removed every ansatz string")
+    return params_from_expansion(expansion)
+
+
+def params_from_expansion(expansion: PauliSum) -> KParams:
+    """KParams of K = sum_P k_P P: the strings in PauliString order,
+    r = |k_P| renormalized to a unit vector, theta = arg k_P."""
+    strings = tuple(sorted(expansion.strings()))
     coeffs = np.array([expansion.coefficient(p) for p in strings])
     r = np.abs(coeffs)
-    theta = np.angle(coeffs)
-    return KParams(strings, r / np.linalg.norm(r), theta)
+    return KParams(strings, r / np.linalg.norm(r), np.angle(coeffs))

@@ -15,10 +15,11 @@ build_support_sets precomputes, for a Hamiltonian H and an ansatz list
 The build itself works on int64 x/z mask arrays. Each grid is one broadcast
 of pauli.multiply_masks, strings are deduplicated through packed int64 keys
 (n <= MAX_QUBITS = 24 makes x << 24 | z fit), and PauliString objects are
-created only for the returned string tuples. Distinct strings are numbered
-in order of first occurrence in row-major entry order, and g1/g2 follow
-PauliString order, so every table is independent of how the products are
-computed.
+created only for the returned string tuples. Every string tuple (hk_strings,
+closure, g1, g2) is numbered in PauliString order, which is packed-key order,
+so every table is independent of how the products are computed. Diagonal
+strings have the smallest keys, which makes g1 the off-diagonal suffix of
+the closure.
 """
 
 from __future__ import annotations
@@ -184,7 +185,10 @@ def load_hamiltonian(path) -> PauliSum:
             terms[p] = terms.get(p, 0j) + coeff
     if n is None:
         raise ValueError(f"{path}: no terms found")
-    return PauliSum(n, terms)
+    h = PauliSum(n, terms)
+    if len(h) == 0:
+        raise ValueError(f"{path}: every coefficient is zero or cancels")
+    return h
 
 
 def save_hamiltonian(path, h: PauliSum) -> None:
@@ -213,10 +217,13 @@ class SupportSets:
     builds from equal inputs are distinct objects (the field arrays do not
     define a useful equality, and evaluators key caches by instance).
 
-    g1 holds the off-diagonal strings of the conjugation closure
-    {strip(P_a Q_i P_b)}; the coefficient of any string outside the closure is
-    identically zero in K'HK, whatever the parameters. g2 holds the
-    non-identity pair products P_i P_j, the strings phi_P is defined on.
+    closure holds the strings of K'HK, the conjugation closure
+    {strip(P_a Q_i P_b)}; the coefficient of any string outside it is
+    identically zero in K'HK, whatever the parameters. g1 holds its
+    off-diagonal strings, and g2 the non-identity pair products P_i P_j, the
+    strings phi_P is defined on. Every string tuple is sorted (PauliString
+    order); the diagonal strings sort first, so g1 is the closure's suffix and
+    g1_closure_idx the index range it occupies.
 
     The tables are three row-major product grids, each a flat phase array
     plus a flat target-slot array:
@@ -254,7 +261,7 @@ class SupportSets:
     phi_p: np.ndarray = field(repr=False)
     phi_phase: np.ndarray = field(repr=False)
 
-    # index of each g1 string inside closure
+    # index of each g1 string inside closure: the suffix range
     g1_closure_idx: np.ndarray = field(repr=False)
 
     @property
@@ -321,20 +328,20 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
 
     # H*K support and its build table; entry (i, b) is h_strings[i] * P_b
     k, cx, cz = multiply_masks(hx[:, None], hz[:, None], ax, az)
-    hk_keys, hk_tgt = _first_occurrence(_key(cx, cz).ravel())
+    hk_keys, hk_tgt = np.unique(_key(cx, cz).ravel(), return_inverse=True)
     hk_x, hk_z = _unkey(hk_keys)
     hk_phase = _PHASES[k.ravel()]
 
     # closure = strings of K'(HK), and its build table; entry (a, s) is P_a * S_s
     k, cx, cz = multiply_masks(ax[:, None], az[:, None], hk_x, hk_z)
-    closure_keys, khk_tgt = _first_occurrence(_key(cx, cz).ravel())
+    closure_keys, khk_tgt = np.unique(_key(cx, cz).ravel(), return_inverse=True)
     cl_x, cl_z = _unkey(closure_keys)
     khk_phase = _PHASES[k.ravel()]
 
-    # g1: the off-diagonal (x != 0) closure strings, sorted by key
-    off = np.flatnonzero(cl_x != 0)
-    g1_closure_idx = off[np.argsort(closure_keys[off])]
-    g1_x, g1_z = cl_x[g1_closure_idx], cl_z[g1_closure_idx]
+    # diagonal strings (x = 0) have the smallest keys, so g1, the
+    # off-diagonal closure strings, is the closure's suffix
+    g1_closure_idx = np.flatnonzero(cl_x != 0)
+    closure = _strings(n, cl_x, cl_z)
 
     # pair grid; entry (i, j) is P_i * P_j. The ansatz being distinct, only
     # the diagonal is the identity: it points at slot 0 with phase 0
@@ -348,9 +355,9 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
     return SupportSets(
         n=n,
         ansatz=ansatz,
-        g1=_strings(n, g1_x, g1_z),
+        g1=closure[len(closure) - len(g1_closure_idx):],
         g2=_strings(n, *_unkey(g2_keys[1:])),
-        closure=_strings(n, cl_x, cl_z),
+        closure=closure,
         h_ref=h,
         h_strings=h_strings,
         h_coeffs=h_coeffs,
@@ -387,15 +394,6 @@ def _key(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _unkey(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, z) masks of packed keys."""
     return keys >> MAX_QUBITS, keys & _LOW
-
-
-def _first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in order of first occurrence, and each key's index among them."""
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(uniq), dtype=np.intp)
-    rank[order] = np.arange(len(uniq))
-    return uniq[order], rank[inverse]
 
 
 def _strings(n: int, x: np.ndarray, z: np.ndarray) -> tuple[PauliString, ...]:

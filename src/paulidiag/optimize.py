@@ -146,8 +146,8 @@ class TraceRecord:
     r_norm_pre_normalization: float
     wall_time: float
 
-    def as_dict(self, include_wall_time: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "iter": self.iteration,
             "F_total": self.F_total,
             "f_value": self.f_value,
@@ -158,9 +158,6 @@ class TraceRecord:
             else self.alpha_estimate,
             "r_norm_pre_normalization": self.r_norm_pre_normalization,
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 @dataclass
@@ -171,10 +168,6 @@ class OptTrace:
     # the RCD caches are rebuilt every step and never drift, so this stays
     # empty and drift_max reads 0.0; bench/pipeline.py still reads both
     refresh_drifts: list[float] = field(default_factory=list)
-
-    @property
-    def final_cost(self) -> float:
-        return self.records[-1].F_total if self.records else math.nan
 
     @property
     def drift_max(self) -> float:

@@ -15,8 +15,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cost import KParams, eval_F
-from .operators import PauliSum, build_support_sets
-from .pauli import PauliString, commutes, multiply
+from .operators import _PHASES, PauliSum, build_support_sets
+from .pauli import PauliString, commutes, multiply, popcount
 
 DENSE_MAX_QUBITS = 12
 
@@ -32,16 +32,16 @@ def _check_dense_n(n: int) -> None:
         )
 
 
-def _revbits(mask: int, n: int) -> int:
-    """Map a qubit-indexed mask to a dense-index mask.
+def _reverse_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """Map qubit-indexed masks to dense-index masks, and back (the map is
+    its own inverse).
 
     Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of
     a computational-basis index.
     """
-    out = 0
+    out = np.zeros_like(masks)
     for q in range(n):
-        if mask >> q & 1:
-            out |= 1 << (n - 1 - q)
+        out |= (masks >> q & 1) << (n - 1 - q)
     return out
 
 
@@ -67,18 +67,13 @@ def _strings_to_dense(n: int, strings, coeffs) -> np.ndarray:
     """
     _check_dense_n(n)
     dim = 1 << n
-    x = np.array([p.x_mask for p in strings], dtype=np.int64)
-    z = np.array([p.z_mask for p in strings], dtype=np.int64)
-    xr, zr, y_count = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
-    for q in range(n):
-        xr |= (x >> q & 1) << (n - 1 - q)
-        zr |= (z >> q & 1) << (n - 1 - q)
-        y_count += x >> q & z >> q & 1
-    scaled = np.asarray(coeffs, dtype=complex) * np.array([1, 1j, -1, -1j])[y_count & 3]
+    xr = _reverse_masks(np.array([p.x_mask for p in strings], dtype=np.int64), n)
+    zr = _reverse_masks(np.array([p.z_mask for p in strings], dtype=np.int64), n)
+    scaled = np.asarray(coeffs, dtype=complex) * _PHASES[popcount(xr & zr) & 3]
     cols = np.arange(dim, dtype=np.int64)
     mat = np.zeros((dim, dim), dtype=complex)
     step = max(1, _DENSE_BLOCK // dim)
-    for lo in range(0, len(x), step):
+    for lo in range(0, len(xr), step):
         order = lo + np.argsort(xr[lo:lo + step], kind="stable")
         xs, starts = np.unique(xr[order], return_index=True)
         w = scaled[order, None] * (1.0 - 2.0 * _parity(cols & zr[order, None]))
@@ -124,19 +119,19 @@ def pauli_decompose(mat: np.ndarray, n: int, prune_tol: float = 0.0) -> PauliSum
     if mat.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for n={n}")
     cols = np.arange(dim)
+    masks = _reverse_masks(cols, n)
     floor = max(prune_tol, 1e-15 * max(1.0, float(np.abs(mat).max())))
-    terms: dict[PauliString, complex] = {}
+    strings: list[PauliString] = []
+    coeffs: list[complex] = []
     for xr in range(dim):
-        stripe = mat[cols, cols ^ xr].copy()
-        s = _fwht(stripe)
-        x_mask = _revbits(xr, n)
-        for zr in np.flatnonzero(np.abs(s) >= floor * dim):
-            zr = int(zr)
-            phase = 1j ** ((xr & zr).bit_count() % 4)
-            coeff = phase * s[zr] / dim
-            if abs(coeff) >= floor:
-                terms[PauliString(n, x_mask, _revbits(zr, n))] = coeff
-    return PauliSum(n, terms)
+        s = _fwht(mat[cols, cols ^ xr])
+        zr = np.flatnonzero(np.abs(s) >= floor * dim)
+        coeff = _PHASES[popcount(xr & zr) & 3] * s[zr] / dim
+        keep = np.abs(coeff) >= floor
+        x_mask = int(masks[xr])
+        strings += [PauliString(n, x_mask, z) for z in masks[zr[keep]].tolist()]
+        coeffs += coeff[keep].tolist()
+    return PauliSum(n, zip(strings, coeffs))
 
 
 @dataclass(frozen=True)
@@ -204,6 +199,7 @@ def diag_report(
         raise ValueError("hamiltonian and parameters disagree on qubit count")
     if abs(kp.r_norm - 1.0) > 1e-8:
         raise ValueError("kp.r must have unit norm")
+    _check_dense_n(h.n)
     if f_value is None or penalty is None:
         rep = eval_F(h, kp, support if support is not None else
                      build_support_sets(h, kp.ansatz))

@@ -254,6 +254,33 @@ class TestDiagonalize:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "cache_drift_max" not in report
 
+    def test_rcd_block_beyond_2d_is_exit_1(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["model"] = {"family": "xxz", "n": 2, "j": 1.0, "delta": 1.0}
+        cfg["ansatz_source"] = {"kind": "full_basis"}
+        cfg["opt"]["block_size"] = 100
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert "error: opt.block_size: 100 exceeds 2d = 32" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_warm_start_pruning_every_string_is_exit_1(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["ansatz_source"]["prune_tol"] = 10
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert ("error: ansatz_source.prune_tol: pruning removed every ansatz string"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_all_zero_model_is_exit_1(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["model"].update(j=0, delta=0)
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert "error: model: every coefficient is zero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_runs_all_with_distinct_seeds(self, tmp_path, capsys):
@@ -304,6 +331,17 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("run_000: initial_error=")
         assert lines[1] == "run_001: config error: config: expected an object"
+
+    def test_run_setup_error_is_a_config_error_for_that_run(self, tmp_path, capsys):
+        good = base_config(tmp_path / "unused", max_iters=5)
+        del good["output"]
+        bad = json.loads(json.dumps(good))
+        bad["opt"]["block_size"] = 1000
+        path = write_json(tmp_path / "sweep.json", [good, bad])
+        assert main(["diagonalize", "--config", path, "--sweep",
+                     "--out-dir", str(tmp_path / "runs")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("run_001: config error: opt.block_size: 1000 exceeds")
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the workers must inherit the patched run_single")
@@ -385,6 +423,13 @@ class TestVerify:
         assert main(["verify", str(ham), str(out / "params.json")]) == 1
         assert f"line 2: non-finite coefficient '{coeff}'" in capsys.readouterr().err
 
+    def test_cancelling_hamiltonian_is_exit_1(self, tmp_path, capsys):
+        ham = tmp_path / "h.txt"
+        ham.write_text("1.0 XX\n-1.0 XX\n")
+        params = write_json(tmp_path / "p.json", TestParamsFile.START)
+        assert main(["verify", str(ham), params]) == 1
+        assert f"error: {ham}: every coefficient is zero or cancels" in capsys.readouterr().err
+
 
 class TestParamsFile:
     """A params file the library cannot use is an exit-1 input error naming
@@ -439,6 +484,15 @@ class TestLiedim:
         path = write_json(tmp_path / "m.json", cfg)
         assert main(["liedim", "--config", path]) == 0
         assert "63 / 63 (saturated)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gate", [["cnot", 0], ["s"], [], ["rot", 0.4]])
+    def test_prefix_gate_with_missing_fields_is_exit_1(self, tmp_path, capsys, gate):
+        cfg = {"model": {"family": "example_hams", "n": 3, "theta": 0.7,
+                         "c": [0.5, 0.5, 0.5, 0.5], "d": [1.0, 1.0, 1.0],
+                         "prefix": [gate]}}
+        path = write_json(tmp_path / "m.json", cfg)
+        assert main(["liedim", "--config", path]) == 1
+        assert "error: model: " in capsys.readouterr().err
 
     def test_cap_short_circuits(self, tmp_path, capsys):
         cfg = {"model": {"family": "xxz", "n": 3, "j": 1.0, "delta": 0.7}}
@@ -501,3 +555,12 @@ class TestTraceExport:
         assert main(["trace-export", str(trace)]) == 1
         assert f"line 2: alpha_estimate: expected a number, got {alpha!r}" in (
             capsys.readouterr().err)
+
+    def test_missing_field_writes_no_csv(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        bad = json.loads(GOOD_RECORD)
+        del bad["F_total"]
+        trace.write_text(GOOD_RECORD + "\n" + json.dumps(dict(bad, iter=1)) + "\n")
+        assert main(["trace-export", str(trace), "--out-dir", str(tmp_path / "csv")]) == 1
+        assert "line 2: missing field 'F_total'" in capsys.readouterr().err
+        assert not (tmp_path / "csv").exists()

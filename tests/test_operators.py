@@ -290,28 +290,36 @@ class TestSupportSets:
         assert s1.closure == s2.closure
 
 
+def sorted_products(left, right) -> tuple[list, tuple, dict]:
+    """The products left[i] * right[j] as (phase, string) rows, their distinct
+    strings in sorted order and each string's index among them."""
+    products = [[multiply(a, b) for b in right] for a in left]
+    strings = tuple(sorted({p for row in products for _, p in row}))
+    return products, strings, {p: t for t, p in enumerate(strings)}
+
+
 def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list, list]:
     """Every SupportSets table built entry by entry with pauli.multiply: the
-    loop reference the mask-array build must reproduce exactly. Also returns
-    the hk, khk and pair entry rows (i, b, phase, tgt), (a, s, phase, tgt) and
+    loop reference the mask-array build must reproduce exactly. Every string
+    tuple is numbered in sorted (PauliString) order. Also returns the hk, khk
+    and pair entry rows (i, b, phase, tgt), (a, s, phase, tgt) and
     (i, j, phase, tgt), each in row-major grid order."""
     h_strings = tuple(sorted(h.strings()))
-    hk_index: dict = {}
-    hk_rows = []
-    for i, q in enumerate(h_strings):
-        for b, pb in enumerate(ansatz):
-            ph, t = multiply(q, pb)
-            hk_rows.append((i, b, ph.value, hk_index.setdefault(t, len(hk_index))))
-    closure_index: dict = {}
-    khk_rows = []
-    for a, pa in enumerate(ansatz):
-        for si, hs in enumerate(hk_index):
-            ph, t = multiply(pa, hs)
-            khk_rows.append((a, si, ph.value, closure_index.setdefault(t, len(closure_index))))
-    closure = tuple(closure_index)
-    g1 = tuple(sorted(p for p in closure if not p.is_diagonal))
-    products = [[multiply(pi, pj) for pj in ansatz] for pi in ansatz]
-    g2 = tuple(sorted({p for row in products for _, p in row if not p.is_identity}))
+    hk_products, hk_strings, hk_index = sorted_products(h_strings, ansatz)
+    hk_rows = [
+        (i, b, ph.value, hk_index[p])
+        for i, row in enumerate(hk_products)
+        for b, (ph, p) in enumerate(row)
+    ]
+    khk_products, closure, closure_index = sorted_products(ansatz, hk_strings)
+    khk_rows = [
+        (a, si, ph.value, closure_index[p])
+        for a, row in enumerate(khk_products)
+        for si, (ph, p) in enumerate(row)
+    ]
+    g1 = tuple(p for p in closure if not p.is_diagonal)
+    products, pair_strings, _ = sorted_products(ansatz, ansatz)
+    g2 = tuple(p for p in pair_strings if not p.is_identity)
     g2_index = {p: t for t, p in enumerate(g2)}
     # the identity diagonal adds phase 0 to slot 0
     pair_rows = [
@@ -322,7 +330,7 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list, list]:
 
     tables = {
         "h_strings": h_strings,
-        "hk_strings": tuple(hk_index),
+        "hk_strings": hk_strings,
         "closure": closure,
         "g1": g1,
         "g2": g2,
@@ -410,6 +418,11 @@ def assert_gradient_matches_loop(s, h: PauliSum, ansatz, rng) -> None:
 
 def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
     s = build_support_sets(h, ansatz)
+    # one numbering rule: every string tuple sorted, g1 the closure's suffix
+    for name in ("h_strings", "hk_strings", "closure", "g1", "g2"):
+        strings = getattr(s, name)
+        assert list(strings) == sorted(strings), name
+    assert s.g1 == s.closure[len(s.closure) - len(s.g1):]
     ref, hk_rows, khk_rows, pair_rows = reference_tables(h, ansatz)
     for name, want in ref.items():
         got = getattr(s, name)

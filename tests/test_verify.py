@@ -9,6 +9,7 @@ from paulidiag.operators import PauliSum, build_support_sets
 from paulidiag.pauli import PauliString, parse
 import paulidiag.verify as verify_mod
 from paulidiag.verify import (
+    DENSE_MAX_QUBITS,
     DenseLimitError,
     LieClosure,
     diag_report,
@@ -93,11 +94,12 @@ class TestToDense:
 
 class TestPauliDecompose:
     def test_round_trip_from_sum(self, rng):
-        h, _, _ = random_instance(rng, 3, 4)
-        back = pauli_decompose(to_dense(h), 3)
-        assert set(back.strings()) == set(h.strings())
-        for p, c in h.items():
-            assert back.coefficient(p) == pytest.approx(c, abs=1e-12)
+        for n in range(1, 7):
+            h, _, _ = random_instance(rng, n, 4)
+            back = pauli_decompose(to_dense(h), n)
+            assert set(back.strings()) == set(h.strings())
+            for p, c in h.items():
+                assert back.coefficient(p) == pytest.approx(c, abs=1e-12)
 
     def test_round_trip_from_matrix(self, rng):
         mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -115,6 +117,17 @@ class TestPauliDecompose:
 
 
 class TestDiagReport:
+    def test_dense_limit_checked_before_support_tables(self, monkeypatch):
+        def build_support_sets(h, ansatz):
+            raise AssertionError("support tables built for an infeasible report")
+
+        monkeypatch.setattr(verify_mod, "build_support_sets", build_support_sets)
+        n = DENSE_MAX_QUBITS + 1
+        h = PauliSum.from_words({"XX" + "I" * (n - 2): 1.0})
+        kp = KParams((PauliString.identity(n),), np.array([1.0]), np.array([0.0]))
+        with pytest.raises(DenseLimitError):
+            diag_report(h, kp)
+
     def test_exact_diagonalizer(self):
         h = PauliSum.from_words({"Z": 0.7, "I": 0.1})
         kp = KParams((PauliString.identity(1),), np.array([1.0]), np.array([0.0]))
