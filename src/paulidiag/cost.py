@@ -9,19 +9,32 @@ The ansatz operator is K(r, theta) = sum_j r_j e^{i theta_j} P_j. The cost is
 where phi_P is the coefficient of P in K'K. Traces carry the unnormalized
 2^n factor, so F is degree-4 homogeneous in r: F(s r, theta) = s^4 F(r, theta).
 
-Gradients are exact. With t_P = tr(K'HK P) on g1 (0 on the diagonal closure
-strings), S_s the H*K strings and P_j S_s = c P,
+K'HK and K'K are Hermitian, so t_P = tr(K'HK P) and phi_P are real. The
+table path accumulates both as real numbers from one product grid,
+K'[HK | K] (the dense path's K' [HK | K] matmul, entry by entry). With
+k_j = r_j e^{i theta_j}, y = [hk | k] the coefficients of Y = (H*K strings)
+++ ansatz, and P_a Y_s = c_as P, the grid entry W[a, s] = c_as y_s adds
+Re(conj(k_a) W[a, s]) to P's coefficient: in K'HK for the first |hk|
+columns, in K'K for the last d.
 
-    dF/dr_j     = 4 Re(tw_j) + penalty part
-    dF/dtheta_j = 4 r_j Im(tw_j) + penalty part
-    tw_j        = e^{-i theta_j} sum_s c t_P tr(HK S_s)
+Gradients are exact and come from one fused row per coordinate. With t_P
+read as 0 on the diagonal closure strings and phi as 0 on the identity,
 
-so coordinate j reads row j of the K'(HK) product grid that f itself is
-accumulated from, and its penalty part reads row j and column j of the pair
-grid that phi is accumulated from. One full gradient costs O(d |hk|) after
-the support tables are built, a block J of coordinates O(|J| (|hk| + 2d)).
-Both signs were validated against central finite differences; the theta sign
-is +4 for this operator order.
+    z_j         = e^{-i theta_j} (2^n sum_{s<|hk|} W[j, s] t_P
+                                  + sum_i W[j, |hk| + i] phi_Q)
+    dF/dr_j     = 4 Re z_j
+    dF/dtheta_j = 4 r_j Im z_j
+
+The second sum, sum_i c_ji phi_Q k_i, is the penalty part. Because phi is
+real and pair entry (j, i) is the conjugate of (i, j), the terms of
+coordinate j in column j of the pair block are the conjugates of those in
+row j, so row j alone gives them, doubled: hence the same factor 4 as the
+off-diagonal part. Coordinate j thus reads row j of the
+grid f and phi are accumulated from, each slot weighted by
+SupportSets.slot_scale: one gather and one real matmul. One full gradient
+costs O(d (|hk| + d)) after the support tables are built, a block J of
+coordinates O(|J| (|hk| + d)). Both signs were validated against central
+finite differences; the theta sign is +4 for this operator order.
 
 When the qubit count is small and the ansatz is at least Hilbert-dimension
 sized, evaluation switches to direct 2^n x 2^n matrix algebra (same values,
@@ -252,58 +265,37 @@ def _evaluate_dense(work: _DenseWork, r: np.ndarray, theta: np.ndarray, want_gra
 
 
 def _table_values(s: SupportSets, r: np.ndarray, theta: np.ndarray):
-    """The table path's coefficient vectors at (r, theta): (hk, khk, t, phi,
-    f, penalty), where t is 2^n Re khk on the g1 slots of the closure and 0
-    on its diagonal strings."""
-    kc = s.k_coeffs(r, theta)
-    hk = s.hk_vector(kc)
-    khk = s.khk_vector(kc, hk)
-    t_g1 = float(2**s.n) * khk[s.g1_closure_idx].real
-    t = np.zeros(len(s.closure))
-    t[s.g1_closure_idx] = t_g1
-    phi = s.phi_vector(r, theta)
+    """The table path's values at (r, theta): (w, u, f, penalty), where w is
+    the khk grid's rows (SupportSets.khk_rows) as a (d, |hk| + d, 2) float
+    view and u the real coefficients over [closure | identity | g2]
+    (khk_vector) times slot_scale, the weights the partials gather."""
+    k = s.k_coeffs(r, theta)
+    rows = s.khk_rows(k, s.hk_vector(k))
+    v = s.khk_vector(k, rows)
+    t_g1 = float(2**s.n) * v[s.g1_closure_idx]
+    phi = v[len(s.closure) + 1:]
     f = float(np.sum(t_g1 * t_g1))
-    penalty = float(np.sum(phi.real**2 + phi.imag**2))
-    return hk, khk, t, phi, f, penalty
+    penalty = float(np.sum(phi * phi))
+    return rows.view(float).reshape(s.d, -1, 2), v * s.slot_scale, f, penalty
 
 
 def _evaluate_sparse(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
-    hk, _, t, phi, f, penalty = _table_values(s, r, theta)
+    w, u, f, penalty = _table_values(s, r, theta)
     if not want_grad:
         return f, penalty, None, None
-    grad_r, grad_theta = _offdiag_grad(s, r, theta, hk, t, slice(None))
-    _add_penalty_grad(s, r, theta, phi, grad_r, grad_theta, slice(None))
-    return f, penalty, grad_r, grad_theta
+    z = _partial_rows(s, theta, w, u, slice(None))
+    return f, penalty, z.real, r * z.imag
 
 
-def _offdiag_grad(s: SupportSets, r, theta, hk, t, J):
-    """f's partials in r_J and theta_J, from rows J of the khk grid. With
-    P_j S_s = c P (khk entry (j, s)), coordinate j reads
-
-        tw_j = 2^n e^{-i theta_j} sum_s c t_P hk_s
-
-    where t is _table_values' closure-length t, so entries landing on a
-    diagonal string add 0."""
-    w = s.khk_phase.reshape(s.d, -1)[J] * t[s.grad_tgt[J]]
-    tw = (w @ hk) * (float(2**s.n) * np.exp(-1j * theta[J]))
-    return 4.0 * tw.real, 4.0 * r[J] * tw.imag
-
-
-def _add_penalty_grad(s: SupportSets, r, theta, phi, grad_r, grad_theta, J):
-    """Add the penalty's partials in r_J and theta_J (grad_r and grad_theta
-    are indexed like J), d|phi_P|^2 = 2 Re(conj(phi_P) dphi_P). Pair-grid
-    entry (i, j), P_i P_j = c P, adds c r_i r_j e^{i(theta_j - theta_i)} to
-    phi_P, so the terms of coordinate m sit in row m and column m."""
-    if not len(s.g2):
-        return
-    d = s.d
-    cphi = phi.conj()
-    tgt, phase = s.phi_p.reshape(d, d), s.phi_phase.reshape(d, d)
-    e = np.exp(1j * theta)
-    rows = ((cphi[tgt[J]] * phase[J]) @ (e * r)) * e[J].conj()
-    cols = ((e.conj() * r) @ (cphi[tgt[:, J]] * phase[:, J])) * e[J]
-    grad_r += 2.0 * (rows.real + cols.real)
-    grad_theta += 2.0 * r[J] * (rows.imag - cols.imag)
+def _partial_rows(s: SupportSets, theta, w, u, J):
+    """4 z_j for the ansatz indices J (a slice or an index array, repeats
+    allowed), from _table_values' w and u, so that dF/dr_j is its real part
+    and dF/dtheta_j r_j times its imaginary part. Row j of the grid gives
+    e^{-i theta_j} sum_s W[j, s] u[tgt_js], where u holds 4 2^n t_P and
+    4 phi_Q: one gather of u and one batched real matmul with W's float
+    view."""
+    z = np.matmul(u.take(s.grad_tgt[J])[:, None, :], w[J])
+    return z.view(complex).ravel() * np.exp(-1j * theta[J])
 
 
 def _evaluator(s: SupportSets):
@@ -334,7 +326,8 @@ def eval_phi(kp: KParams, p: PauliString, s: SupportSets) -> complex:
     i = bisect.bisect_left(s.g2, p)
     if i == len(s.g2) or s.g2[i] != p:
         raise ValueError(f"{p.word} is not a product of two ansatz strings")
-    return complex(s.phi_vector(kp.r, kp.theta)[i])
+    k = s.k_coeffs(kp.r, kp.theta)
+    return complex(s.khk_vector(k, s.khk_rows(k, s.hk_vector(k)))[len(s.closure) + 1 + i])
 
 
 def eval_F(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:

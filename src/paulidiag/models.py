@@ -195,6 +195,11 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
             })
         elif kind == "cnot":
             ctl, tgt = gate[1], gate[2]
+            if ctl == tgt:
+                # from_ops would keep one of the two ops on the shared qubit
+                raise ValueError(
+                    f"gate {list(gate)!r}: control and target must be distinct qubits"
+                )
             g = PauliSum(n, {
                 ident: 0.5,
                 PauliString.from_ops(n, {ctl: "Z"}): 0.5,

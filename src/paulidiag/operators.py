@@ -8,9 +8,11 @@ build_support_sets precomputes, for a Hamiltonian H and an ansatz list
 
 * g1: the off-diagonal strings that can appear in K'HK (ansatz closure),
 * g2: the non-identity products P_i P_j,
-* three row-major product grids (H P_b, P_a (HK), P_i P_j), each a flat
-  phase and target-slot table, so that values are bincount accumulations
-  and gradients are row gathers instead of per-term dict arithmetic.
+* two row-major product grids, H P_b and P_a [HK | K], each a flat phase
+  and target-slot table, so that values are bincount accumulations and
+  gradients are row gathers instead of per-term dict arithmetic. K'HK and
+  K'K are Hermitian, so their coefficients are real and come from one real
+  bincount of the second grid.
 
 The build itself works on int64 x/z mask arrays. Each grid is one broadcast
 of pauli.multiply_masks, strings are deduplicated through packed int64 keys
@@ -225,18 +227,24 @@ class SupportSets:
     order); the diagonal strings sort first, so g1 is the closure's suffix and
     g1_closure_idx the index range it occupies.
 
-    The tables are three row-major product grids, each a flat phase array
-    plus a flat target-slot array:
+    The tables are two row-major product grids, each a flat phase table plus
+    a flat target-slot array:
 
     * hk: entry (i, b) is h_strings[i] * P_b, at i * d + b, slot in hk_strings;
-    * khk: entry (a, s) is P_a * hk_strings[s], at a * |hk| + s, slot in
-      closure;
-    * phi: entry (i, j) is P_i * P_j, at i * d + j, slot in g2; the identity
-      diagonal has phase 0 (and slot 0).
+    * khk: the (d, |hk| + d) grid of K'[HK | K]. With Y = hk_strings ++
+      ansatz and y = [hk | k] their coefficients, entry (a, s) is
+      P_a * Y_s = i^m P, at a * (|hk| + d) + s. Its slot is P's index in
+      [closure | identity | g2]: the first |hk| columns make K'HK, the last
+      d make K'K. Its phase table is a selector, m * (|hk| + d) + s, into the
+      flat (4, |hk| + d) table [y, i y, -y, -i y], so the grid's rows
+      W[a, s] = i^m y_s are one take (khk_rows).
 
-    Values bincount each grid into its slots. Gradients read the same grids
-    by rows: the khk row j and the phi row and column j hold every term the
-    partials in r_j and theta_j need.
+    hk is complex (HK is not Hermitian). K'HK and K'K are Hermitian, so
+    khk_vector returns real coefficients: entry (a, s) adds
+    Re(conj(k_a) W[a, s]) to its slot, one real bincount for both. Gradients
+    read the same grid by rows: row j holds every term the partials in r_j
+    and theta_j need, each slot weighted by slot_scale (4 4^n on g1, 4 on
+    g2, 0 on the diagonal closure strings and the identity).
     """
 
     n: int
@@ -256,13 +264,13 @@ class SupportSets:
     # the product grids
     hk_phase: np.ndarray = field(repr=False)
     hk_tgt: np.ndarray = field(repr=False)
-    khk_phase: np.ndarray = field(repr=False)
+    khk_sel: np.ndarray = field(repr=False)
     khk_tgt: np.ndarray = field(repr=False)
-    phi_p: np.ndarray = field(repr=False)
-    phi_phase: np.ndarray = field(repr=False)
 
     # index of each g1 string inside closure: the suffix range
     g1_closure_idx: np.ndarray = field(repr=False)
+    # per-slot weight of khk_vector's output in the gradient
+    slot_scale: np.ndarray = field(repr=False)
 
     @property
     def d(self) -> int:
@@ -270,10 +278,16 @@ class SupportSets:
 
     @property
     def grad_tgt(self) -> np.ndarray:
-        """The khk grid's target slots as a (d, |hk|) view: row j holds the
-        closure slot of P_j * hk_strings[s], which the off-diagonal gradient
-        in coordinate j gathers through."""
+        """The khk grid's target slots as a (d, |hk| + d) view: row j holds
+        every slot the partials in coordinate j gather through."""
         return self.khk_tgt.reshape(self.d, -1)
+
+    @property
+    def phi_p(self) -> np.ndarray:
+        """The g2 slot of each pair product P_i * P_j, at i * d + j; -1 on the
+        identity diagonal. bench/pipeline.py counts it."""
+        pairs = self.grad_tgt[:, len(self.hk_strings):]
+        return pairs.ravel() - (len(self.closure) + 1)
 
     def k_coeffs(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return r * np.exp(1j * theta)
@@ -285,21 +299,20 @@ class SupportSets:
         w = self.h_coeffs[:, None] * k_coeffs[None, :] * self.hk_phase.reshape(-1, self.d)
         return _accumulate(self.hk_tgt, w.ravel(), len(self.hk_strings))
 
-    def khk_vector(self, k_coeffs: np.ndarray, hk_vec: np.ndarray) -> np.ndarray:
-        """Coefficients of K'(HK) over closure; hk_vec is hk_vector's output."""
-        w = k_coeffs.conj()[:, None] * hk_vec[None, :] * self.khk_phase.reshape(self.d, -1)
-        return _accumulate(self.khk_tgt, w.ravel(), len(self.closure))
+    def khk_rows(self, k_coeffs: np.ndarray, hk_vec: np.ndarray) -> np.ndarray:
+        """The khk grid's (d, |hk| + d) complex rows W[a, s] = i^m y_s, where
+        y = [hk | k] and P_a * Y_s = i^m P; hk_vec is hk_vector's output."""
+        y = np.concatenate((hk_vec, k_coeffs))
+        return np.multiply.outer(_PHASES, y).take(self.khk_sel).reshape(self.d, -1)
 
-    def phi_vector(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """phi_P over g2 (identity excluded; its value is ||r||^2)."""
-        w = (
-            self.phi_phase.reshape(self.d, self.d)
-            * r[None, :]
-            * r[:, None]
-            * np.exp(1j * (theta[None, :] - theta[:, None]))
-        )
-        # the diagonal's zeros land in slot 0, which d = 1 (g2 empty) drops
-        return _accumulate(self.phi_p, w.ravel(), len(self.g2))[: len(self.g2)]
+    def khk_vector(self, k_coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Real coefficients over [closure | identity | g2]: K'HK on the
+        closure, then K'K (||r||^2 on the identity, phi_P on g2); rows is
+        khk_rows' output. Entry (a, s) adds Re(conj(k_a) W[a, s]), one
+        batched real matmul of W's float view with (Re k_a, Im k_a)."""
+        w = np.matmul(rows.view(float).reshape(self.d, -1, 2),
+                      k_coeffs.view(float).reshape(self.d, 2, 1))
+        return np.bincount(self.khk_tgt, weights=w.ravel(), minlength=len(self.slot_scale))
 
 
 def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
@@ -332,31 +345,39 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
     hk_x, hk_z = _unkey(hk_keys)
     hk_phase = _PHASES[k.ravel()]
 
-    # closure = strings of K'(HK), and its build table; entry (a, s) is P_a * S_s
-    k, cx, cz = multiply_masks(ax[:, None], az[:, None], hk_x, hk_z)
-    closure_keys, khk_tgt = np.unique(_key(cx, cz).ravel(), return_inverse=True)
+    # the K'[HK | K] grid; entry (a, s) is P_a * Y_s, Y = hk_strings ++ ansatz
+    width = len(hk_keys) + d
+    khk_sel, cx, cz = multiply_masks(ax[:, None], az[:, None],
+                                     np.concatenate((hk_x, ax)), np.concatenate((hk_z, az)))
+    # the build's largest grid: the selector is formed in place and the
+    # masks are freed before the sorts
+    khk_sel *= width
+    khk_sel += np.arange(width)
+    keys = _key(cx, cz)
+    del cx, cz
+    # closure = strings of K'(HK), the first |hk| columns
+    closure_keys, closure_tgt = np.unique(keys[:, : len(hk_keys)], return_inverse=True)
     cl_x, cl_z = _unkey(closure_keys)
-    khk_phase = _PHASES[k.ravel()]
+    # the pair products P_i P_j, the last d columns. The ansatz being
+    # distinct, only the diagonal is the identity, whose key 0 sorts first
+    pair_keys, pair_tgt = np.unique(keys[:, len(hk_keys):], return_inverse=True)
+    khk_tgt = np.empty((d, width), dtype=np.intp)
+    khk_tgt[:, : len(hk_keys)] = closure_tgt.reshape(d, -1)
+    khk_tgt[:, len(hk_keys):] = len(closure_keys) + pair_tgt.reshape(d, d)
 
     # diagonal strings (x = 0) have the smallest keys, so g1, the
     # off-diagonal closure strings, is the closure's suffix
     g1_closure_idx = np.flatnonzero(cl_x != 0)
     closure = _strings(n, cl_x, cl_z)
-
-    # pair grid; entry (i, j) is P_i * P_j. The ansatz being distinct, only
-    # the diagonal is the identity: it points at slot 0 with phase 0
-    k, px, pz = multiply_masks(ax[:, None], az[:, None], ax, az)
-    pair_keys = _key(px, pz).ravel()
-    ident = pair_keys == 0
-    g2_keys, phi_p = np.unique(pair_keys, return_inverse=True)
-    phi_p = np.where(ident, 0, phi_p - 1)
-    phi_phase = np.where(ident, 0j, _PHASES[k.ravel()])
+    slot_scale = np.zeros(len(closure_keys) + len(pair_keys))
+    slot_scale[g1_closure_idx] = 4.0 * 4.0**n
+    slot_scale[len(closure_keys) + 1:] = 4.0
 
     return SupportSets(
         n=n,
         ansatz=ansatz,
         g1=closure[len(closure) - len(g1_closure_idx):],
-        g2=_strings(n, *_unkey(g2_keys[1:])),
+        g2=_strings(n, *_unkey(pair_keys[1:])),
         closure=closure,
         h_ref=h,
         h_strings=h_strings,
@@ -364,11 +385,10 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
         hk_strings=_strings(n, hk_x, hk_z),
         hk_phase=hk_phase,
         hk_tgt=hk_tgt,
-        khk_phase=khk_phase,
-        khk_tgt=khk_tgt,
-        phi_p=phi_p,
-        phi_phase=phi_phase,
+        khk_sel=khk_sel.ravel(),
+        khk_tgt=khk_tgt.ravel(),
         g1_closure_idx=g1_closure_idx,
+        slot_scale=slot_scale,
     )
 
 

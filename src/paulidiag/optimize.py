@@ -7,12 +7,13 @@ plain arrays: the ansatz/Hamiltonian check runs once at entry and KParams is
 built once, for final_params. Only the step differs. GD uses the full exact
 gradient recomputed from scratch every iteration (dense or table path, chosen
 once at entry). RCD samples S of the 2d coordinates uniformly without
-replacement and computes only those partials, from cached coefficient tables
-(K'HK over the closure, H*K over its support, phi over g2) and the same
-gradient functions as GD's table path, on the rows of the sampled ansatz
-indices J only: O(|J| (|hk| + 2d)) instead of O(d |hk|). After every step the
-caches are rebuilt from scratch at the new params, so they never drift;
-OptTrace.refresh_drifts stays empty and drift_max reads 0.0.
+replacement and computes only those partials, from cached tables (the rows
+W of the K'[HK | K] grid and the slot-weighted real coefficients of K'HK and
+K'K) and the same fused partial rows as GD's table path, on the rows of the
+sampled ansatz indices only: O(|S| (|hk| + d)) instead of O(d (|hk| + d)).
+After every step the caches are rebuilt from scratch at the new params, so
+they never drift; OptTrace.refresh_drifts stays empty and drift_max reads
+0.0.
 
 With S = 2d the sampled set is always the full coordinate set, so one RCD
 iteration reproduces one GD iteration (same step, seed-independent); run_rcd
@@ -41,9 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import (
-    KParams, _add_penalty_grad, _check, _evaluator, _offdiag_grad, _table_values,
-)
+from .cost import KParams, _check, _evaluator, _partial_rows, _table_values
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
 
@@ -231,13 +230,14 @@ def _drive(kp0: KParams, cfg: OptConfig, lr: LRSchedule, grad,
             stop = "max_iters"
         else:
             stop = ""
+        # sqrt(x . x) is np.linalg.norm's own formula for a real vector
         if stop:
-            nr = float(np.linalg.norm(r))
+            nr = math.sqrt(r.dot(r))
         else:
             a = lr_schedule_eval(lr, t)
             y_r = r - a * gr
             y_theta = theta - a * gt
-            nr = float(np.linalg.norm(y_r))
+            nr = math.sqrt(y_r.dot(y_r))
         trace.records.append(
             TraceRecord(
                 iteration=t,
@@ -279,7 +279,9 @@ def run_gd(
 
 
 class IncrementalState:
-    """Coefficient tables of K'HK, H*K and phi at the current params.
+    """The table path's values at the current params (r, theta), as
+    cost._table_values returns them: the K'[HK | K] grid's rows w, the
+    slot-weighted real coefficients u, f_value and penalty.
 
     sparse_grad reads them to compute a sampled block of partials;
     apply_update adopts a step and refresh rebuilds every table from scratch
@@ -294,29 +296,21 @@ class IncrementalState:
 
     def refresh(self) -> None:
         """Rebuild every table from scratch at (r, theta)."""
-        self.hk, self.khk, self.t, self.phi, self.f_value, self.penalty = _table_values(
-            self.s, self.r, self.theta
-        )
+        self.w, self.u, self.f_value, self.penalty = _table_values(self.s, self.r, self.theta)
 
     def sparse_grad(self, coords: np.ndarray):
-        """Exact partials for the sampled coordinate indices (r_j for
-        coords < d, theta_{j-d} otherwise), zeros elsewhere. They read rows J
-        of the khk grid and rows and columns J of the pair grid, J being the
-        sampled ansatz indices."""
-        s = self.s
-        d = s.d
-        r, theta = self.r, self.theta
+        """Exact partials for the distinct sampled coordinate indices (r_j
+        for coords < d, theta_{j-d} otherwise), zeros elsewhere. Each sampled
+        coordinate reads its own row j of the K'[HK | K] grid, j being its
+        ansatz index, so a sampled pair (r_j, theta_j) reads row j twice."""
+        d = self.s.d
         coords = np.asarray(coords)
-        J = np.unique(coords % d)
-        gr_j, gt_j = _offdiag_grad(s, r, theta, self.hk, self.t, J)
-        _add_penalty_grad(s, r, theta, self.phi, gr_j, gt_j, J)
-
-        grad = np.zeros(2 * d)
-        grad[J], grad[d + J] = gr_j, gt_j
+        J = coords % d
+        z = _partial_rows(self.s, self.theta, self.w, self.u, J)
+        part = np.where(coords < d, z.real, self.r[J] * z.imag)
         out = np.zeros(2 * d)
-        out[coords] = grad[coords]
-        gr, gt = out[:d], out[d:]
-        return gr, gt, float(np.sqrt(np.dot(gr, gr) + np.dot(gt, gt)))
+        out[coords] = part
+        return out[:d], out[d:], math.sqrt(part.dot(part))
 
     def apply_update(self, y_r: np.ndarray, y_theta: np.ndarray, nr: float) -> None:
         """Adopt the step to (y_r / nr, y_theta) and rebuild the tables."""

@@ -494,6 +494,18 @@ class TestLiedim:
         assert main(["liedim", "--config", path]) == 1
         assert "error: model: " in capsys.readouterr().err
 
+    def test_cnot_with_control_equal_to_target_is_exit_1(self, tmp_path, capsys):
+        # {q: "Z", q: "X"} keeps only X: the gate would become 0.5 (I + Z - X),
+        # which is not unitary
+        cfg = {"model": {"family": "example_hams", "n": 3, "theta": 0.7,
+                         "c": [0.5, 0.5, 0.5, 0.5], "d": [1.0, 1.0, 1.0],
+                         "prefix": [["cnot", 1, 1]]}}
+        path = write_json(tmp_path / "m.json", cfg)
+        assert main(["liedim", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model: ")
+        assert "control and target" in err
+
     def test_cap_short_circuits(self, tmp_path, capsys):
         cfg = {"model": {"family": "xxz", "n": 3, "j": 1.0, "delta": 0.7}}
         path = write_json(tmp_path / "m.json", cfg)

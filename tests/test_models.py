@@ -235,6 +235,10 @@ class TestExampleHams:
         np.testing.assert_allclose(ud @ ud.conj().T, np.eye(8), atol=1e-10)
         np.testing.assert_allclose(to_dense(h), ud @ to_dense(d) @ ud.conj().T, atol=1e-10)
 
+    def test_cnot_needs_distinct_qubits(self):
+        with pytest.raises(ValueError, match="control and target"):
+            build_example_hams(**valid_example_args(), clifford_prefix=[("cnot", 2, 2)])
+
     def test_unknown_gate(self):
         with pytest.raises(ValueError, match="gate"):
             build_example_hams(**valid_example_args(), clifford_prefix=[("t", 0)])

@@ -266,19 +266,20 @@ class TestSupportSets:
                 assert hk_vec[idx] == pytest.approx(hk.coefficient(p), abs=1e-13)
             assert len(hk_vec) == len(s.hk_strings)
 
-            khk_vec = s.khk_vector(kc, hk_vec)
+            # K'HK and K'K are Hermitian: the table holds real coefficients
+            # over [closure | identity | g2], the real parts of the complex
+            # reference, whose imaginary parts are rounding noise
+            vec = s.khk_vector(kc, s.khk_rows(kc, hk_vec))
+            assert vec.dtype == np.float64 and len(vec) == len(s.closure) + 1 + len(s.g2)
             khk = conjugate(h, k)
-            for idx, p in enumerate(s.closure):
-                assert khk_vec[idx] == pytest.approx(khk.coefficient(p), abs=1e-13)
-
-            phi_vec = s.phi_vector(r, th)
             kk = sum_multiply(k.adjoint(), k)
-            for idx, p in enumerate(s.g2):
-                assert phi_vec[idx] == pytest.approx(kk.coefficient(p), abs=1e-13)
+            want = [khk.coefficient(p) for p in s.closure]
+            want += [kk.coefficient(p) for p in (PauliString.identity(3),) + s.g2]
+            for got, c in zip(vec, want):
+                assert abs(got - c.real) <= 1e-13
+                assert abs(c.imag) <= 1e-13
             # identity entry of K'K is ||r||^2, kept out of g2
-            assert kk.coefficient(PauliString.identity(3)) == pytest.approx(
-                np.dot(r, r), abs=1e-13
-            )
+            assert want[len(s.closure)] == pytest.approx(np.dot(r, r), abs=1e-13)
 
     def test_deterministic_order(self, rng):
         h = random_sum(rng, 3, 5)
@@ -298,12 +299,14 @@ def sorted_products(left, right) -> tuple[list, tuple, dict]:
     return products, strings, {p: t for t, p in enumerate(strings)}
 
 
-def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list, list]:
+def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
     """Every SupportSets table built entry by entry with pauli.multiply: the
     loop reference the mask-array build must reproduce exactly. Every string
-    tuple is numbered in sorted (PauliString) order. Also returns the hk, khk
-    and pair entry rows (i, b, phase, tgt), (a, s, phase, tgt) and
-    (i, j, phase, tgt), each in row-major grid order."""
+    tuple is numbered in sorted (PauliString) order. The khk grid is
+    K'[HK | K]: entry (a, s) is P_a * Y_s = i^m P with Y = hk_strings ++
+    ansatz, its slot P's index in [closure | identity | g2] and its selector
+    m * (|hk| + d) + s. Also returns the hk and khk entry rows
+    (i, b, phase, tgt) and (a, s, phase, tgt), in row-major grid order."""
     h_strings = tuple(sorted(h.strings()))
     hk_products, hk_strings, hk_index = sorted_products(h_strings, ansatz)
     hk_rows = [
@@ -311,22 +314,24 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list, list]:
         for i, row in enumerate(hk_products)
         for b, (ph, p) in enumerate(row)
     ]
-    khk_products, closure, closure_index = sorted_products(ansatz, hk_strings)
-    khk_rows = [
-        (a, si, ph.value, closure_index[p])
-        for a, row in enumerate(khk_products)
-        for si, (ph, p) in enumerate(row)
-    ]
+    _, closure, closure_index = sorted_products(ansatz, hk_strings)
     g1 = tuple(p for p in closure if not p.is_diagonal)
-    products, pair_strings, _ = sorted_products(ansatz, ansatz)
+    _, pair_strings, _ = sorted_products(ansatz, ansatz)
     g2 = tuple(p for p in pair_strings if not p.is_identity)
-    g2_index = {p: t for t, p in enumerate(g2)}
-    # the identity diagonal adds phase 0 to slot 0
-    pair_rows = [
-        (i, j, 0j, 0) if p.is_identity else (i, j, ph.value, g2_index[p])
-        for i, row in enumerate(products)
-        for j, (ph, p) in enumerate(row)
-    ]
+    # slots: the closure, then the identity, then g2
+    pair_index = {p: len(closure) + 1 + t for t, p in enumerate(g2)}
+    pair_index[PauliString.identity(h.n)] = len(closure)
+    width = len(hk_strings) + len(ansatz)
+    khk_rows, khk_sel = [], []
+    for a, pa in enumerate(ansatz):
+        for si, y in enumerate(hk_strings + tuple(ansatz)):
+            ph, p = multiply(pa, y)
+            slot = closure_index[p] if si < len(hk_strings) else pair_index[p]
+            khk_rows.append((a, si, ph.value, slot))
+            khk_sel.append(ph.k * width + si)
+    slot_scale = np.zeros(len(closure) + 1 + len(g2))
+    slot_scale[[closure_index[p] for p in g1]] = 4.0 * 4**h.n
+    slot_scale[len(closure) + 1:] = 4.0
 
     tables = {
         "h_strings": h_strings,
@@ -335,37 +340,34 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list, list]:
         "g1": g1,
         "g2": g2,
         "g1_closure_idx": np.array([closure_index[p] for p in g1], dtype=np.intp),
+        "hk_phase": np.array([row[2] for row in hk_rows], dtype=complex),
+        "hk_tgt": np.array([row[3] for row in hk_rows], dtype=np.intp),
+        "khk_sel": np.array(khk_sel, dtype=np.intp),
+        "khk_tgt": np.array([row[3] for row in khk_rows], dtype=np.intp),
+        "slot_scale": slot_scale,
     }
-    for prefix, rows, names in (
-        ("hk", hk_rows, {"phase": 2, "tgt": 3}),
-        ("khk", khk_rows, {"phase": 2, "tgt": 3}),
-        ("phi", pair_rows, {"phase": 2, "p": 3}),
-    ):
-        for name, c in names.items():
-            dtype = complex if name == "phase" else np.intp
-            tables[f"{prefix}_{name}"] = np.array([r[c] for r in rows], dtype=dtype)
-    return tables, hk_rows, khk_rows, pair_rows
+    return tables, hk_rows, khk_rows
 
 
-def assert_vectors_match_rows(s, hk_rows, khk_rows, pair_rows, rng) -> None:
-    """hk_vector, khk_vector and phi_vector against the entry-row formula,
-    gathered per row: row (i, b, phase, tgt) adds h_i k_b phase to slot tgt of
-    H*K, row (a, s, phase, tgt) adds conj(k_a) hk_s phase to slot tgt of
-    K'(HK), row (i, j, phase, tgt) adds phase r_j r_i e^{i(theta_j - theta_i)}
-    to slot tgt of phi."""
+def assert_vectors_match_rows(s, hk_rows, khk_rows, rng) -> None:
+    """hk_vector, khk_rows and khk_vector against the entry-row formula,
+    gathered per row, with k = r e^{i theta} and y = [hk | k]: row
+    (i, b, phase, tgt) adds h_i k_b phase to slot tgt of H*K; row
+    (a, s, phase, tgt) is W[a, s] = phase y_s and adds the real
+    Re(conj(k_a) W[a, s]) to slot tgt of [K'HK | K'K]."""
     d = len(s.ansatz)
     r, theta = rng.uniform(0.1, 1.0, d), rng.uniform(0.0, 2 * np.pi, d)
     k = s.k_coeffs(r, theta)
     i, b, phase, tgt = (np.array(col) for col in zip(*hk_rows))
     hk = _accumulate(tgt, s.h_coeffs[i] * k[b] * phase, len(s.hk_strings))
     a, si, phase, tgt = (np.array(col) for col in zip(*khk_rows))
-    khk = _accumulate(tgt, k.conj()[a] * hk[si] * phase, len(s.closure))
-    i, j, phase, tgt = (np.array(col) for col in zip(*pair_rows))
-    w = phase * r[j] * r[i] * np.exp(1j * (theta[j] - theta[i]))
-    phi = _accumulate(tgt, w, len(s.g2))[: len(s.g2)]
+    w = phase * np.concatenate((hk, k))[si]
+    length = len(s.closure) + 1 + len(s.g2)
+    khk = np.bincount(tgt, weights=(k.conj()[a] * w).real, minlength=length)
     assert np.array_equal(s.hk_vector(k), hk)
-    assert np.array_equal(s.khk_vector(k, hk), khk)
-    assert np.array_equal(s.phi_vector(r, theta), phi)
+    rows = s.khk_rows(k, hk)
+    assert np.array_equal(rows, w.reshape(d, -1))
+    assert np.array_equal(s.khk_vector(k, rows), khk)
 
 
 def loop_gradient(h: PauliSum, ansatz, r, theta) -> np.ndarray:
@@ -423,7 +425,7 @@ def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
         strings = getattr(s, name)
         assert list(strings) == sorted(strings), name
     assert s.g1 == s.closure[len(s.closure) - len(s.g1):]
-    ref, hk_rows, khk_rows, pair_rows = reference_tables(h, ansatz)
+    ref, hk_rows, khk_rows = reference_tables(h, ansatz)
     for name, want in ref.items():
         got = getattr(s, name)
         if isinstance(want, np.ndarray):
@@ -437,7 +439,7 @@ def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
                     )
         else:
             assert got == want, name
-    assert_vectors_match_rows(s, hk_rows, khk_rows, pair_rows, rng)
+    assert_vectors_match_rows(s, hk_rows, khk_rows, rng)
     assert_gradient_matches_loop(s, h, ansatz, rng)
 
 
@@ -492,6 +494,6 @@ class TestMaskArrayBuild:
     def test_reference_covers_every_table(self):
         # guards the reference against a field added to SupportSets later
         h = PauliSum.from_words({"Z": 1.0})
-        ref, _, _, _ = reference_tables(h, (parse("X"),))
+        ref, _, _ = reference_tables(h, (parse("X"),))
         inputs = {"n", "ansatz", "h_ref", "h_coeffs"}
         assert set(ref) | inputs == {f.name for f in dataclasses.fields(SupportSets)}

@@ -200,13 +200,10 @@ class TestRunRCD:
             state.apply_update(y_r, y_theta, float(np.linalg.norm(y_r)))
             r, theta = state.r, state.theta
             k = s.k_coeffs(r, theta)
-            hk = s.hk_vector(k)
-            khk = s.khk_vector(k, hk)
-            phi = s.phi_vector(r, theta)
+            w = s.khk_rows(k, s.hk_vector(k))
             f, penalty, _, _ = cost._evaluate_sparse(s, r, theta, False)
-            assert np.array_equal(state.hk, hk)
-            assert np.array_equal(state.khk, khk)
-            assert np.array_equal(state.phi, phi)
+            assert np.array_equal(state.w, w.view(float).reshape(s.d, -1, 2))
+            assert np.array_equal(state.u, s.khk_vector(k, w) * s.slot_scale)
             assert state.f_value == f and state.penalty == penalty
 
     @pytest.mark.parametrize("n, d, with_g2", [(1, 1, False), (2, 5, True), (3, 7, True)])
@@ -216,8 +213,10 @@ class TestRunRCD:
         full = eval_grad(h, kp, s)
         want = np.concatenate([full.grad_r, full.grad_theta])
         state = IncrementalState(s, kp.r, kp.theta)
-        for width in range(1, 2 * d + 1):
-            coords = rng.choice(2 * d, size=width, replace=False)
+        blocks = [rng.choice(2 * d, size=width, replace=False) for width in range(1, 2 * d + 1)]
+        # both partials of one ansatz index, which then reads its row twice
+        blocks += [np.array([j, d + j])[:: 1 - 2 * (j % 2)] for j in range(d)]
+        for coords in blocks:
             gr, gt, gnorm = state.sparse_grad(coords)
             got = np.concatenate([gr, gt])
             np.testing.assert_allclose(got[coords], want[coords], rtol=1e-10, atol=1e-12)
