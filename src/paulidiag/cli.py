@@ -84,18 +84,22 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
-def _number(value, key: str, integer: bool = False):
+def _number(value, key: str, integer: bool = False, nonneg: bool = False):
     """A config value as a finite float, or as an int when integer is set.
 
-    Booleans, strings, NaN, infinities (and integers beyond the float range)
-    and fractions for an integer key raise ConfigError naming the key, where
-    int() would truncate and float() would pass NaN through."""
+    Booleans, strings, NaN, infinities (and integers beyond the float range),
+    fractions for an integer key and, when nonneg is set, negative values
+    raise ConfigError naming the key, where int() would truncate and float()
+    would pass NaN through."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     if integer and value != int(value):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if nonneg and value < 0:
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"{key}: expected a non-negative {kind}, got {value!r}")
     return int(value) if integer else float(value)
 
 
@@ -268,8 +272,13 @@ def _lr_from_config(raw) -> LRSchedule | None:
         raise ConfigError(f"opt.lr: {exc}") from exc
 
 
-def _opt_seed(cfg) -> int:
-    return _number(_section(cfg, "opt").get("seed", 0), "opt.seed", integer=True)
+def _base_seed(cfg, seed_override) -> int:
+    """The optimizer seed: --seed-override when given, else opt.seed (a
+    random generator takes no negative seed)."""
+    if seed_override is None:
+        return _number(_section(cfg, "opt").get("seed", 0), "opt.seed",
+                       integer=True, nonneg=True)
+    return _number(seed_override, "--seed-override", integer=True, nonneg=True)
 
 
 # opt.* keys with their defaults; a key with an integer default takes integers
@@ -282,7 +291,7 @@ def _opt_config(cfg: dict, seed_override) -> OptConfig:
     raw = _section(cfg, "opt")
     values = {key: _number(raw.get(key, default), f"opt.{key}", isinstance(default, int))
               for key, default in _OPT_DEFAULTS.items()}
-    seed = _opt_seed(cfg) if seed_override is None else int(seed_override)
+    seed = _base_seed(cfg, seed_override)
     lr = _lr_from_config(raw.get("lr"))
     try:
         return OptConfig(lr=lr, seed=seed, **values)
@@ -318,8 +327,9 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
     if algorithm == "rcd" and opt_cfg.block_size > 2 * kp0.d:
         raise ConfigError(f"opt.block_size: {opt_cfg.block_size} exceeds 2d = {2 * kp0.d}")
     init = _section(cfg, "init")
-    kp0 = _perturbed(kp0, _number(init.get("perturb", 0.0), "init.perturb"),
-                     _number(init.get("seed", opt_cfg.seed + 1000), "init.seed", integer=True))
+    kp0 = _perturbed(kp0, _number(init.get("perturb", 0.0), "init.perturb", nonneg=True),
+                     _number(init.get("seed", opt_cfg.seed + 1000), "init.seed",
+                             integer=True, nonneg=True))
 
     support = build_support_sets(h, kp0.ansatz)
     if opt_cfg.lr is None:
@@ -375,8 +385,7 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
 def _sweep_worker(item):
     index, cfg, out_dir, seed_override = item
     try:
-        base_seed = _opt_seed(cfg) if seed_override is None else seed_override
-        code, summary = run_single(cfg, Path(out_dir), base_seed + index)
+        code, summary = run_single(cfg, Path(out_dir), _base_seed(cfg, seed_override) + index)
     except ConfigError as exc:
         return index, 1, f"config error: {exc}"
     except DenseLimitError as exc:
@@ -428,7 +437,10 @@ def cmd_diagonalize(args) -> int:
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config}: expected a JSON object")
     if out_dir is None:
-        out_dir = Path(_section(raw, "output").get("dir", "."))
+        out_dir = _section(raw, "output").get("dir", ".")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"output.dir: expected a path string, got {out_dir!r}")
+        out_dir = Path(out_dir)
     code, summary = run_single(raw, out_dir, args.seed_override)
     print(summary)
     return code

@@ -39,23 +39,24 @@ finite differences; the theta sign is +4 for this operator order.
 When the qubit count is small and the ansatz is at least Hilbert-dimension
 sized, evaluation switches to direct 2^n x 2^n matrix algebra (same values,
 same gradients, far cheaper); see _dense_path_applies. That path works on the
-Pauli x/z grid: K is one Hadamard matmul of its (2^n, 2^n) coefficient grid
-plus one fixed gather, its d partials are the adjoint (one gather of the
-matrix gradient plus one Hadamard matmul), and K'HK, K'K and the matrix
-gradient take three more matmuls, so no step touches a d x 2^n table.
+Pauli x/z grid in the strings' own bit order (qubit q is basis-index bit q),
+and _evaluator builds its tables on each call, with no cache. K is one
+Hadamard matmul of its (2^n, 2^n) coefficient grid plus one fixed gather,
+its d partials are the adjoint (one gather of the matrix gradient plus one
+Hadamard matmul), and K'HK, K'K and the matrix gradient take three more
+matmuls, so no step touches a d x 2^n table.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PauliSum, SupportSets
-from .pauli import PauliString
+from .operators import _PHASES, PauliSum, SupportSets, _masks
+from .pauli import PauliString, popcount
 
 
 @dataclass(frozen=True)
@@ -144,33 +145,28 @@ def _check(h: PauliSum, kp: KParams, s: SupportSets) -> None:
 #
 # For few qubits and an ansatz at least as large as the Hilbert dimension,
 # 2^n x 2^n matrix algebra beats the flat support tables by a wide margin.
-# Operators live on the Pauli x/z grid: a string with dense-index masks
-# (x, z) maps basis column c to row c ^ x with weight
-# i^{|x & z|} (-1)^{popcount(z & c)}. Scattering the phased coefficients of
-# a sum onto a (2^n, 2^n) grid C[z, x] and transforming its z axis with the
-# Sylvester-Hadamard matrix S[c, z] = (-1)^{popcount(c & z)} gives D = S C,
-# and the operator is A[row, col] = D[col, row ^ col], one fixed gather. A
-# parameter derivative is the adjoint: E[c, x] = G[c, c ^ x] is one fixed
-# gather of the matrix gradient G, and the partial in k_j is
-# i^{|x_j & z_j|} (S E)[z_j, x_j]. K'HK and K'K come from one matmul,
-# K' [HK | K], and G from one more. verify.to_dense keeps its own
-# independent implementation of the same column -> (row, weight)
-# convention, so the dense verification route stays a genuine cross-check.
+# Operators live on the Pauli x/z grid, with qubit q as basis-index bit q,
+# so a string's own masks (x, z) index it: it maps basis column c to row
+# c ^ x with weight i^{|x & z|} (-1)^{popcount(z & c)}. (verify.to_dense
+# numbers the basis the other way round, qubit 0 as the most significant
+# bit; F and its partials are traces, so the numbering does not change them.)
+# Scattering the phased coefficients of a sum onto a (2^n, 2^n) grid C[z, x]
+# and transforming its z axis with the Sylvester-Hadamard matrix
+# S[c, z] = (-1)^{popcount(c & z)} gives D = S C, and the operator is
+# A[row, col] = D[col, row ^ col], one fixed gather. A parameter derivative
+# is the adjoint: E[c, x] = G[c, c ^ x] is one fixed gather of the matrix
+# gradient G, and the partial in k_j is i^{|x_j & z_j|} (S E)[z_j, x_j].
+# K'HK and K'K come from one matmul, K' [HK | K], and G from one more.
+# _evaluator builds these tables on each call, once per optimizer run;
+# nothing caches them. verify.to_dense keeps its own independent
+# implementation of the column -> (row, weight) rule, so the dense
+# verification route stays a genuine cross-check.
 
 _DENSE_PATH_MAX_DIM = 16
 
 
 def _dense_path_applies(n: int, d: int) -> bool:
     return (1 << n) <= _DENSE_PATH_MAX_DIM and d >= (1 << n)
-
-
-def _revbits(mask: int, n: int) -> int:
-    # qubit 0 is the leftmost tensor factor = most significant index bit
-    out = 0
-    for q in range(n):
-        if mask >> q & 1:
-            out |= 1 << (n - 1 - q)
-    return out
 
 
 class _DenseWork:
@@ -198,15 +194,13 @@ class _DenseWork:
         self._diag_m = np.arange(dim) * (dim + 1)
         self._diag_t = self._diag_m + dim * dim
         self._scale = np.repeat([2.0 * dim, 2.0 / dim], dim)[:, None]
-        self.k_slot, self.k_phase = self._grid_slots(s.ansatz, n)
-        h_slot, h_phase = self._grid_slots(s.h_strings, n)
+        self.k_slot, self.k_phase = self._grid_slots(s.ansatz)
+        h_slot, h_phase = self._grid_slots(s.h_strings)
         self.h_mat = self.matrix(h_slot, h_phase * s.h_coeffs)
 
-    def _grid_slots(self, strings, n: int):
-        slot = np.array([_revbits(p.z_mask, n) * self.dim + _revbits(p.x_mask, n)
-                         for p in strings], dtype=np.int64)
-        phase = np.array([1j ** ((p.x_mask & p.z_mask).bit_count() % 4) for p in strings])
-        return slot, phase
+    def _grid_slots(self, strings):
+        x, z = _masks(strings)
+        return z * self.dim + x, _PHASES[popcount(x & z) & 3]
 
     def matrix(self, slot: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The dense matrix of the sum with values at grid slots (the
@@ -219,21 +213,6 @@ class _DenseWork:
         """tr(P_j G) for every ansatz string P_j: the adjoint of matrix()."""
         e = g_mat.take(self._to_grid)
         return (self.hadamard @ e).take(self.k_slot) * self.k_phase
-
-
-_DENSE_WORK: "weakref.WeakKeyDictionary[SupportSets, _DenseWork]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _dense_work_for(s: SupportSets) -> _DenseWork | None:
-    if not _dense_path_applies(s.n, s.d):
-        return None
-    work = _DENSE_WORK.get(s)
-    if work is None:
-        work = _DenseWork(s)
-        _DENSE_WORK[s] = work
-    return work
 
 
 def _evaluate_dense(work: _DenseWork, r: np.ndarray, theta: np.ndarray, want_grad: bool):
@@ -272,7 +251,7 @@ def _table_values(s: SupportSets, r: np.ndarray, theta: np.ndarray):
     k = s.k_coeffs(r, theta)
     rows = s.khk_rows(k, s.hk_vector(k))
     v = s.khk_vector(k, rows)
-    t_g1 = float(2**s.n) * v[s.g1_closure_idx]
+    t_g1 = float(2**s.n) * v[len(s.closure) - len(s.g1):len(s.closure)]
     phi = v[len(s.closure) + 1:]
     f = float(np.sum(t_g1 * t_g1))
     penalty = float(np.sum(phi * phi))
@@ -302,9 +281,8 @@ def _evaluator(s: SupportSets):
     """The evaluation routine for s, called as fn(r, theta, want_grad) and
     returning (f, penalty, grad_r, grad_theta): the dense path when it
     applies, else the support tables."""
-    work = _dense_work_for(s)
-    if work is not None:
-        return functools.partial(_evaluate_dense, work)
+    if _dense_path_applies(s.n, s.d):
+        return functools.partial(_evaluate_dense, _DenseWork(s))
     return functools.partial(_evaluate_sparse, s)
 
 

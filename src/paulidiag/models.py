@@ -6,6 +6,7 @@ closure is full-dimensional.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -181,6 +182,11 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
             raise ValueError(f"unknown gate kind {kind!r}")
         if len(gate) != _GATE_FIELDS[kind]:
             raise ValueError(f"gate {list(gate)!r}: expected {_GATE_FIELDS[kind]} fields")
+        # a boolean is a number: True would act on qubit 1 or rotate by 1 rad
+        qubits = gate[1:] if kind != "rot" else ()
+        for q in qubits:
+            if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+                raise ValueError(f"gate {list(gate)!r}: qubit {q!r} is not an integer")
         if kind == "s":
             q = gate[1]
             g = PauliSum(
@@ -208,8 +214,12 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
             })
         elif kind == "rot":
             angle, p = gate[1], gate[2]
+            if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
+                raise ValueError(f"gate {list(gate)!r}: angle {angle!r} is not a number")
             if isinstance(p, str):
                 p = parse(p, n)
+            elif not isinstance(p, PauliString):
+                raise ValueError(f"gate {list(gate)!r}: generator {p!r} is not a Pauli word")
             if p.n != n:
                 raise ValueError("rotation generator on wrong qubit count")
             g = _rotation(angle, p)

@@ -216,16 +216,16 @@ def _accumulate(tgt: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray
 @dataclass(eq=False)
 class SupportSets:
     """Closure data for a fixed (H, ansatz) pair. Identity semantics: two
-    builds from equal inputs are distinct objects (the field arrays do not
-    define a useful equality, and evaluators key caches by instance).
+    builds from equal inputs are distinct objects (a generated equality
+    would compare the array fields elementwise, which has no truth value).
 
     closure holds the strings of K'HK, the conjugation closure
     {strip(P_a Q_i P_b)}; the coefficient of any string outside it is
     identically zero in K'HK, whatever the parameters. g1 holds its
     off-diagonal strings, and g2 the non-identity pair products P_i P_j, the
     strings phi_P is defined on. Every string tuple is sorted (PauliString
-    order); the diagonal strings sort first, so g1 is the closure's suffix and
-    g1_closure_idx the index range it occupies.
+    order); the diagonal strings sort first, so g1 is the closure's suffix,
+    the index range [len(closure) - len(g1), len(closure)).
 
     The tables are two row-major product grids, each a flat phase table plus
     a flat target-slot array:
@@ -267,8 +267,6 @@ class SupportSets:
     khk_sel: np.ndarray = field(repr=False)
     khk_tgt: np.ndarray = field(repr=False)
 
-    # index of each g1 string inside closure: the suffix range
-    g1_closure_idx: np.ndarray = field(repr=False)
     # per-slot weight of khk_vector's output in the gradient
     slot_scale: np.ndarray = field(repr=False)
 
@@ -367,16 +365,16 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
 
     # diagonal strings (x = 0) have the smallest keys, so g1, the
     # off-diagonal closure strings, is the closure's suffix
-    g1_closure_idx = np.flatnonzero(cl_x != 0)
+    g1_start = int(np.count_nonzero(cl_x == 0))
     closure = _strings(n, cl_x, cl_z)
     slot_scale = np.zeros(len(closure_keys) + len(pair_keys))
-    slot_scale[g1_closure_idx] = 4.0 * 4.0**n
+    slot_scale[g1_start:len(closure_keys)] = 4.0 * 4.0**n
     slot_scale[len(closure_keys) + 1:] = 4.0
 
     return SupportSets(
         n=n,
         ansatz=ansatz,
-        g1=closure[len(closure) - len(g1_closure_idx):],
+        g1=closure[g1_start:],
         g2=_strings(n, *_unkey(pair_keys[1:])),
         closure=closure,
         h_ref=h,
@@ -387,7 +385,6 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
         hk_tgt=hk_tgt,
         khk_sel=khk_sel.ravel(),
         khk_tgt=khk_tgt.ravel(),
-        g1_closure_idx=g1_closure_idx,
         slot_scale=slot_scale,
     )
 

@@ -45,13 +45,6 @@ def _reverse_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
-
-
 # terms x columns per block of _strings_to_dense (16 MB of weights)
 _DENSE_BLOCK = 1 << 20
 
@@ -61,9 +54,10 @@ def _strings_to_dense(n: int, strings, coeffs) -> np.ndarray:
 
     String t sends basis column c to row c ^ x_t with weight
     i^{|x_t & z_t|} (-1)^{popcount(c & z_t)}, (x_t, z_t) its dense-index
-    masks. The (term, column) weights are formed at once; terms that share
-    an x mask fill the same entries, so they are summed in term order and
-    each x's column vector is scattered once.
+    masks. Each block of terms forms its (term, column) weights at once and
+    adds them with one np.add.at on the flat matrix, which adds repeated
+    entries in index order, so every entry sums its terms in term order,
+    also across blocks.
     """
     _check_dense_n(n)
     dim = 1 << n
@@ -74,12 +68,10 @@ def _strings_to_dense(n: int, strings, coeffs) -> np.ndarray:
     mat = np.zeros((dim, dim), dtype=complex)
     step = max(1, _DENSE_BLOCK // dim)
     for lo in range(0, len(xr), step):
-        order = lo + np.argsort(xr[lo:lo + step], kind="stable")
-        xs, starts = np.unique(xr[order], return_index=True)
-        w = scaled[order, None] * (1.0 - 2.0 * _parity(cols & zr[order, None]))
-        # a row-by-row sum, unlike np.add.reduceat, adds the terms in order
-        sums = [part.sum(axis=0) for part in np.split(w, starts[1:])]
-        mat[cols ^ xs[:, None], cols] += sums
+        x, z = xr[lo:lo + step, None], zr[lo:lo + step, None]
+        w = scaled[lo:lo + step, None] * (1.0 - 2.0 * (popcount(cols & z) & 1))
+        # flat operands keep np.add.at on its fast path
+        np.add.at(mat.ravel(), ((cols ^ x) * dim + cols).ravel(), w.ravel())
     return mat
 
 

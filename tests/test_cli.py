@@ -230,6 +230,10 @@ class TestDiagonalize:
         ("init", "seed", 1.5, "init.seed: expected an integer, got 1.5"),
         ("init", "seed", True, "init.seed: expected a number, got True"),
         ("opt", "seed", "abc", "opt.seed: expected a number, got 'abc'"),
+        # negative seeds and spreads used to end in a NumPy traceback
+        ("opt", "seed", -1, "opt.seed: expected a non-negative integer, got -1"),
+        ("init", "seed", -3, "init.seed: expected a non-negative integer, got -3"),
+        ("init", "perturb", -0.1, "init.perturb: expected a non-negative number, got -0.1"),
         ("opt", "max_iters", 5.7, "opt.max_iters: expected an integer, got 5.7"),
         ("opt", "max_iters", float("inf"), "opt.max_iters: expected a finite number"),
         ("opt", "stop_tol", float("nan"), "opt.stop_tol: expected a finite number, got nan"),
@@ -243,6 +247,24 @@ class TestDiagonalize:
         assert main(["diagonalize", "--config", path]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_is_exit_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "run.json", base_config(tmp_path / "out"))
+        assert main(["diagonalize", "--config", path, "--seed-override", "-5"]) == 1
+        assert ("error: --seed-override: expected a non-negative integer, got -5"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [5, ["a"], None])
+    def test_non_string_output_dir_is_exit_1(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config(tmp_path / "out", max_iters=5)
+        cfg["output"]["dir"] = value
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert (f"error: output.dir: expected a path string, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_integral_float_is_accepted_and_refresh_every_ignored(self, tmp_path, capsys):
         # a config written for the incremental RCD caches still runs
@@ -342,6 +364,40 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "runs")]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("run_001: config error: opt.block_size: 1000 exceeds")
+
+    def test_negative_seed_or_perturbation_is_a_config_error_for_that_run(self, tmp_path,
+                                                                          capsys):
+        good = base_config(tmp_path / "unused", max_iters=5)
+        del good["output"]
+        bad = []
+        for section, key, value in (("opt", "seed", -5), ("init", "seed", -3),
+                                    ("init", "perturb", -0.1)):
+            cfg = json.loads(json.dumps(good))
+            cfg["init"] = {"perturb": 0.01}
+            cfg[section][key] = value
+            bad.append(cfg)
+        path = write_json(tmp_path / "sweep.json", [good, *bad])
+        assert main(["diagonalize", "--config", path, "--sweep",
+                     "--out-dir", str(tmp_path / "runs")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("run_000: initial_error=")
+        assert lines[1:] == [
+            "run_001: config error: opt.seed: expected a non-negative integer, got -5",
+            "run_002: config error: init.seed: expected a non-negative integer, got -3",
+            "run_003: config error: init.perturb: expected a non-negative number, got -0.1",
+        ]
+
+    def test_negative_seed_override_is_a_config_error_for_every_run(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "unused", max_iters=5)
+        del cfg["output"]
+        path = write_json(tmp_path / "sweep.json", [cfg, cfg])
+        assert main(["diagonalize", "--config", path, "--sweep", "--seed-override", "-1",
+                     "--out-dir", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"run_{i:03d}: config error: --seed-override: expected a non-negative integer,"
+            " got -1" for i in (0, 1)
+        ]
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the workers must inherit the patched run_single")
@@ -505,6 +561,22 @@ class TestLiedim:
         err = capsys.readouterr().err
         assert err.startswith("error: model: ")
         assert "control and target" in err
+
+    @pytest.mark.parametrize("gate, reason", [
+        (["s", True], "qubit True is not an integer"),
+        (["h", "0"], "qubit '0' is not an integer"),
+        (["cnot", True, 0], "qubit True is not an integer"),
+        (["rot", True, "XII"], "angle True is not a number"),
+        (["rot", 0.2, 5], "generator 5 is not a Pauli word"),
+    ])
+    def test_prefix_gate_with_bad_field_is_exit_1(self, tmp_path, capsys, gate, reason):
+        # True used to act on qubit 1, or rotate by 1 rad
+        cfg = {"model": {"family": "example_hams", "n": 3, "theta": 0.7,
+                         "c": [0.5, 0.5, 0.5, 0.5], "d": [1.0, 1.0, 1.0],
+                         "prefix": [gate]}}
+        path = write_json(tmp_path / "m.json", cfg)
+        assert main(["liedim", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: model: gate {gate!r}: {reason}\n"
 
     def test_cap_short_circuits(self, tmp_path, capsys):
         cfg = {"model": {"family": "xxz", "n": 3, "j": 1.0, "delta": 0.7}}

@@ -227,8 +227,8 @@ class TestDensePath:
                 h = PauliSum(n, [(parse(words[i]), c)
                                  for i, c in zip(hw, rng.uniform(-1, 1, m))])
                 s = build_support_sets(h, ansatz)
-                work = cost_mod._dense_work_for(s)
-                assert work is not None
+                assert cost_mod._dense_path_applies(n, d)
+                work = cost_mod._DenseWork(s)
                 r = rng.uniform(0.2, 1.0, d)
                 r /= np.linalg.norm(r)
                 theta = rng.uniform(0.0, 2 * np.pi, d)

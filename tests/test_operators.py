@@ -339,7 +339,6 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
         "closure": closure,
         "g1": g1,
         "g2": g2,
-        "g1_closure_idx": np.array([closure_index[p] for p in g1], dtype=np.intp),
         "hk_phase": np.array([row[2] for row in hk_rows], dtype=complex),
         "hk_tgt": np.array([row[3] for row in hk_rows], dtype=np.intp),
         "khk_sel": np.array(khk_sel, dtype=np.intp),

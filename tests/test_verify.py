@@ -67,14 +67,16 @@ class TestToDense:
         with pytest.raises(DenseLimitError):
             to_dense(PauliSum.identity(13))
 
-    @pytest.mark.parametrize("block", ["default", "one term"])
+    @pytest.mark.parametrize("block", ["default", "one term", "three terms"])
     def test_equals_term_by_term_sum(self, rng, monkeypatch, block):
         # the per-term loop the vectorised scatter replaced: each entry adds
         # its terms in order, so the two agree exactly, also when the terms
-        # are split into blocks
+        # are split into blocks and terms that share an x mask fall in
+        # different blocks
         for n in (1, 2, 3, 5):
-            if block == "one term":
-                monkeypatch.setattr(verify_mod, "_DENSE_BLOCK", 2**n)
+            if block != "default":
+                terms_per_block = 1 if block == "one term" else 3
+                monkeypatch.setattr(verify_mod, "_DENSE_BLOCK", terms_per_block * 2**n)
             words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
             picks = rng.choice(len(words), size=min(40, len(words)), replace=False)
             coeffs = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
