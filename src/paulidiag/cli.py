@@ -30,12 +30,11 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .cost import KParams, eval_grad
+from .cost import KParams
 from .models import (
     build_example_hams,
     build_hubbard,
@@ -47,8 +46,6 @@ from .models import (
 )
 from .operators import PauliSum, build_support_sets, load_hamiltonian
 from .optimize import (
-    GD_DEFAULT_LR,
-    RCD_DEFAULT_LR,
     LRSchedule,
     OptConfig,
     RadialCollapseError,
@@ -299,20 +296,6 @@ def _opt_config(cfg: dict, seed_override) -> OptConfig:
         raise ConfigError(f"opt: {exc}") from exc
 
 
-def _auto_lr(h: PauliSum, kp0: KParams, support, algorithm: str) -> LRSchedule:
-    """Constant step scaled to the start point: min(base, 1.2 F0 / ||g0||^2).
-
-    The quartic cost has no global curvature bound, so the fixed per-algorithm
-    base step is kept only when the initial gradient is shallow enough for it;
-    steep starts get the smaller quadratic-model estimate.
-    """
-    base = (GD_DEFAULT_LR if algorithm == "gd" else RCD_DEFAULT_LR).a
-    g0 = eval_grad(h, kp0, support)
-    if g0.grad_norm > 0.0 and g0.total > 0.0:
-        base = min(base, 1.2 * g0.total / g0.grad_norm**2)
-    return LRSchedule.constant(base)
-
-
 def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
     """One diagonalization run. Returns (exit code, summary line)."""
     if not isinstance(cfg, dict):
@@ -332,8 +315,6 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
                              integer=True, nonneg=True))
 
     support = build_support_sets(h, kp0.ansatz)
-    if opt_cfg.lr is None:
-        opt_cfg = replace(opt_cfg, lr=_auto_lr(h, kp0, support, algorithm))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:

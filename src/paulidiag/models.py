@@ -187,6 +187,8 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
         for q in qubits:
             if isinstance(q, bool) or not isinstance(q, numbers.Integral):
                 raise ValueError(f"gate {list(gate)!r}: qubit {q!r} is not an integer")
+            if not 0 <= q < n:
+                raise ValueError(f"gate {list(gate)!r}: qubit {q} outside [0, {n})")
         if kind == "s":
             q = gate[1]
             g = PauliSum(
@@ -217,7 +219,10 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
             if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
                 raise ValueError(f"gate {list(gate)!r}: angle {angle!r} is not a number")
             if isinstance(p, str):
-                p = parse(p, n)
+                try:
+                    p = parse(p, n)
+                except ValueError as exc:
+                    raise ValueError(f"gate {list(gate)!r}: {exc}") from None
             elif not isinstance(p, PauliString):
                 raise ValueError(f"gate {list(gate)!r}: generator {p!r} is not a Pauli word")
             if p.n != n:

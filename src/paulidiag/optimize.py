@@ -19,6 +19,12 @@ With S = 2d the sampled set is always the full coordinate set, so one RCD
 iteration reproduces one GD iteration (same step, seed-independent); run_rcd
 takes GD's step in that case.
 
+The step size is OptConfig.lr or, when that is None, the automatic constant
+step min(base, 1.2 F0 / ||g0||^2) from the start point's cost F0 and gradient
+norm ||g0||, the base being GD_DEFAULT_LR (0.05) or RCD_DEFAULT_LR (0.1). GD
+and full-block RCD read F0 and ||g0|| off their iteration 0; sampled RCD
+evaluates the full gradient once at entry for them.
+
 Stop reasons: "converged" (F < stop_tol), "stationary" (gradient norm below
 grad_tol; RCD confirms it on the full gradient), "max_iters" and
 "non_finite" (F or the gradient norm is NaN or infinite; that iteration is
@@ -38,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,7 +102,9 @@ def lr_schedule_eval(schedule: LRSchedule, t: int) -> float:
 @dataclass(frozen=True)
 class OptConfig:
     max_iters: int
-    lr: LRSchedule | None = None  # None -> 0.05 constant for GD, 0.1 for RCD
+    # None -> the automatic step min(base, 1.2 F0 / ||g0||^2), base
+    # GD_DEFAULT_LR or RCD_DEFAULT_LR
+    lr: LRSchedule | None = None
     block_size: int = 4
     seed: int = 0
     stop_tol: float = 1e-10
@@ -113,6 +121,21 @@ class OptConfig:
 
 GD_DEFAULT_LR = LRSchedule.constant(0.05)
 RCD_DEFAULT_LR = LRSchedule.constant(0.1)
+
+
+def _auto_lr(base: LRSchedule, total: float, grad_norm: float) -> LRSchedule:
+    """Constant step scaled to the start point: min(base, 1.2 F0 / ||g0||^2).
+
+    The quartic cost has no global curvature bound, so the base step is kept
+    only when the start gradient is shallow enough for it; steep starts get
+    the smaller quadratic-model estimate. A ratio that is not a positive
+    finite number (a zero or overflowing gradient norm) keeps the base.
+    """
+    if grad_norm > 0.0:
+        step = 1.2 * total / grad_norm**2
+        if 0.0 < step < base.a:
+            return LRSchedule.constant(step)
+    return base
 
 
 def estimate_alpha(f_total: float, grad_norm: float) -> float:
@@ -204,7 +227,7 @@ def _full_grad(s: SupportSets):
     return grad
 
 
-def _drive(kp0: KParams, cfg: OptConfig, lr: LRSchedule, grad,
+def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
            stationary=None, advance=None) -> OptTrace:
     """The loop GD and RCD share, on plain r and theta arrays.
 
@@ -212,13 +235,15 @@ def _drive(kp0: KParams, cfg: OptConfig, lr: LRSchedule, grad,
     stationary() confirms a gradient norm below grad_tol before the run stops
     on it; advance(y_r, y_theta, nr), when given, moves the caches across
     the step and returns the new (r, theta), which are otherwise
-    (y_r / nr, y_theta).
+    (y_r / nr, y_theta). The step is cfg.lr, or with cfg.lr None the
+    automatic step from base and iteration 0's evaluation.
     KParams is built once, for trace.final_params."""
     trace = OptTrace()
     r, theta = kp0.r, kp0.theta
+    t0 = time.perf_counter()
+    f_value, penalty, gr, gt, gnorm = grad(r, theta)
+    lr = cfg.lr if cfg.lr is not None else _auto_lr(base, f_value + penalty, gnorm)
     for t in range(cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        f_value, penalty, gr, gt, gnorm = grad(r, theta)
         total = f_value + penalty
         if not (math.isfinite(total) and math.isfinite(gnorm)):
             stop = "non_finite"
@@ -261,6 +286,8 @@ def _drive(kp0: KParams, cfg: OptConfig, lr: LRSchedule, grad,
             r, theta = y_r / nr, y_theta
         else:
             r, theta = advance(y_r, y_theta, nr)
+        t0 = time.perf_counter()
+        f_value, penalty, gr, gt, gnorm = grad(r, theta)
 
     trace.final_params = kp0.with_params(r, theta)
     return trace
@@ -271,8 +298,7 @@ def run_gd(
 ) -> OptTrace:
     """Algorithm: full-gradient descent with per-step amplitude renormalization."""
     s = _support_for(h, kp0, support)
-    lr = cfg.lr if cfg.lr is not None else GD_DEFAULT_LR
-    return _drive(kp0, cfg, lr, _full_grad(s))
+    return _drive(kp0, cfg, GD_DEFAULT_LR, _full_grad(s))
 
 
 # --- coefficient caches for RCD ---------------------------------------------
@@ -334,9 +360,13 @@ def run_rcd(
     d = s.d
     if cfg.block_size > 2 * d:
         raise ValueError(f"block_size {cfg.block_size} exceeds 2d = {2 * d}")
-    lr = cfg.lr if cfg.lr is not None else RCD_DEFAULT_LR
     if cfg.block_size == 2 * d:
-        return _drive(kp0, cfg, lr, _full_grad(s))
+        return _drive(kp0, cfg, RCD_DEFAULT_LR, _full_grad(s))
+    if cfg.lr is None:
+        # iteration 0 samples only a block of the gradient, so the automatic
+        # step evaluates the full gradient at the start
+        f_value, penalty, _, _, gnorm = _full_grad(s)(kp0.r, kp0.theta)
+        cfg = replace(cfg, lr=_auto_lr(RCD_DEFAULT_LR, f_value + penalty, gnorm))
     rng = np.random.default_rng(cfg.seed)
     state = IncrementalState(s, kp0.r, kp0.theta)
 
@@ -355,4 +385,4 @@ def run_rcd(
         state.apply_update(y_r, y_theta, nr)
         return state.r, state.theta
 
-    return _drive(kp0, cfg, lr, sampled_grad, stationary, advance)
+    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, stationary, advance)

@@ -15,8 +15,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cost import KParams, eval_F
-from .operators import _PHASES, PauliSum, build_support_sets
-from .pauli import PauliString, commutes, multiply, popcount
+from .operators import _PHASES, PauliSum, _key, _masks, _unkey, build_support_sets
+from .pauli import PauliString, popcount
 
 DENSE_MAX_QUBITS = 12
 
@@ -45,7 +45,8 @@ def _reverse_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-# terms x columns per block of _strings_to_dense (16 MB of weights)
+# terms x columns per block of _strings_to_dense (16 MB of weights), and
+# string pairs per block of lie_closure_dim
 _DENSE_BLOCK = 1 << 20
 
 
@@ -61,8 +62,7 @@ def _strings_to_dense(n: int, strings, coeffs) -> np.ndarray:
     """
     _check_dense_n(n)
     dim = 1 << n
-    xr = _reverse_masks(np.array([p.x_mask for p in strings], dtype=np.int64), n)
-    zr = _reverse_masks(np.array([p.z_mask for p in strings], dtype=np.int64), n)
+    xr, zr = (_reverse_masks(m, n) for m in _masks(strings))
     scaled = np.asarray(coeffs, dtype=complex) * _PHASES[popcount(xr & zr) & 3]
     cols = np.arange(dim, dtype=np.int64)
     mat = np.zeros((dim, dim), dtype=complex)
@@ -304,7 +304,11 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
     Nonzero commutators of Pauli strings are Pauli strings up to phase, so
     the closure's span dimension equals the count of distinct phase-stripped
     strings reachable by nested commutators. The identity is central and is
-    excluded from the count. Stops early once cap strings are reached.
+    excluded from the count. The closure grows level by level on packed mask
+    keys: each level pairs the strings the previous level found with every
+    known string. a and b anticommute iff popcount((a.x & b.z) ^ (a.z & b.x))
+    is odd, and their commutator is then the string a.x ^ b.x, a.z ^ b.z. The
+    search stops after the level that reaches cap strings.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -314,28 +318,20 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
     for g in generators:
         if g.n != n:
             raise ValueError("generators must share a qubit count")
-    seeds = sorted({g for g in generators if not g.is_identity})
-    if not seeds:
-        return LieClosure(0, False)
-    queue: list[PauliString] = list(seeds[: cap])
-    known = set(queue)
-    if len(queue) >= cap:
-        return LieClosure(cap, True)
-    i = 0
-    while i < len(queue):
-        a = queue[i]
-        for j in range(i):
-            b = queue[j]
-            if commutes(a, b):
-                continue
-            _, c = multiply(a, b)
-            if c not in known:
-                known.add(c)
-                queue.append(c)
-                if len(queue) >= cap:
-                    return LieClosure(cap, True)
-        i += 1
-    return LieClosure(len(queue), False)
+    known = np.unique(_key(*_masks(generators)))
+    known = new = known[known != 0]
+    while len(new) and len(known) < cap:
+        kx, kz = _unkey(known)
+        nx, nz = _unkey(new)
+        found = np.empty(0, dtype=np.int64)
+        step = max(1, _DENSE_BLOCK // len(known))
+        for lo in range(0, len(new), step):
+            x, z = nx[lo:lo + step, None], nz[lo:lo + step, None]
+            anti = (popcount((x & kz) ^ (z & kx)) & 1).astype(bool)
+            found = np.union1d(found, _key(x ^ kx, z ^ kz)[anti])
+        new = np.setdiff1d(found, known, assume_unique=True)
+        known = np.union1d(known, new)
+    return LieClosure(min(len(known), cap), len(known) >= cap)
 
 
 def generating_set_check(n: int) -> bool:

@@ -6,7 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from paulidiag import cli
+from paulidiag import cli, cost
 from paulidiag.cli import main
 from paulidiag.cost import KParams, eval_F
 from paulidiag.models import build_xxz
@@ -75,6 +75,53 @@ class TestDiagonalize:
         lines = (tmp_path / "out" / "trace.jsonl").read_text().splitlines()
         first, second = (json.loads(lines[i])["F_total"] for i in (0, 1))
         assert second < first
+
+    def test_gd_evaluates_its_start_once(self, tmp_path, monkeypatch):
+        # the automatic step reads F0 and ||g0|| off iteration 0's evaluation
+        calls = []
+        real = cost._evaluate_sparse
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cost, "_evaluate_sparse", counted)
+        cfg = {
+            "model": {"family": "random_udu", "n": 4, "n_diag": 6,
+                      "n_rot": 2, "seed": 3},
+            "algorithm": "gd",
+            "ansatz_source": {"kind": "udu_support"},
+            "init": {"perturb": 0.01, "seed": 17},
+            "opt": {"max_iters": 3, "stop_tol": 0.0},
+        }
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path, "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("algorithm", ["gd", "rcd"])
+    def test_overflowing_start_gradient_is_exit_5(self, tmp_path, capsys, algorithm):
+        # F0 is about 3e159 but ||g0|| overflows to inf, so 1.2 F0 / ||g0||^2
+        # is 0.0, which is no step size
+        cfg = {
+            "model": {"family": "xxz", "n": 3, "j": 1e80, "delta": 1e80},
+            "ansatz_source": {
+                "kind": "warm_start",
+                "reference": {"family": "xxz", "n": 3, "j": 1.0, "delta": 0.9},
+            },
+            "algorithm": algorithm,
+            "opt": {"max_iters": 10},
+        }
+        path = write_json(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["diagonalize", "--config", path, "--out-dir", str(out)])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert "stop=non_finite" in captured.out
+        assert "Traceback" not in captured.err
+        lines = (out / "trace.jsonl").read_text().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["iter"] == 0
+        assert json.loads((out / "params.json").read_text())["n"] == 3
 
     def test_same_seed_byte_identical_traces(self, tmp_path):
         cfg = base_config(tmp_path / "a")
@@ -571,6 +618,20 @@ class TestLiedim:
     ])
     def test_prefix_gate_with_bad_field_is_exit_1(self, tmp_path, capsys, gate, reason):
         # True used to act on qubit 1, or rotate by 1 rad
+        cfg = {"model": {"family": "example_hams", "n": 3, "theta": 0.7,
+                         "c": [0.5, 0.5, 0.5, 0.5], "d": [1.0, 1.0, 1.0],
+                         "prefix": [gate]}}
+        path = write_json(tmp_path / "m.json", cfg)
+        assert main(["liedim", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: model: gate {gate!r}: {reason}\n"
+
+    @pytest.mark.parametrize("gate, reason", [
+        (["s", 7], "qubit 7 outside [0, 3)"),
+        (["h", -1], "qubit -1 outside [0, 3)"),
+        (["cnot", 0, 5], "qubit 5 outside [0, 3)"),
+        (["rot", 0.1, "XY"], "bad Pauli word 'XY' at position 2: expected 3 letters, got 2"),
+    ])
+    def test_prefix_gate_error_names_the_gate(self, tmp_path, capsys, gate, reason):
         cfg = {"model": {"family": "example_hams", "n": 3, "theta": 0.7,
                          "c": [0.5, 0.5, 0.5, 0.5], "d": [1.0, 1.0, 1.0],
                          "prefix": [gate]}}

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from paulidiag import cost, optimize
+from paulidiag import cli, cost, optimize
 from paulidiag.cost import KParams, eval_F, eval_grad
 from paulidiag.operators import PauliSum, build_support_sets
 from paulidiag.optimize import (
+    GD_DEFAULT_LR,
     IncrementalState,
     LRSchedule,
     OptConfig,
@@ -126,6 +127,23 @@ class TestRunGD:
         trace = run_gd(h, kp, OptConfig(max_iters=4000, stop_tol=1e-16), s)
         assert eval_F(h, trace.final_params, s).total < 1e-10
         assert trace.final_params.r_norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_omitted_lr_is_the_automatic_step(self):
+        # the steep start of the CLI's test_omitted_lr_scales_step_to_start
+        model = {"family": "random_udu", "n": 4, "n_diag": 6, "n_rot": 2, "seed": 3}
+        h, u = cli.build_model(model)
+        kp = cli.build_initial_params({"ansatz_source": {"kind": "udu_support"}}, h, u)
+        kp = cli._perturbed(kp, 0.01, 17)
+        s = build_support_sets(h, kp.ansatz)
+        g0 = eval_grad(h, kp, s)
+        step = 1.2 * g0.total / g0.grad_norm**2
+        assert step < GD_DEFAULT_LR.a
+        cfg = OptConfig(max_iters=30, stop_tol=0.0)
+        got = run_gd(h, kp, cfg, s)
+        want = run_gd(h, kp, replace(cfg, lr=LRSchedule.constant(min(GD_DEFAULT_LR.a, step))), s)
+        assert [rec.as_dict() for rec in got.records] == [rec.as_dict() for rec in want.records]
+        np.testing.assert_array_equal(got.final_params.r, want.final_params.r)
+        np.testing.assert_array_equal(got.final_params.theta, want.final_params.theta)
 
     def test_trace_shape_on_max_iters(self):
         h, kp, s = one_qubit_instance()

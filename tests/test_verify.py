@@ -6,7 +6,7 @@ import pytest
 
 from paulidiag.cost import KParams, eval_F, k_as_sum
 from paulidiag.operators import PauliSum, build_support_sets
-from paulidiag.pauli import PauliString, parse
+from paulidiag.pauli import PauliString, commutes, multiply, parse
 import paulidiag.verify as verify_mod
 from paulidiag.verify import (
     DENSE_MAX_QUBITS,
@@ -236,7 +236,57 @@ class TestProjectorDistances:
             projector_distances(PauliSum.identity(11), np.eye(2))
 
 
+def pairwise_closure(generators, cap):
+    """Reference closure: the pairwise loop over PauliString objects that
+    lie_closure_dim replaced, one commutes/multiply call per pair."""
+    queue = sorted({g for g in generators if not g.is_identity})[:cap]
+    if not queue:
+        return LieClosure(0, False)
+    known = set(queue)
+    if len(queue) >= cap:
+        return LieClosure(cap, True)
+    i = 0
+    while i < len(queue):
+        for j in range(i):
+            if commutes(queue[i], queue[j]):
+                continue
+            _, c = multiply(queue[i], queue[j])
+            if c not in known:
+                known.add(c)
+                queue.append(c)
+                if len(queue) >= cap:
+                    return LieClosure(cap, True)
+        i += 1
+    return LieClosure(len(queue), False)
+
+
+def random_generators(rng, n):
+    count = int(rng.integers(1, 2 * n + 2))
+    return [PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
+            for _ in range(count)]
+
+
 class TestLieClosure:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_pairwise_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(12):
+            gens = random_generators(rng, n)
+            assert lie_closure_dim(gens, 4 ** n) == pairwise_closure(gens, 4 ** n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_pairwise_reference_under_binding_cap(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(12):
+            gens = random_generators(rng, n)
+            full = lie_closure_dim(gens, 4 ** n).dim
+            if full == 0:
+                continue
+            cap = int(rng.integers(1, min(full, 40) + 1))
+            want = pairwise_closure(gens, cap)
+            assert want.hit_cap
+            assert lie_closure_dim(gens, cap) == want
+
     def test_single_generator(self):
         assert lie_closure_dim([parse("X")], cap=16) == LieClosure(1, False)
 
@@ -270,6 +320,9 @@ class TestLieClosure:
 
     def test_generating_set_n3(self):
         assert generating_set_check(3)
+
+    def test_generating_set_n6(self):
+        assert generating_set_check(6)
 
     def test_reduced_set_falls_short(self):
         # same family as generating_set_check(3) minus X on qubit 0
