@@ -54,7 +54,7 @@ from .optimize import (
     run_rcd,
 )
 from .pauli import PauliString, parse
-from .verify import DenseLimitError, diag_report, lie_closure_dim
+from .verify import DenseLimitError, diag_report, frob_error, lie_closure_dim
 
 FULL_BASIS_MAX_QUBITS = 5
 
@@ -336,7 +336,8 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
         return 5, (f"aborted: final_F={final.F_total:.3e} grad_norm={final.grad_norm:.3e} "
                    f"iterations={iterations} stop=non_finite")
     try:
-        rep0 = diag_report(h, kp0, trace.records[0].f_value, trace.records[0].penalty)
+        # report.json reads only the start's Frobenius error
+        frob0 = frob_error(h, kp0)
         rep1 = diag_report(h, trace.final_params, final.f_value, final.penalty)
     except DenseLimitError:
         payload = {
@@ -352,12 +353,12 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
         return 3, summary
     payload = rep1.as_dict()
     payload.update({
-        "initial_frob_error": rep0.frob_error,
+        "initial_frob_error": frob0,
         "iterations": iterations,
         "stop_reason": trace.stop_reason,
     })
     (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    summary = (f"initial_error={rep0.frob_error:.6g} "
+    summary = (f"initial_error={frob0:.6g} "
                f"final_error={rep1.frob_error:.6g} "
                f"iterations={iterations} stop={trace.stop_reason}")
     return 0, summary

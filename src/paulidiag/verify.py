@@ -175,6 +175,57 @@ def kparams_to_dense(kp: KParams) -> np.ndarray:
     return _strings_to_dense(kp.n, kp.ansatz, kp.r * np.exp(1j * kp.theta))
 
 
+def _check_report_inputs(h: PauliSum, kp: KParams, f_value=None, penalty=None) -> None:
+    """Reject what no report can be made of, before any dense work: a qubit
+    count mismatch, a non-finite r, theta, f_value or penalty, an r of
+    non-unit norm, or more qubits than the dense path takes."""
+    if h.n != kp.n:
+        raise ValueError("hamiltonian and parameters disagree on qubit count")
+    fields = {"r": kp.r, "theta": kp.theta, "f_value": f_value, "penalty": penalty}
+    for name, value in fields.items():
+        if value is None:
+            continue
+        values = np.atleast_1d(value)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            where = f"[{bad[0]}]" if np.ndim(value) else ""
+            raise ValueError(f"{name}{where} must be finite, got {values[bad[0]]}")
+    # a NaN r passes this check, hence the finiteness check first
+    if abs(kp.r_norm - 1.0) > 1e-8:
+        raise ValueError("kp.r must have unit norm")
+    _check_dense_n(h.n)
+
+
+def _residual(hd: np.ndarray, k: np.ndarray, diag: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+    """hd - H~ with H~ = K diag(diag) K', in a new matrix; scratch (a dim x
+    dim complex matrix) is overwritten.
+
+    K diag K' is formed as conj(conj(K diag) K^T), conjugating the disposable
+    factor and product in place, so no conjugate copy of K is made; each
+    product term differs from the direct one only by exact sign flips.
+    """
+    kd = np.multiply(k, diag, out=scratch)
+    diff = np.conjugate(kd, out=kd) @ k.T
+    np.conjugate(diff, out=diff)
+    return np.subtract(hd, diff, out=diff)
+
+
+def frob_error(h: PauliSum, kp: KParams) -> float:
+    """||h - H~||_F, the report's frob_error alone, at a third of its cost.
+
+    The diagonal of K'HK is taken as column-wise dot products of K with HK,
+    so neither K'HK, the spectrum nor K'K is formed.
+    """
+    _check_report_inputs(h, kp)
+    hd = to_dense(h)
+    k = kparams_to_dense(kp)
+    hk = hd @ k
+    # Re sum_i conj(K_ij) (HK)_ij, the real part of K'HK's diagonal
+    diag = np.einsum("ij,ij->j", k.real, hk.real) + np.einsum("ij,ij->j", k.imag, hk.imag)
+    return float(np.linalg.norm(_residual(hd, k, diag, hk)))
+
+
 def diag_report(
     h: PauliSum,
     kp: KParams,
@@ -186,12 +237,14 @@ def diag_report(
 
     f_value and penalty may be passed in from an optimizer run; when omitted
     they are recomputed from scratch so the report stands on its own.
+
+    At most four 2^n x 2^n complex matrices are alive at once (H, K, K'H and
+    K'HK while K'HK is formed): products of conjugates are formed as
+    conjugates of products in place (K'M = conj(K^T conj(M))), and each
+    matrix is overwritten or dropped once read, so every field equals the
+    direct formula bit for bit.
     """
-    if h.n != kp.n:
-        raise ValueError("hamiltonian and parameters disagree on qubit count")
-    if abs(kp.r_norm - 1.0) > 1e-8:
-        raise ValueError("kp.r must have unit norm")
-    _check_dense_n(h.n)
+    _check_report_inputs(h, kp, f_value=f_value, penalty=penalty)
     if f_value is None or penalty is None:
         rep = eval_F(h, kp, support if support is not None else
                      build_support_sets(h, kp.ansatz))
@@ -200,23 +253,31 @@ def diag_report(
     n = h.n
     dim = 1 << n
     hd = to_dense(h)
+    h_frob = float(np.linalg.norm(hd))
     k = kparams_to_dense(kp)
-    g = k.conj().T @ hd @ k
-    diag = np.diag(g).real
-    delta = g - np.diag(diag)
-    h_tilde = (k * diag) @ k.conj().T
+    # K'H = conj(K^T conj(H)); H is conjugated in place and back, exactly
+    kh = k.T @ np.conjugate(hd, out=hd)
+    np.conjugate(hd, out=hd)
+    g = np.conjugate(kh, out=kh) @ k
+    del kh
+    diag = g.diagonal().real.copy()
+    # g becomes Delta: subtracting the real diagonal keeps each diagonal
+    # entry's imaginary rounding residue, as g - np.diag(diag) would
+    g.ravel()[::dim + 1] -= diag
+    offdiag_mass = float(np.linalg.norm(g))
 
-    diff = hd - h_tilde
+    diff = _residual(hd, k, diag, g)
+    del hd, g
     frob_error = float(np.linalg.norm(diff))
     spec_error = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
-    eye = np.eye(dim)
-    unitarity_error = float(np.linalg.norm(k.conj().T @ k - eye))
-    offdiag_mass = float(np.linalg.norm(delta))
+    del diff
+    kk = k.conj().T @ k
+    kk.ravel()[::dim + 1] -= 1.0
+    unitarity_error = float(np.linalg.norm(kk))
 
     total = f_value + penalty
     eps = dim * penalty
     bound_offdiag = math.sqrt(max(total, 0.0) / dim)
-    h_frob = float(np.linalg.norm(hd))
     # 2 * ||Delta||_F bound plus the near-unitarity correction; the first term
     # must stay linear in the Frobenius mass (a quadratic term would drop below
     # the true spectral error once the mass is below 1/2)
@@ -306,9 +367,12 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
     strings reachable by nested commutators. The identity is central and is
     excluded from the count. The closure grows level by level on packed mask
     keys: each level pairs the strings the previous level found with every
-    known string. a and b anticommute iff popcount((a.x & b.z) ^ (a.z & b.x))
-    is odd, and their commutator is then the string a.x ^ b.x, a.z ^ b.z. The
-    search stops after the level that reaches cap strings.
+    known string. A block of new rows meets the strings known before the
+    level and the new strings from the block's first row on, so two new
+    strings in different blocks are paired once, not in both orders. a and b
+    anticommute iff popcount((a.x & b.z) ^ (a.z & b.x)) is odd, and their
+    commutator is then the string a.x ^ b.x, a.z ^ b.z. The search stops
+    after the level that reaches cap strings.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -320,15 +384,19 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
             raise ValueError("generators must share a qubit count")
     known = np.unique(_key(*_masks(generators)))
     known = new = known[known != 0]
+    before = known[:0]  # the strings known before the level that found new
     while len(new) and len(known) < cap:
-        kx, kz = _unkey(known)
+        bx, bz = _unkey(before)
         nx, nz = _unkey(new)
         found = np.empty(0, dtype=np.int64)
         step = max(1, _DENSE_BLOCK // len(known))
         for lo in range(0, len(new), step):
             x, z = nx[lo:lo + step, None], nz[lo:lo + step, None]
+            # new[:lo] met these rows in the earlier blocks
+            kx, kz = np.concatenate((bx, nx[lo:])), np.concatenate((bz, nz[lo:]))
             anti = (popcount((x & kz) ^ (z & kx)) & 1).astype(bool)
             found = np.union1d(found, _key(x ^ kx, z ^ kz)[anti])
+        before = known
         new = np.setdiff1d(found, known, assume_unique=True)
         known = np.union1d(known, new)
     return LieClosure(min(len(known), cap), len(known) >= cap)

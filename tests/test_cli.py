@@ -6,7 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from paulidiag import cli, cost
+from paulidiag import cli, cost, verify
 from paulidiag.cli import main
 from paulidiag.cost import KParams, eval_F
 from paulidiag.models import build_xxz
@@ -97,6 +97,29 @@ class TestDiagonalize:
         path = write_json(tmp_path / "run.json", cfg)
         assert main(["diagonalize", "--config", path, "--out-dir", str(tmp_path)]) == 0
         assert len(calls) == 4
+
+    def test_start_reported_by_its_frobenius_error_alone(self, tmp_path, monkeypatch):
+        # report.json reads only frob_error at the start, so the start gets no
+        # full dense report
+        reports, starts = [], []
+
+        def report(h, kp, *args):
+            reports.append(kp)
+            return verify.diag_report(h, kp, *args)
+
+        def start(h, kp):
+            starts.append((h, kp))
+            return verify.frob_error(h, kp)
+
+        monkeypatch.setattr(cli, "diag_report", report)
+        monkeypatch.setattr(cli, "frob_error", start)
+        cfg = write_json(tmp_path / "run.json", base_config(tmp_path / "out"))
+        assert main(["diagonalize", "--config", cfg]) == 0
+        assert len(reports) == 1 and len(starts) == 1
+        h, kp0 = starts[0]
+        report_json = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report_json["initial_frob_error"] == pytest.approx(
+            verify.diag_report(h, kp0).frob_error, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("algorithm", ["gd", "rcd"])
     def test_overflowing_start_gradient_is_exit_5(self, tmp_path, capsys, algorithm):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from paulidiag.verify import (
     DenseLimitError,
     LieClosure,
     diag_report,
+    frob_error,
     generating_set_check,
     kparams_to_dense,
     lie_closure_dim,
@@ -118,7 +120,120 @@ class TestPauliDecompose:
             pauli_decompose(np.eye(8), 2)
 
 
+def reference_report(h, kp, f_value, penalty):
+    """The eleven report fields by the direct formula: every dense product
+    formed as written, with explicit conjugate copies of K, np.diag and
+    np.eye. diag_report must match it while holding fewer matrices."""
+    dim = 2 ** h.n
+    hd = to_dense(h)
+    k = kparams_to_dense(kp)
+    g = k.conj().T @ hd @ k
+    diag = np.diag(g).real
+    delta = g - np.diag(diag)
+    h_tilde = (k * diag) @ k.conj().T
+    diff = hd - h_tilde
+    total = f_value + penalty
+    eps = dim * penalty
+    bound_offdiag = math.sqrt(max(total, 0.0) / dim)
+    h_frob = float(np.linalg.norm(hd))
+    return {
+        "n": h.n,
+        "f_value": f_value,
+        "penalty": penalty,
+        "frob_error": float(np.linalg.norm(diff)),
+        "spec_error": float(np.max(np.abs(np.linalg.eigvalsh(diff)))),
+        "unitarity_error": float(np.linalg.norm(k.conj().T @ k - np.eye(dim))),
+        "offdiag_mass": float(np.linalg.norm(delta)),
+        "bound_offdiag": bound_offdiag,
+        "eps": float(eps),
+        "bound_spec": 2.0 * bound_offdiag
+        + 6.0 * (1.0 + math.sqrt(max(total, 0.0))) * h_frob * math.sqrt(max(eps, 0.0)),
+        "bound_spec_applicable": bool(eps <= 0.25),
+    }
+
+
+def report_fields(rep):
+    return {key: value for key, value in rep.as_dict().items() if key != "F_total"}
+
+
+def nearly_exact_instance(rng, n, noise):
+    """Diagonal h plus noise-sized off-diagonal strings, and K = e^{i theta} P
+    plus noise-sized other strings: K'HK is diagonal up to the noise, and at
+    noise = 0 its diagonal's imaginary parts are pure rounding."""
+    words = ["".join(w) for w in itertools.product("IZ", repeat=n)]
+    terms = [(parse(w), c) for w, c in zip(words, rng.uniform(-1, 1, len(words)))]
+    if noise:
+        terms += [(parse("X" + "I" * (n - 1)), noise), (parse("Y" * n), -noise)]
+    h = PauliSum(n, terms)
+    lead = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
+    others = [PauliString(n, 1, 0), PauliString(n, 0, 1), PauliString(n, 1, 1)]
+    ansatz = tuple(sorted({lead, *others}))
+    r = np.array([1.0 if p == lead else noise for p in ansatz])
+    r /= np.linalg.norm(r)
+    theta = rng.uniform(0.0, 2 * np.pi, len(ansatz))
+    return h, KParams(ansatz, r, theta)
+
+
 class TestDiagReport:
+    def test_fields_equal_reference_formula(self, rng):
+        # the in-place conjugations and diagonal updates are exact, so every
+        # field equals the direct formula bit for bit
+        for n in range(1, 8):
+            for d in (3, 2 * n + 1):
+                h, kp, s = random_instance(rng, n, d)
+                cost_rep = eval_F(h, kp, s)
+                want = reference_report(h, kp, cost_rep.f_value, cost_rep.penalty)
+                got = report_fields(diag_report(h, kp, cost_rep.f_value, cost_rep.penalty))
+                assert got == want
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_fields_equal_reference_near_exact_diagonalizer(self, rng, noise):
+        # offdiag_mass is tiny here, so the imaginary rounding left on the
+        # diagonal of K'HK is a visible part of it and must be kept
+        for n in range(1, 8):
+            h, kp = nearly_exact_instance(rng, n, noise)
+            cost_rep = eval_F(h, kp, build_support_sets(h, kp.ansatz))
+            want = reference_report(h, kp, cost_rep.f_value, cost_rep.penalty)
+            got = report_fields(diag_report(h, kp, cost_rep.f_value, cost_rep.penalty))
+            assert want["offdiag_mass"] < 1e-6
+            assert got == want
+
+    def test_holds_at_most_four_dense_matrices(self, rng):
+        n = 8
+        h, kp, s = random_instance(rng, n, 12)
+        cost_rep = eval_F(h, kp, s)
+        matrix_bytes = 16 * 4 ** n
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            diag_report(h, kp, cost_rep.f_value, cost_rep.penalty)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * matrix_bytes, f"peak {peak / matrix_bytes:.2f} matrices"
+
+    @pytest.mark.parametrize("field", ["r", "theta", "f_value", "penalty"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, monkeypatch, field, bad):
+        def dense(*args):
+            raise AssertionError("dense work before the input check")
+
+        monkeypatch.setattr(verify_mod, "_strings_to_dense", dense)
+        h = PauliSum.from_words({"ZX": 1.0, "XI": 0.5})
+        values = {"r": np.array([0.6, 0.8]), "theta": np.array([0.1, 0.2]),
+                  "f_value": 0.5, "penalty": 0.01}
+        if field in ("r", "theta"):
+            values[field] = values[field].copy()
+            values[field][0] = bad
+        else:
+            values[field] = bad
+        kp = KParams((parse("II"), parse("XY")), values["r"], values["theta"])
+        with pytest.raises(ValueError, match=rf"\b{field}\b.*finite"):
+            diag_report(h, kp, values["f_value"], values["penalty"])
+        if field in ("r", "theta"):
+            with pytest.raises(ValueError, match=rf"\b{field}\b.*finite"):
+                frob_error(h, kp)
+
     def test_dense_limit_checked_before_support_tables(self, monkeypatch):
         def build_support_sets(h, ansatz):
             raise AssertionError("support tables built for an infeasible report")
@@ -189,6 +304,35 @@ class TestDiagReport:
         rep = diag_report(h, kp)
         payload = json.dumps(rep.as_dict())
         assert "offdiag_mass" in payload
+
+
+class TestFrobError:
+    def test_equals_full_report(self, rng):
+        for n in range(1, 8):
+            for d in (3, 2 * n + 1):
+                h, kp, s = random_instance(rng, n, d)
+                full = diag_report(h, kp, 0.0, 0.0).frob_error
+                assert frob_error(h, kp) == pytest.approx(full, rel=1e-12, abs=0.0)
+        h, kp = nearly_exact_instance(rng, 5, 1e-9)
+        full = diag_report(h, kp, 0.0, 0.0).frob_error
+        assert frob_error(h, kp) == pytest.approx(full, rel=1e-12, abs=1e-15)
+
+    def test_exact_diagonalizer(self):
+        h = PauliSum.from_words({"ZX": 0.7, "IZ": 0.1})
+        kp = KParams((parse("IY"), parse("XI")), np.array([1.0, 0.0]), np.array([0.3, 0.0]))
+        assert frob_error(h, kp) == pytest.approx(2 * 0.7, rel=1e-12)
+
+    def test_validation(self):
+        h = PauliSum.from_words({"Z": 1.0})
+        with pytest.raises(ValueError, match="unit norm"):
+            frob_error(h, KParams((parse("I"),), np.array([2.0]), np.array([0.0])))
+        with pytest.raises(ValueError, match="qubit count"):
+            frob_error(PauliSum.from_words({"ZZ": 1.0}),
+                       KParams((parse("I"),), np.array([1.0]), np.array([0.0])))
+        with pytest.raises(DenseLimitError):
+            n = DENSE_MAX_QUBITS + 1
+            frob_error(PauliSum.from_words({"Z" * n: 1.0}),
+                       KParams((PauliString.identity(n),), np.array([1.0]), np.array([0.0])))
 
 
 class TestProjectorDistances:

@@ -13,7 +13,9 @@ run's JSON result line gives one value per end-to-end metric and workload
 With --minflt-reps R, R more untraced udu10_rcd repetitions
 (`bench/pipeline.py rep`) then run per side, alternating, each timed with
 the minor page faults (`ru_minflt`) of its interpreter, because udu10_rcd's
-solve time tracks the heap's trim/regrow behaviour.
+solve time tracks the heap's trim/regrow behaviour. Each such rep also
+records its peak RSS and its dense verification time (`peak_rss_mb` and
+`times.verify_s` of the rep's result).
 
 The output records both git shas, the host, Python, NumPy and BLAS, and for
 every side, workload and metric the median, interquartile range and count,
@@ -72,7 +74,8 @@ def bench_run(root: Path, seed: int, seconds: float) -> tuple[dict, dict]:
 
 
 def minflt_rep(root: Path, seed: int, out_dir: Path) -> dict:
-    """One untraced udu10_rcd repetition with its interpreter's minor faults."""
+    """One untraced udu10_rcd repetition: its times, peak RSS and its
+    interpreter's minor faults."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), **BLAS_ENV)
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
@@ -82,8 +85,8 @@ def minflt_rep(root: Path, seed: int, out_dir: Path) -> dict:
     res = json.loads(proc.stdout.strip().splitlines()[-1])
     if res["failures"]:
         raise RuntimeError(f"{root}: udu10_rcd rep failed: {res['failures']}")
-    return {**{k: res["times"][k] for k in ("run_s", "setup_s", "solve_s")},
-            "ru_minflt": faults}
+    return {**{k: res["times"][k] for k in ("run_s", "setup_s", "solve_s", "verify_s")},
+            "peak_rss_mb": res["peak_rss_mb"], "ru_minflt": faults}
 
 
 def summary(values: list[float]) -> dict:
