@@ -4,6 +4,12 @@ projector distances, and Lie-closure dimension counting.
 Everything here is exact linear algebra on 2^n x 2^n matrices and is meant
 for small n. The Pauli-algebra modules never import this one, so the dense
 route stays an independent cross-check.
+
+The reports (diag_report, frob_error) build every matrix as a stack of
+blocks on the Z2 symmetry sectors of H and the ansatz, the cosets of the
+GF(2) span of their strings' x masks (Bravyi, Gambetta, Mezzacapo and
+Temme, arXiv:1701.08213): each string maps each coset to itself. A full
+span is the one-block case, which to_dense and kparams_to_dense return.
 """
 
 from __future__ import annotations
@@ -45,34 +51,100 @@ def _reverse_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-# terms x columns per block of _strings_to_dense (16 MB of weights), and
-# string pairs per block of lie_closure_dim
+# entries per block of weights in _strings_to_dense (16 MB), and string
+# pairs per block of lie_closure_dim
 _DENSE_BLOCK = 1 << 20
 
 
-def _strings_to_dense(n: int, strings, coeffs) -> np.ndarray:
-    """2^n x 2^n matrix of sum_t coeffs[t] strings[t].
+class _Sectors(NamedTuple):
+    """Z2 symmetry sectors of a set of Pauli strings: the cosets c ^ V of the
+    GF(2) span V of their dense-index x masks.
 
-    String t sends basis column c to row c ^ x_t with weight
+    A string with x in V maps each coset to itself, so any sum of such
+    strings is block diagonal, with B = 2^n / s blocks of s = |V|. Block b
+    holds the dense indices idx[b] = rep_b ^ comb(i), i < s, where comb(i)
+    XORs the reduced-echelon basis vectors picked by the bits of i and rep_b
+    is the coset's member with every pivot bit clear. x = comb(j) for j the
+    pivot bits of x, so the string sends local column i to local row i ^ j.
+    A full span has one block with idx = arange(2^n).
+    """
+
+    idx: np.ndarray  # (B, s) dense indices
+    pivots: np.ndarray  # (log2 s,) pivot bits, ascending: bit k of j is pivots[k]
+
+
+def _sectors(n: int, xmasks: np.ndarray) -> _Sectors:
+    """Sectors of the span of the dense-index x masks xmasks."""
+    _check_dense_n(n)
+    rest = np.asarray(xmasks, dtype=np.int64)
+    basis: dict[int, int] = {}  # pivot bit -> basis vector
+    for bit in range(n - 1, -1, -1):
+        has = (rest >> bit & 1).astype(bool)
+        if not has.any():
+            continue
+        v = int(rest[has][0])
+        rest = np.where(has, rest ^ v, rest)
+        basis = {p: b ^ v if b >> bit & 1 else b for p, b in basis.items()}
+        basis[bit] = v
+    pivots = sorted(basis)
+    comb = reps = np.zeros(1, dtype=np.int64)
+    for p in pivots:
+        comb = np.concatenate((comb, comb ^ basis[p]))
+    for bit in range(n):
+        if bit not in basis:
+            reps = np.concatenate((reps, reps | 1 << bit))
+    return _Sectors(reps[:, None] ^ comb, np.array(pivots, dtype=np.int64))
+
+
+def _full_sectors(n: int) -> _Sectors:
+    return _sectors(n, np.int64(1) << np.arange(n, dtype=np.int64))
+
+
+def _report_sectors(h: PauliSum, kp: KParams) -> _Sectors:
+    """Sectors of H and the ansatz together: the union of their x spans."""
+    x = np.concatenate((_masks(h.strings())[0], _masks(kp.ansatz)[0]))
+    return _sectors(h.n, _reverse_masks(x, h.n))
+
+
+def _strings_to_dense(n: int, strings, coeffs, sectors: _Sectors) -> np.ndarray:
+    """(B, s, s) blocks of sum_t coeffs[t] strings[t] on the given sectors,
+    which must hold every string's x.
+
+    String t sends dense column c to row c ^ x_t with weight
     i^{|x_t & z_t|} (-1)^{popcount(c & z_t)}, (x_t, z_t) its dense-index
-    masks. Each block of terms forms its (term, column) weights at once and
-    adds them with one np.add.at on the flat matrix, which adds repeated
+    masks; in block b that is local column i (c = idx[b, i]) to local row
+    i ^ j_t. Each block of terms forms its (term, column) weights at once and
+    adds them with one np.add.at on the flat stack, which adds repeated
     entries in index order, so every entry sums its terms in term order,
     also across blocks.
     """
-    _check_dense_n(n)
-    dim = 1 << n
+    nblocks, s = sectors.idx.shape
     xr, zr = (_reverse_masks(m, n) for m in _masks(strings))
+    bits = np.arange(len(sectors.pivots), dtype=np.int64)
+    rows = np.bitwise_or.reduce((xr[:, None] >> sectors.pivots & 1) << bits, axis=1)
+    if np.any(sectors.idx[0, rows] != xr):
+        raise ValueError("a string's x lies outside the sectors' span")
     scaled = np.asarray(coeffs, dtype=complex) * _PHASES[popcount(xr & zr) & 3]
-    cols = np.arange(dim, dtype=np.int64)
-    mat = np.zeros((dim, dim), dtype=complex)
-    step = max(1, _DENSE_BLOCK // dim)
+    cols = sectors.idx.ravel()
+    # (-1)^{popcount(c)} for every dense index c
+    signs = 1.0 - 2.0 * (popcount(np.arange(len(cols), dtype=np.int64)) & 1)
+    local = np.arange(len(cols), dtype=np.int64) & (s - 1)
+    # flat index of (b, 0, i) for column c = idx[b, i]
+    base = (np.arange(len(cols), dtype=np.int64) - local) * s + local
+    mat = np.zeros((nblocks, s, s), dtype=complex)
+    # weights for at most a quarter of the stack at once
+    step = max(1, min(_DENSE_BLOCK, mat.size // 4) // len(cols))
     for lo in range(0, len(xr), step):
-        x, z = xr[lo:lo + step, None], zr[lo:lo + step, None]
-        w = scaled[lo:lo + step, None] * (1.0 - 2.0 * (popcount(cols & z) & 1))
+        j, z = rows[lo:lo + step, None], zr[lo:lo + step, None]
+        w = scaled[lo:lo + step, None] * signs[cols & z]
         # flat operands keep np.add.at on its fast path
-        np.add.at(mat.ravel(), ((cols ^ x) * dim + cols).ravel(), w.ravel())
+        np.add.at(mat.ravel(), ((local ^ j) * s + base).ravel(), w.ravel())
     return mat
+
+
+def _sum_blocks(a: PauliSum, sectors: _Sectors) -> np.ndarray:
+    return _strings_to_dense(a.n, [p for p, _ in a.items()], [c for _, c in a.items()],
+                             sectors)
 
 
 def string_to_dense(p: PauliString) -> np.ndarray:
@@ -81,7 +153,8 @@ def string_to_dense(p: PauliString) -> np.ndarray:
 
 
 def to_dense(a: PauliSum) -> np.ndarray:
-    return _strings_to_dense(a.n, [p for p, _ in a.items()], [c for _, c in a.items()])
+    """2^n x 2^n matrix of a: the one block of the full span."""
+    return _sum_blocks(a, _full_sectors(a.n))[0]
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
@@ -171,8 +244,13 @@ class DiagReport:
 
 
 def kparams_to_dense(kp: KParams) -> np.ndarray:
-    """K = sum_j r_j e^{i theta_j} P_j as a dense matrix."""
-    return _strings_to_dense(kp.n, kp.ansatz, kp.r * np.exp(1j * kp.theta))
+    """K = sum_j r_j e^{i theta_j} P_j as a dense matrix: the one block of the
+    full span."""
+    return _k_blocks(kp, _full_sectors(kp.n))[0]
+
+
+def _k_blocks(kp: KParams, sectors: _Sectors) -> np.ndarray:
+    return _strings_to_dense(kp.n, kp.ansatz, kp.r * np.exp(1j * kp.theta), sectors)
 
 
 def _check_report_inputs(h: PauliSum, kp: KParams, f_value=None, penalty=None) -> None:
@@ -196,17 +274,23 @@ def _check_report_inputs(h: PauliSum, kp: KParams, f_value=None, penalty=None) -
     _check_dense_n(h.n)
 
 
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """Writable (B, s) view of the diagonals of a C-contiguous (B, s, s) stack."""
+    nblocks, s, _ = m.shape
+    return m.reshape(nblocks, -1)[:, ::s + 1]
+
+
 def _residual(hd: np.ndarray, k: np.ndarray, diag: np.ndarray,
               scratch: np.ndarray) -> np.ndarray:
-    """hd - H~ with H~ = K diag(diag) K', in a new matrix; scratch (a dim x
-    dim complex matrix) is overwritten.
+    """hd - H~ with H~ = K diag(diag) K', in a new stack; scratch (a stack
+    of K's shape) is overwritten.
 
     K diag K' is formed as conj(conj(K diag) K^T), conjugating the disposable
     factor and product in place, so no conjugate copy of K is made; each
     product term differs from the direct one only by exact sign flips.
     """
-    kd = np.multiply(k, diag, out=scratch)
-    diff = np.conjugate(kd, out=kd) @ k.T
+    kd = np.multiply(k, diag[:, None, :], out=scratch)
+    diff = np.conjugate(kd, out=kd) @ k.swapaxes(1, 2)
     np.conjugate(diff, out=diff)
     return np.subtract(hd, diff, out=diff)
 
@@ -214,15 +298,18 @@ def _residual(hd: np.ndarray, k: np.ndarray, diag: np.ndarray,
 def frob_error(h: PauliSum, kp: KParams) -> float:
     """||h - H~||_F, the report's frob_error alone, at a third of its cost.
 
-    The diagonal of K'HK is taken as column-wise dot products of K with HK,
-    so neither K'HK, the spectrum nor K'K is formed.
+    Works on the same sector blocks as diag_report and holds at most four
+    block stacks. The diagonal of K'HK is taken as column-wise dot products
+    of K with HK, so neither K'HK, the spectrum nor K'K is formed.
     """
     _check_report_inputs(h, kp)
-    hd = to_dense(h)
-    k = kparams_to_dense(kp)
+    sectors = _report_sectors(h, kp)
+    hd = _sum_blocks(h, sectors)
+    k = _k_blocks(kp, sectors)
     hk = hd @ k
     # Re sum_i conj(K_ij) (HK)_ij, the real part of K'HK's diagonal
-    diag = np.einsum("ij,ij->j", k.real, hk.real) + np.einsum("ij,ij->j", k.imag, hk.imag)
+    diag = (np.einsum("bij,bij->bj", k.real, hk.real)
+            + np.einsum("bij,bij->bj", k.imag, hk.imag))
     return float(np.linalg.norm(_residual(hd, k, diag, hk)))
 
 
@@ -238,11 +325,15 @@ def diag_report(
     f_value and penalty may be passed in from an optimizer run; when omitted
     they are recomputed from scratch so the report stands on its own.
 
-    At most four 2^n x 2^n complex matrices are alive at once (H, K, K'H and
-    K'HK while K'HK is formed): products of conjugates are formed as
-    conjugates of products in place (K'M = conj(K^T conj(M))), and each
-    matrix is overwritten or dropped once read, so every field equals the
-    direct formula bit for bit.
+    Every matrix is a stack of blocks on the Z2 symmetry sectors of H and the
+    ansatz (_Sectors): H, K and everything formed from them map each coset of
+    the span of their x masks to itself, so the products, norms and spectrum
+    are taken block by block, and a full span is the one-block case. At most
+    four block stacks are alive at once (H, K, K'H and K'HK while K'HK is
+    formed): products of conjugates are formed as conjugates of products in
+    place (K'M = conj(K^T conj(M))), and each stack is overwritten or dropped
+    once read, so on one block every field equals the direct formula bit for
+    bit.
     """
     _check_report_inputs(h, kp, f_value=f_value, penalty=penalty)
     if f_value is None or penalty is None:
@@ -252,18 +343,19 @@ def diag_report(
 
     n = h.n
     dim = 1 << n
-    hd = to_dense(h)
+    sectors = _report_sectors(h, kp)
+    hd = _sum_blocks(h, sectors)
     h_frob = float(np.linalg.norm(hd))
-    k = kparams_to_dense(kp)
+    k = _k_blocks(kp, sectors)
     # K'H = conj(K^T conj(H)); H is conjugated in place and back, exactly
-    kh = k.T @ np.conjugate(hd, out=hd)
+    kh = k.swapaxes(1, 2) @ np.conjugate(hd, out=hd)
     np.conjugate(hd, out=hd)
     g = np.conjugate(kh, out=kh) @ k
     del kh
-    diag = g.diagonal().real.copy()
+    diag = _diagonal(g).real.copy()
     # g becomes Delta: subtracting the real diagonal keeps each diagonal
     # entry's imaginary rounding residue, as g - np.diag(diag) would
-    g.ravel()[::dim + 1] -= diag
+    _diagonal(g)[:] -= diag
     offdiag_mass = float(np.linalg.norm(g))
 
     diff = _residual(hd, k, diag, g)
@@ -271,8 +363,8 @@ def diag_report(
     frob_error = float(np.linalg.norm(diff))
     spec_error = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
     del diff
-    kk = k.conj().T @ k
-    kk.ravel()[::dim + 1] -= 1.0
+    kk = k.conj().swapaxes(1, 2) @ k
+    _diagonal(kk)[:] -= 1.0
     unitarity_error = float(np.linalg.norm(kk))
 
     total = f_value + penalty
@@ -367,12 +459,12 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
     strings reachable by nested commutators. The identity is central and is
     excluded from the count. The closure grows level by level on packed mask
     keys: each level pairs the strings the previous level found with every
-    known string. A block of new rows meets the strings known before the
-    level and the new strings from the block's first row on, so two new
-    strings in different blocks are paired once, not in both orders. a and b
-    anticommute iff popcount((a.x & b.z) ^ (a.z & b.x)) is odd, and their
-    commutator is then the string a.x ^ b.x, a.z ^ b.z. The search stops
-    after the level that reaches cap strings.
+    known string, each pair once. A block of new rows meets the strings known
+    before the level, the new strings after the block, and its own rows
+    above the diagonal. a and b anticommute iff
+    popcount((a.x & b.z) ^ (a.z & b.x)) is odd, and their commutator is then
+    the string a.x ^ b.x, a.z ^ b.z. The search stops after the level that
+    reaches cap strings.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -391,15 +483,24 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
         found = np.empty(0, dtype=np.int64)
         step = max(1, _DENSE_BLOCK // len(known))
         for lo in range(0, len(new), step):
-            x, z = nx[lo:lo + step, None], nz[lo:lo + step, None]
-            # new[:lo] met these rows in the earlier blocks
-            kx, kz = np.concatenate((bx, nx[lo:])), np.concatenate((bz, nz[lo:]))
-            anti = (popcount((x & kz) ^ (z & kx)) & 1).astype(bool)
-            found = np.union1d(found, _key(x ^ kx, z ^ kz)[anti])
+            x, z = nx[lo:lo + step], nz[lo:lo + step]
+            kx = np.concatenate((bx, nx[lo + step:]))
+            kz = np.concatenate((bz, nz[lo + step:]))
+            i, j = np.triu_indices(len(x), 1)
+            found = np.union1d(found, np.concatenate((
+                _commutators(x[:, None], z[:, None], kx, kz),
+                _commutators(x[i], z[i], x[j], z[j]))))
         before = known
         new = np.setdiff1d(found, known, assume_unique=True)
         known = np.union1d(known, new)
     return LieClosure(min(len(known), cap), len(known) >= cap)
+
+
+def _commutators(ax, az, bx, bz) -> np.ndarray:
+    """Keys of the commutators of the anticommuting pairs among broadcast
+    mask arrays (a, b)."""
+    anti = (popcount((ax & bz) ^ (az & bx)) & 1).astype(bool)
+    return _key(ax ^ bx, az ^ bz)[anti]
 
 
 def generating_set_check(n: int) -> bool:

@@ -1,7 +1,8 @@
-"""Large-instance run, excluded by default (enable with -m slow).
+"""Large-instance runs, excluded by default (enable with -m slow).
 
 Ten qubits stays entirely in string space for the optimizer; only the final
-error report touches a 1024 x 1024 matrix.
+error report touches dense matrices, as sector blocks. At twelve qubits the
+block report is checked against the full 4096 x 4096 reference.
 """
 
 import numpy as np
@@ -11,7 +12,9 @@ from paulidiag.cost import KParams, eval_grad
 from paulidiag.models import build_random_udu, expand_rotation_product
 from paulidiag.operators import build_support_sets
 from paulidiag.optimize import LRSchedule, OptConfig, run_gd
-from paulidiag.verify import diag_report
+from paulidiag.verify import DENSE_MAX_QUBITS, diag_report
+
+from test_verify import assert_report_near_reference, report_blocks, udu_instance
 
 
 @pytest.mark.slow
@@ -42,3 +45,11 @@ def test_ten_qubit_warm_start_descent():
     assert rep.frob_error < 6e-3
     assert rep0.frob_error / rep.frob_error > 300.0
     assert rep.offdiag_mass <= rep.bound_offdiag + 1e-10
+
+
+@pytest.mark.slow
+def test_sector_report_at_dense_limit():
+    n = DENSE_MAX_QUBITS
+    h, kp = udu_instance(n, 6)
+    assert report_blocks(h, kp) == (64, 64)
+    assert_report_near_reference(h, kp)

@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from paulidiag.cli import load_params, main, save_params
 from paulidiag.cost import KParams, eval_F, k_as_sum
-from paulidiag.operators import PauliSum, build_support_sets
+from paulidiag.models import build_random_udu, expand_rotation_product
+from paulidiag.operators import PauliSum, build_support_sets, load_hamiltonian, save_hamiltonian
 from paulidiag.pauli import PauliString, commutes, multiply, parse
 import paulidiag.verify as verify_mod
 from paulidiag.verify import (
@@ -122,34 +125,60 @@ class TestPauliDecompose:
 
 def reference_report(h, kp, f_value, penalty):
     """The eleven report fields by the direct formula: every dense product
-    formed as written, with explicit conjugate copies of K, np.diag and
-    np.eye. diag_report must match it while holding fewer matrices."""
+    formed as written, on full 2^n x 2^n matrices, with explicit conjugate
+    copies of K, np.diag and np.eye. diag_report must match it while holding
+    fewer matrices. Each matrix is dropped once read, so n = 12 fits."""
     dim = 2 ** h.n
     hd = to_dense(h)
+    h_frob = float(np.linalg.norm(hd))
     k = kparams_to_dense(kp)
     g = k.conj().T @ hd @ k
     diag = np.diag(g).real
-    delta = g - np.diag(diag)
-    h_tilde = (k * diag) @ k.conj().T
-    diff = hd - h_tilde
+    offdiag_mass = float(np.linalg.norm(g - np.diag(diag)))
+    del g
+    diff = hd - (k * diag) @ k.conj().T
+    del hd
+    frob = float(np.linalg.norm(diff))
+    spec = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+    del diff
     total = f_value + penalty
     eps = dim * penalty
     bound_offdiag = math.sqrt(max(total, 0.0) / dim)
-    h_frob = float(np.linalg.norm(hd))
     return {
         "n": h.n,
         "f_value": f_value,
         "penalty": penalty,
-        "frob_error": float(np.linalg.norm(diff)),
-        "spec_error": float(np.max(np.abs(np.linalg.eigvalsh(diff)))),
+        "frob_error": frob,
+        "spec_error": spec,
         "unitarity_error": float(np.linalg.norm(k.conj().T @ k - np.eye(dim))),
-        "offdiag_mass": float(np.linalg.norm(delta)),
+        "offdiag_mass": offdiag_mass,
         "bound_offdiag": bound_offdiag,
         "eps": float(eps),
         "bound_spec": 2.0 * bound_offdiag
         + 6.0 * (1.0 + math.sqrt(max(total, 0.0))) * h_frob * math.sqrt(max(eps, 0.0)),
         "bound_spec_applicable": bool(eps <= 0.25),
     }
+
+
+DENSE_FIELDS = ("frob_error", "spec_error", "unitarity_error", "offdiag_mass")
+
+
+def assert_near_reference(h, got, want, frob=None):
+    """Every field within 1e-12 max(|want|, ||H||_F), unitarity_error within
+    1e-12 sqrt(2^n), n and bound_spec_applicable exact; frob_error's value
+    when given is held to the frob_error field's tolerance."""
+    h_frob = float(np.linalg.norm(to_dense(h)))
+    got = dict(got)
+    if frob is not None:
+        got["frob"] = frob
+        want = {**want, "frob": want["frob_error"]}
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if key in ("n", "bound_spec_applicable"):
+            assert got[key] == value, key
+            continue
+        scale = math.sqrt(2 ** h.n) if key == "unitarity_error" else max(abs(value), h_frob)
+        assert abs(got[key] - value) <= 1e-12 * scale, (key, got[key], value)
 
 
 def report_fields(rep):
@@ -189,14 +218,22 @@ class TestDiagReport:
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
     def test_fields_equal_reference_near_exact_diagonalizer(self, rng, noise):
         # offdiag_mass is tiny here, so the imaginary rounding left on the
-        # diagonal of K'HK is a visible part of it and must be kept
+        # diagonal of K'HK is a visible part of it and must be kept. These
+        # spans are deficient, so the report sums over sector blocks in
+        # another order than the full matrices: the dense fields and
+        # ||H||_F (in bound_spec) move by rounding only
         for n in range(1, 8):
             h, kp = nearly_exact_instance(rng, n, noise)
             cost_rep = eval_F(h, kp, build_support_sets(h, kp.ansatz))
             want = reference_report(h, kp, cost_rep.f_value, cost_rep.penalty)
             got = report_fields(diag_report(h, kp, cost_rep.f_value, cost_rep.penalty))
             assert want["offdiag_mass"] < 1e-6
-            assert got == want
+            h_frob = float(np.linalg.norm(to_dense(h)))
+            for key in DENSE_FIELDS:
+                assert abs(got[key] - want[key]) <= 1e-14 * h_frob, key
+            assert got["bound_spec"] == pytest.approx(want["bound_spec"], rel=1e-14, abs=0.0)
+            exact = set(want) - set(DENSE_FIELDS) - {"bound_spec"}
+            assert {key: got[key] for key in exact} == {key: want[key] for key in exact}
 
     def test_holds_at_most_four_dense_matrices(self, rng):
         n = 8
@@ -298,8 +335,6 @@ class TestDiagReport:
             diag_report(h, kp)
 
     def test_as_dict_serializable(self, rng):
-        import json
-
         h, kp, s = random_instance(rng, 2, 3)
         rep = diag_report(h, kp)
         payload = json.dumps(rep.as_dict())
@@ -333,6 +368,115 @@ class TestFrobError:
             n = DENSE_MAX_QUBITS + 1
             frob_error(PauliSum.from_words({"Z" * n: 1.0}),
                        KParams((PauliString.identity(n),), np.array([1.0]), np.array([0.0])))
+
+
+def udu_instance(n, n_rot, seed=2, n_diag=12, noise=1e-2):
+    """random_udu h and its known diagonalizer's strings, with r and theta
+    moved by up to noise: every x lies in the span of the n_rot rotation
+    strings' x masks."""
+    h, u, _ = build_random_udu(n, n_diag, n_rot, seed=seed)
+    items = sorted(expand_rotation_product(u).items())
+    c = np.array([v for _, v in items])
+    rng = np.random.default_rng(seed)
+    r = np.abs(np.abs(c) + rng.uniform(-noise, noise, len(c)))
+    theta = np.angle(c) + rng.uniform(-noise, noise, len(c))
+    return h, KParams(tuple(p for p, _ in items), r / np.linalg.norm(r), theta)
+
+
+def span_size(strings):
+    """|span| of the strings' x masks over GF(2), by closing the set under XOR."""
+    span = {0}
+    for p in strings:
+        span |= {v ^ p.x_mask for v in span}
+    return len(span)
+
+
+def report_blocks(h, kp):
+    """(B, s) of the report's sector layout, checked to cover every index once."""
+    idx = verify_mod._report_sectors(h, kp).idx
+    assert np.array_equal(np.sort(idx.ravel()), np.arange(2 ** h.n))
+    return idx.shape
+
+
+def assert_report_near_reference(h, kp):
+    cost_rep = eval_F(h, kp, build_support_sets(h, kp.ansatz))
+    want = reference_report(h, kp, cost_rep.f_value, cost_rep.penalty)
+    got = report_fields(diag_report(h, kp, cost_rep.f_value, cost_rep.penalty))
+    assert_near_reference(h, got, want, frob=frob_error(h, kp))
+
+
+class TestSectors:
+    """Reports on deficient spans: H, K and every product are block diagonal
+    over the cosets of the span of the x masks, B blocks of s."""
+
+    @pytest.mark.parametrize("n, n_rot", [(6, 2), (7, 3), (8, 4), (9, 5)])
+    def test_random_udu(self, n, n_rot):
+        h, kp = udu_instance(n, n_rot)
+        s = span_size(kp.ansatz)
+        assert s == 2 ** n_rot and span_size(h.strings()) == s
+        assert report_blocks(h, kp) == (2 ** n // s, s)
+        assert_report_near_reference(h, kp)
+
+    def test_ansatz_outside_hamiltonian_span(self):
+        # the layout spans H's and the ansatz's x masks together
+        h, kp = udu_instance(6, 2)
+        s_h = span_size(h.strings())
+        outside = next(PauliString(6, x, 5) for x in range(1, 64)
+                       if span_size([*h.strings(), PauliString(6, x, 0)]) > s_h)
+        ansatz = (*kp.ansatz, outside)
+        r = np.append(kp.r, 0.1)
+        kp = KParams(ansatz, r / np.linalg.norm(r), np.append(kp.theta, 0.4))
+        assert report_blocks(h, kp) == (64 // (2 * s_h), 2 * s_h)
+        assert_report_near_reference(h, kp)
+
+    def test_diagonal_only(self, rng):
+        # every x is 0: 2^n blocks of one entry each
+        n = 5
+        words = ["".join(w) for w in itertools.product("IZ", repeat=n)]
+        h = PauliSum(n, [(parse(w), c) for w, c in zip(words, rng.uniform(-1, 1, len(words)))])
+        ansatz = tuple(parse(w) for w in words[:6])
+        r = rng.uniform(0.2, 1.0, len(ansatz))
+        kp = KParams(ansatz, r / np.linalg.norm(r), rng.uniform(0, 2 * np.pi, len(ansatz)))
+        assert report_blocks(h, kp) == (2 ** n, 1)
+        assert_report_near_reference(h, kp)
+
+    def test_cli_verify(self, tmp_path, capsys):
+        h, kp = udu_instance(7, 3)
+        save_hamiltonian(tmp_path / "h.txt", h)
+        save_params(tmp_path / "params.json", kp)
+        h = load_hamiltonian(tmp_path / "h.txt")
+        kp = load_params(tmp_path / "params.json")
+        assert report_blocks(h, kp) == (16, 8)
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "h.txt"), str(tmp_path / "params.json")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        cost_rep = eval_F(h, kp, build_support_sets(h, kp.ansatz))
+        want = reference_report(h, kp, cost_rep.f_value, cost_rep.penalty)
+        assert printed.pop("F_total") == cost_rep.total
+        assert_near_reference(h, printed, want)
+
+    def test_string_outside_the_sectors_rejected(self):
+        # qubit 0 is the most significant bit: XI has dense x mask 2
+        sectors = verify_mod._sectors(2, np.array([1]))
+        with pytest.raises(ValueError, match="outside"):
+            verify_mod._strings_to_dense(2, [parse("XI")], [1.0], sectors)
+
+    def test_holds_at_most_four_block_stacks(self):
+        # the udu10_rcd instance: 32 blocks of 32
+        n = 10
+        h, kp = udu_instance(n, 5)
+        nblocks, s = report_blocks(h, kp)
+        assert (nblocks, s) == (32, 32)
+        cost_rep = eval_F(h, kp, build_support_sets(h, kp.ansatz))
+        stack_bytes = 16 * 2 ** n * s
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            diag_report(h, kp, cost_rep.f_value, cost_rep.penalty)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * stack_bytes, f"peak {peak / stack_bytes:.2f} block stacks"
 
 
 class TestProjectorDistances:
