@@ -158,9 +158,11 @@ def _check(h: PauliSum, kp: KParams, s: SupportSets) -> None:
 # gradient G, and the partial in k_j is i^{|x_j & z_j|} (S E)[z_j, x_j].
 # K'HK and K'K come from one matmul, K' [HK | K], and G from one more.
 # _evaluator builds these tables on each call, once per optimizer run;
-# nothing caches them. verify.to_dense keeps its own independent
-# implementation of the column -> (row, weight) rule, so the dense
-# verification route stays a genuine cross-check.
+# nothing caches them. They read only n, the ansatz, h_strings and h_coeffs
+# of SupportSets; its product tables are built on their first read, so a
+# dense-path run never builds them. verify.to_dense keeps its own
+# independent implementation of the column -> (row, weight) rule, so the
+# dense verification route stays a genuine cross-check.
 
 _DENSE_PATH_MAX_DIM = 16
 

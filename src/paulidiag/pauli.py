@@ -178,7 +178,7 @@ def popcount(v: np.ndarray) -> np.ndarray:
 def multiply_masks(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array form of ``multiply``: a*b = i^k c elementwise, returned as (k, cx, cz).
 
-    The four int64 mask arrays broadcast against each other, so
+    The four mask arrays (int32 or int64) broadcast against each other, so
     ``multiply_masks(ax[:, None], az[:, None], bx, bz)`` forms every product
     a_i * b_j at once. k is reduced to 0..3, the phase rule is that of
     ``multiply``.

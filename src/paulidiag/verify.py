@@ -97,7 +97,10 @@ def _sectors(n: int, xmasks: np.ndarray) -> _Sectors:
 
 
 def _full_sectors(n: int) -> _Sectors:
-    return _sectors(n, np.int64(1) << np.arange(n, dtype=np.int64))
+    """_sectors of the full span, without the elimination: one block of
+    every dense index, every bit a pivot."""
+    _check_dense_n(n)
+    return _Sectors(np.arange(1 << n, dtype=np.int64)[None, :], np.arange(n, dtype=np.int64))
 
 
 def _report_sectors(h: PauliSum, kp: KParams) -> _Sectors:

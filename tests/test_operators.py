@@ -1,16 +1,19 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from paulidiag import cost
-from paulidiag.cost import KParams, eval_phi
+from paulidiag.cost import KParams, eval_F, eval_grad, eval_phi
 from paulidiag.operators import (
     HERMITIAN_TOL,
     PRUNE_TOL,
     PauliSum,
     SupportSets,
+    _TABLES,
     _accumulate,
     build_support_sets,
     conjugate,
@@ -19,7 +22,7 @@ from paulidiag.operators import (
     sum_multiply,
     trace_with,
 )
-from paulidiag.optimize import IncrementalState
+from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
 from paulidiag.pauli import MAX_QUBITS, PauliString, multiply, parse
 
 from conftest import dense_terms, dense_word
@@ -214,14 +217,16 @@ class TestSupportSets:
         assert len(s.g2) == 15  # every non-identity string
 
     def test_validation(self):
+        # every input error raises from build_support_sets itself, before
+        # any table is read
         h = PauliSum.from_words({"Z": 1.0})
         with pytest.raises(ValueError, match="distinct"):
             build_support_sets(h, (parse("X"), parse("X")))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="qubits"):
             build_support_sets(h, (parse("XX"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty ansatz"):
             build_support_sets(h, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty Hamiltonian"):
             build_support_sets(PauliSum.zero(1), (parse("X"),))
 
     def test_rejects_non_hermitian(self):
@@ -425,6 +430,13 @@ def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
         assert list(strings) == sorted(strings), name
     assert s.g1 == s.closure[len(s.closure) - len(s.g1):]
     ref, hk_rows, khk_rows = reference_tables(h, ansatz)
+    assert_fields_equal(s, ref)
+    assert_vectors_match_rows(s, hk_rows, khk_rows, rng)
+    assert_gradient_matches_loop(s, h, ansatz, rng)
+
+
+def assert_fields_equal(s, ref: dict) -> None:
+    """Every field of s named in ref equals the reference bit for bit."""
     for name, want in ref.items():
         got = getattr(s, name)
         if isinstance(want, np.ndarray):
@@ -438,8 +450,6 @@ def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
                     )
         else:
             assert got == want, name
-    assert_vectors_match_rows(s, hk_rows, khk_rows, rng)
-    assert_gradient_matches_loop(s, h, ansatz, rng)
 
 
 def strings_of(words) -> tuple[PauliString, ...]:
@@ -496,3 +506,72 @@ class TestMaskArrayBuild:
         ref, _, _ = reference_tables(h, (parse("X"),))
         inputs = {"n", "ansatz", "h_ref", "h_coeffs"}
         assert set(ref) | inputs == {f.name for f in dataclasses.fields(SupportSets)}
+
+
+def dense_instance():
+    """A 2-qubit H with the full basis as ansatz: 2^n = 4 <= d = 16, so
+    cost takes the dense path."""
+    h = PauliSum.from_words({"XX": 1.0, "YY": 1.0, "ZZ": 0.7, "ZI": 0.3})
+    ansatz = tuple(parse("".join(w)) for w in itertools.product("IXYZ", repeat=2))
+    r = np.linspace(1.0, 2.0, len(ansatz))
+    kp = KParams(ansatz, r / np.linalg.norm(r), np.linspace(0.0, 1.0, len(ansatz)))
+    assert cost._dense_path_applies(h.n, kp.d)
+    return h, kp
+
+
+def built(s) -> set[str]:
+    """The derived tables s holds as instance attributes."""
+    return _TABLES & set(vars(s))
+
+
+class TestLazyTables:
+    """build_support_sets checks its inputs at once; the nine derived
+    fields are built together on the first read of any of them."""
+
+    def test_nine_fields(self):
+        assert _TABLES == {"hk_strings", "closure", "g1", "g2", "hk_phase", "hk_tgt",
+                           "khk_sel", "khk_tgt", "slot_scale"}
+
+    def test_dense_path_builds_nothing(self):
+        h, kp = dense_instance()
+        s = build_support_sets(h, kp.ansatz)
+        eval_F(h, kp, s)
+        eval_grad(h, kp, s)
+        run_gd(h, kp, OptConfig(max_iters=3), s)
+        run_rcd(h, kp, OptConfig(max_iters=3, block_size=2 * kp.d), s)
+        assert built(s) == set()
+
+    def test_first_read_through_eval_phi_builds_all(self):
+        # eval_phi reads g2 first
+        h, kp = dense_instance()
+        s = build_support_sets(h, kp.ansatz)
+        eval_phi(kp, parse("XY"), s)
+        assert built(s) == _TABLES
+        ref, _, _ = reference_tables(h, kp.ansatz)
+        assert_fields_equal(s, {name: ref[name] for name in _TABLES})
+
+    def test_small_block_rcd_same_trace(self):
+        # the sampled step reads the tables, the automatic step the dense path
+        h, kp = dense_instance()
+        cfg = OptConfig(max_iters=40, block_size=4, seed=3)
+        fresh = build_support_sets(h, kp.ansatz)
+        read = build_support_sets(h, kp.ansatz)
+        read.khk_tgt
+        traces = [run_rcd(h, kp, cfg, s) for s in (fresh, read)]
+        assert built(fresh) == _TABLES
+        want = [rec.as_dict() for rec in traces[1].records]
+        assert [rec.as_dict() for rec in traces[0].records] == want
+        assert np.array_equal(traces[0].final_params.r, traces[1].final_params.r)
+        assert np.array_equal(traces[0].final_params.theta, traces[1].final_params.theta)
+
+    @pytest.mark.parametrize("roundtrip", [copy.copy, lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "pickle"])
+    def test_copies_of_an_unbuilt_object(self, roundtrip):
+        h, kp = dense_instance()
+        s = build_support_sets(h, kp.ansatz)
+        c = roundtrip(s)
+        assert built(s) == set() and built(c) == set()
+        assert not hasattr(c, "no_such_field")
+        assert built(c) == set()
+        assert c.g1 == s.g1
+        np.testing.assert_array_equal(c.khk_tgt, s.khk_tgt)

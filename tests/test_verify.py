@@ -455,6 +455,18 @@ class TestSectors:
         assert printed.pop("F_total") == cost_rep.total
         assert_near_reference(h, printed, want)
 
+    def test_full_sectors_skip_the_elimination(self):
+        # the full span's layout, written down directly, equals the
+        # eliminated one field for field
+        for n in range(1, DENSE_MAX_QUBITS + 1):
+            got = verify_mod._full_sectors(n)
+            want = verify_mod._sectors(n, np.int64(1) << np.arange(n, dtype=np.int64))
+            for name in verify_mod._Sectors._fields:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, name)
+        with pytest.raises(DenseLimitError):
+            verify_mod._full_sectors(DENSE_MAX_QUBITS + 1)
+
     def test_string_outside_the_sectors_rejected(self):
         # qubit 0 is the most significant bit: XI has dense x mask 2
         sectors = verify_mod._sectors(2, np.array([1]))
