@@ -41,7 +41,7 @@ from .optimize import (
     run_gd,
     run_rcd,
 )
-from .pauli import PauliParseError, PauliString, Phase, commutes, multiply, parse
+from .pauli import PauliParseError, PauliString, Phase, commutes, multiply, parse, unpack_keys
 from .verify import (
     DENSE_MAX_QUBITS,
     DenseLimitError,
@@ -109,5 +109,6 @@ __all__ = [
     "sum_multiply",
     "to_dense",
     "trace_with",
+    "unpack_keys",
     "warm_start_from_dense",
 ]

@@ -245,7 +245,9 @@ def _perturbed(kp: KParams, perturb: float, seed: int) -> KParams:
     if perturb == 0.0:
         return kp.normalized()
     rng = np.random.default_rng(seed)
-    r = np.abs(kp.r + rng.uniform(-perturb, perturb, kp.d))
+    # a saved params file may hold negative r: each keeps its sign
+    mag = np.abs(np.abs(kp.r) + rng.uniform(-perturb, perturb, kp.d))
+    r = np.where(kp.r < 0, -mag, mag)
     theta = kp.theta + rng.uniform(-perturb, perturb, kp.d)
     norm = np.linalg.norm(r)
     if norm == 0.0:

@@ -8,6 +8,8 @@ The ansatz operator is K(r, theta) = sum_j r_j e^{i theta_j} P_j. The cost is
 
 where phi_P is the coefficient of P in K'K. Traces carry the unnormalized
 2^n factor, so F is degree-4 homogeneous in r: F(s r, theta) = s^4 F(r, theta).
+SupportSets holds g1 and g2 as sorted arrays of packed int64 keys
+(pauli.pack_keys); pauli.unpack_keys gives their x/z masks.
 
 K'HK and K'K are Hermitian, so t_P = tr(K'HK P) and phi_P are real. The
 table path accumulates both as real numbers from one product grid,
@@ -49,14 +51,13 @@ matmuls, so no step touches a d x 2^n table.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _PHASES, PauliSum, SupportSets, _masks
-from .pauli import PauliString, popcount
+from .operators import PauliSum, SupportSets
+from .pauli import PHASES, PauliString, pack_keys, popcount, string_masks
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,8 @@ class _DenseWork:
         self.h_mat = self.matrix(h_slot, h_phase * s.h_coeffs)
 
     def _grid_slots(self, strings):
-        x, z = _masks(strings)
-        return z * self.dim + x, _PHASES[popcount(x & z) & 3]
+        x, z = string_masks(strings)
+        return z * self.dim + x, PHASES[popcount(x & z) & 3]
 
     def matrix(self, slot: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The dense matrix of the sum with values at grid slots (the
@@ -250,7 +251,7 @@ def _table_values(s: SupportSets, r: np.ndarray, theta: np.ndarray):
     the khk grid's rows (SupportSets.khk_rows) as a (d, |hk| + d, 2) float
     view and u the real coefficients over [closure | identity | g2]
     (khk_vector) times slot_scale, the weights the partials gather."""
-    k = s.k_coeffs(r, theta)
+    k = r * np.exp(1j * theta)
     rows = s.khk_rows(k, s.hk_vector(k))
     v = s.khk_vector(k, rows)
     t_g1 = float(2**s.n) * v[len(s.closure) - len(s.g1):len(s.closure)]
@@ -296,17 +297,19 @@ def eval_f(h: PauliSum, kp: KParams, s: SupportSets) -> float:
 
 
 def eval_phi(kp: KParams, p: PauliString, s: SupportSets) -> complex:
-    """Coefficient of p in K'K; ||r||^2 for the identity string."""
+    """Coefficient of p in K'K; ||r||^2 for the identity string. A
+    non-identity p is looked up in g2 by its packed key."""
     if kp.ansatz != s.ansatz:
         raise ValueError("KParams ansatz differs from the one the support sets were built for")
     if p.n != kp.n:
         raise ValueError(f"string on {p.n} qubits, ansatz on {kp.n}")
     if p.is_identity:
         return complex(np.dot(kp.r, kp.r))
-    i = bisect.bisect_left(s.g2, p)
-    if i == len(s.g2) or s.g2[i] != p:
+    key = pack_keys(p.x_mask, p.z_mask)
+    i = int(np.searchsorted(s.g2, key))
+    if i == len(s.g2) or s.g2[i] != key:
         raise ValueError(f"{p.word} is not a product of two ansatz strings")
-    k = s.k_coeffs(kp.r, kp.theta)
+    k = kp.r * np.exp(1j * kp.theta)
     return complex(s.khk_vector(k, s.khk_rows(k, s.hk_vector(k)))[len(s.closure) + 1 + i])
 
 

@@ -17,14 +17,12 @@ cost's dense path, which reads only H and the ansatz, never builds them:
   K'K are Hermitian, so their coefficients are real and come from one real
   bincount of the second grid.
 
-The build itself works on int32 x/z mask arrays. Each grid is one broadcast
-of pauli.multiply_masks, strings are deduplicated through packed int64 keys
-(n <= MAX_QUBITS = 24 makes x << 24 | z fit), and PauliString objects are
-created only for the returned string tuples. Every string tuple (hk_strings,
-closure, g1, g2) is numbered in PauliString order, which is packed-key order,
-so every table is independent of how the products are computed. Diagonal
-strings have the smallest keys, which makes g1 the off-diagonal suffix of
-the closure.
+The build works on int32 x/z mask arrays and never forms a PauliString:
+each grid is one broadcast of pauli.multiply_masks, and the string tables
+(hk_strings, closure, g1, g2) are sorted arrays of packed int64 keys
+(pauli.pack_keys; pauli.unpack_keys decodes them). Key order is PauliString
+order, so every table is independent of how the products are computed, and
+the diagonal strings sort first, which makes g1 the closure's suffix.
 """
 
 from __future__ import annotations
@@ -35,7 +33,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .pauli import _PHASE_VALUES, MAX_QUBITS, PauliString, multiply, multiply_masks, parse
+from .pauli import (MAX_QUBITS, PHASES, PauliString, multiply, multiply_masks, pack_keys,
+                    parse, string_masks, unpack_keys)
 
 PRUNE_TOL = 1e-14
 HERMITIAN_TOL = 1e-12
@@ -251,7 +250,7 @@ class SupportSets:
 
     build_support_sets sets n, ansatz, h_ref, h_strings and h_coeffs, which
     is all the dense path of cost reads. The nine derived fields (_TABLES:
-    the four string tuples, the grids and slot_scale) are built together by
+    the four string tables, the grids and slot_scale) are built together by
     _product_tables on the first read of any of them, for example by the
     first table-path evaluation, IncrementalState or eval_phi, and are
     plain instance attributes from then on.
@@ -265,11 +264,11 @@ class SupportSets:
     h_strings: tuple[PauliString, ...] = field(repr=False)
     h_coeffs: np.ndarray = field(repr=False)
 
-    # the string tuples: H*K product support, closure, g1 and g2
-    hk_strings: tuple[PauliString, ...] = field(init=False, repr=False)
-    closure: tuple[PauliString, ...] = field(init=False, repr=False)
-    g1: tuple[PauliString, ...] = field(init=False, repr=False)
-    g2: tuple[PauliString, ...] = field(init=False, repr=False)
+    # the string tables as packed keys: H*K product support, closure, g1, g2
+    hk_strings: np.ndarray = field(init=False, repr=False)
+    closure: np.ndarray = field(init=False, repr=False)
+    g1: np.ndarray = field(init=False, repr=False)
+    g2: np.ndarray = field(init=False, repr=False)
 
     # the product grids
     hk_phase: np.ndarray = field(init=False, repr=False)
@@ -308,9 +307,6 @@ class SupportSets:
         pairs = self.grad_tgt[:, len(self.hk_strings):]
         return pairs.ravel() - (len(self.closure) + 1)
 
-    def k_coeffs(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return r * np.exp(1j * theta)
-
     def hk_vector(self, k_coeffs: np.ndarray) -> np.ndarray:
         """Coefficients of H*K over hk_strings."""
         # a first read of a table builds them all, so it comes before any
@@ -326,7 +322,7 @@ class SupportSets:
         """The khk grid's (d, |hk| + d) complex rows W[a, s] = i^m y_s, where
         y = [hk | k] and P_a * Y_s = i^m P; hk_vec is hk_vector's output."""
         y = np.concatenate((hk_vec, k_coeffs))
-        return np.multiply.outer(_PHASES, y).take(self.khk_sel).reshape(self.d, -1)
+        return np.multiply.outer(PHASES, y).take(self.khk_sel).reshape(self.d, -1)
 
     def khk_vector(self, k_coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Real coefficients over [closure | identity | g2]: K'HK on the
@@ -372,14 +368,14 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
     mask and XOR fit, and only the packed keys need int64. The index tables
     are intp, which take and bincount read without a copy."""
     d = len(ansatz)
-    hx, hz = _masks(h_strings, np.int32)
-    ax, az = _masks(ansatz, np.int32)
+    hx, hz = string_masks(h_strings, np.int32)
+    ax, az = string_masks(ansatz, np.int32)
 
     # H*K support and its build table; entry (i, b) is h_strings[i] * P_b
     k, cx, cz = multiply_masks(hx[:, None], hz[:, None], ax, az)
-    hk_keys, hk_tgt = np.unique(_key(cx, cz).ravel(), return_inverse=True)
-    hk_x, hk_z = (m.astype(np.int32) for m in _unkey(hk_keys))
-    hk_phase = _PHASES[k.ravel()]
+    hk_keys, hk_tgt = np.unique(pack_keys(cx, cz).ravel(), return_inverse=True)
+    hk_x, hk_z = (m.astype(np.int32) for m in unpack_keys(hk_keys))
+    hk_phase = PHASES[k.ravel()]
 
     # the K'[HK | K] grid; entry (a, s) is P_a * Y_s, Y = hk_strings ++ ansatz
     width = len(hk_keys) + d
@@ -391,11 +387,10 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
     del k
     khk_sel *= width
     khk_sel += np.arange(width)
-    keys = _key(cx, cz)
+    keys = pack_keys(cx, cz)
     del cx, cz
     # closure = strings of K'(HK), the first |hk| columns
     closure_keys, closure_tgt = np.unique(keys[:, : len(hk_keys)], return_inverse=True)
-    cl_x, cl_z = _unkey(closure_keys)
     # the pair products P_i P_j, the last d columns. The ansatz being
     # distinct, only the diagonal is the identity, whose key 0 sorts first
     pair_keys, pair_tgt = np.unique(keys[:, len(hk_keys):], return_inverse=True)
@@ -403,19 +398,18 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
     khk_tgt[:, : len(hk_keys)] = closure_tgt.reshape(d, -1)
     khk_tgt[:, len(hk_keys):] = len(closure_keys) + pair_tgt.reshape(d, d)
 
-    # diagonal strings (x = 0) have the smallest keys, so g1, the
-    # off-diagonal closure strings, is the closure's suffix
-    g1_start = int(np.count_nonzero(cl_x == 0))
-    closure = _strings(n, cl_x, cl_z)
+    # diagonal strings (x = 0) are the keys below 1 << MAX_QUBITS, so g1,
+    # the off-diagonal closure strings, is the closure's suffix
+    g1_start = int(np.searchsorted(closure_keys, 1 << MAX_QUBITS))
     slot_scale = np.zeros(len(closure_keys) + len(pair_keys))
     slot_scale[g1_start:len(closure_keys)] = 4.0 * 4.0**n
     slot_scale[len(closure_keys) + 1:] = 4.0
 
     return {
-        "hk_strings": _strings(n, hk_x, hk_z),
-        "closure": closure,
-        "g1": closure[g1_start:],
-        "g2": _strings(n, *_unkey(pair_keys[1:])),
+        "hk_strings": hk_keys,
+        "closure": closure_keys,
+        "g1": closure_keys[g1_start:],
+        "g2": pair_keys[1:],
         "hk_phase": hk_phase,
         "hk_tgt": hk_tgt,
         "khk_sel": khk_sel.ravel(),
@@ -423,31 +417,3 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
         "slot_scale": slot_scale,
     }
 
-
-# --- mask-array helpers for build_support_sets ------------------------------
-#
-# A string is packed into one int64 key, x << MAX_QUBITS | z. Key order is
-# PauliString order for a fixed n, so sorted keys give sorted strings.
-
-_PHASES = np.array(_PHASE_VALUES, dtype=complex)
-_LOW = (1 << MAX_QUBITS) - 1
-
-
-def _masks(strings, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([p.x_mask for p in strings], dtype=dtype)
-    z = np.array([p.z_mask for p in strings], dtype=dtype)
-    return x, z
-
-
-def _key(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Packed int64 keys of int32 or int64 masks."""
-    return (x.astype(np.int64, copy=False) << MAX_QUBITS) | z
-
-
-def _unkey(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, z) masks of packed keys."""
-    return keys >> MAX_QUBITS, keys & _LOW
-
-
-def _strings(n: int, x: np.ndarray, z: np.ndarray) -> tuple[PauliString, ...]:
-    return tuple(PauliString(n, xi, zi) for xi, zi in zip(x.tolist(), z.tolist()))

@@ -11,6 +11,10 @@ phase i^k, k mod 4. Phases are tracked separately so the string type itself
 stays phase-free and hashable. ``multiply_masks`` applies the same rule to
 whole arrays of masks at once, for table builds that would otherwise call
 ``multiply`` per entry.
+
+``pack_keys`` packs masks into int64 keys x << MAX_QUBITS | z, which sort in
+PauliString order for a fixed n; diagonal strings are the keys below
+1 << MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ MAX_QUBITS = 24
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
+PHASES = np.array(_PHASE_VALUES, dtype=complex)
 
 
 class PauliParseError(ValueError):
@@ -118,6 +123,7 @@ class PauliString:
         return (self.x_mask | self.z_mask).bit_count()
 
     def __lt__(self, other: "PauliString") -> bool:
+        # the order of pack_keys, by which the support tables sort strings
         return (self.n, self.x_mask, self.z_mask) < (other.n, other.x_mask, other.z_mask)
 
     def __repr__(self) -> str:
@@ -192,6 +198,23 @@ def multiply_masks(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         + 2 * popcount(az & bx)
     )
     return k & 3, cx, cz
+
+
+def string_masks(strings, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z masks of a sequence of strings, as two arrays."""
+    x = np.array([p.x_mask for p in strings], dtype=dtype)
+    z = np.array([p.z_mask for p in strings], dtype=dtype)
+    return x, z
+
+
+def pack_keys(x, z) -> np.ndarray:
+    """Packed int64 keys x << MAX_QUBITS | z of int32 or int64 masks or ints."""
+    return (np.asarray(x, dtype=np.int64) << MAX_QUBITS) | z
+
+
+def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) masks of packed keys; PauliString(n, x, z) rebuilds a string."""
+    return keys >> MAX_QUBITS, keys & ((1 << MAX_QUBITS) - 1)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:

@@ -21,8 +21,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cost import KParams, eval_F
-from .operators import _PHASES, PauliSum, _key, _masks, _unkey, build_support_sets
-from .pauli import PauliString, popcount
+from .operators import PauliSum, build_support_sets
+from .pauli import PHASES, PauliString, pack_keys, popcount, string_masks, unpack_keys
 
 DENSE_MAX_QUBITS = 12
 
@@ -105,7 +105,7 @@ def _full_sectors(n: int) -> _Sectors:
 
 def _report_sectors(h: PauliSum, kp: KParams) -> _Sectors:
     """Sectors of H and the ansatz together: the union of their x spans."""
-    x = np.concatenate((_masks(h.strings())[0], _masks(kp.ansatz)[0]))
+    x = np.concatenate((string_masks(h.strings())[0], string_masks(kp.ansatz)[0]))
     return _sectors(h.n, _reverse_masks(x, h.n))
 
 
@@ -122,12 +122,12 @@ def _strings_to_dense(n: int, strings, coeffs, sectors: _Sectors) -> np.ndarray:
     also across blocks.
     """
     nblocks, s = sectors.idx.shape
-    xr, zr = (_reverse_masks(m, n) for m in _masks(strings))
+    xr, zr = (_reverse_masks(m, n) for m in string_masks(strings))
     bits = np.arange(len(sectors.pivots), dtype=np.int64)
     rows = np.bitwise_or.reduce((xr[:, None] >> sectors.pivots & 1) << bits, axis=1)
     if np.any(sectors.idx[0, rows] != xr):
         raise ValueError("a string's x lies outside the sectors' span")
-    scaled = np.asarray(coeffs, dtype=complex) * _PHASES[popcount(xr & zr) & 3]
+    scaled = np.asarray(coeffs, dtype=complex) * PHASES[popcount(xr & zr) & 3]
     cols = sectors.idx.ravel()
     # (-1)^{popcount(c)} for every dense index c
     signs = 1.0 - 2.0 * (popcount(np.arange(len(cols), dtype=np.int64)) & 1)
@@ -194,7 +194,7 @@ def pauli_decompose(mat: np.ndarray, n: int, prune_tol: float = 0.0) -> PauliSum
     for xr in range(dim):
         s = _fwht(mat[cols, cols ^ xr])
         zr = np.flatnonzero(np.abs(s) >= floor * dim)
-        coeff = _PHASES[popcount(xr & zr) & 3] * s[zr] / dim
+        coeff = PHASES[popcount(xr & zr) & 3] * s[zr] / dim
         keep = np.abs(coeff) >= floor
         x_mask = int(masks[xr])
         strings += [PauliString(n, x_mask, z) for z in masks[zr[keep]].tolist()]
@@ -477,12 +477,12 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
     for g in generators:
         if g.n != n:
             raise ValueError("generators must share a qubit count")
-    known = np.unique(_key(*_masks(generators)))
+    known = np.unique(pack_keys(*string_masks(generators)))
     known = new = known[known != 0]
     before = known[:0]  # the strings known before the level that found new
     while len(new) and len(known) < cap:
-        bx, bz = _unkey(before)
-        nx, nz = _unkey(new)
+        bx, bz = unpack_keys(before)
+        nx, nz = unpack_keys(new)
         found = np.empty(0, dtype=np.int64)
         step = max(1, _DENSE_BLOCK // len(known))
         for lo in range(0, len(new), step):
@@ -503,7 +503,7 @@ def _commutators(ax, az, bx, bz) -> np.ndarray:
     """Keys of the commutators of the anticommuting pairs among broadcast
     mask arrays (a, b)."""
     anti = (popcount((ax & bz) ^ (az & bx)) & 1).astype(bool)
-    return _key(ax ^ bx, az ^ bz)[anti]
+    return pack_keys(ax ^ bx, az ^ bz)[anti]
 
 
 def generating_set_check(n: int) -> bool:

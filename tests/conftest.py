@@ -61,6 +61,14 @@ def random_instance(rng, n, d, m=None):
     return h, kp, build_support_sets(h, ansatz)
 
 
+def key_strings(n, keys):
+    """The PauliStrings of a support table's packed keys, in table order."""
+    from paulidiag.pauli import PauliString, unpack_keys
+
+    x, z = unpack_keys(keys)
+    return tuple(PauliString(n, xi, zi) for xi, zi in zip(x.tolist(), z.tolist()))
+
+
 def fd_gradient(func, r, theta, step=1e-5):
     """Central finite differences of func(r, theta) in all 2d coordinates."""
     d = len(r)

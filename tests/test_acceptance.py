@@ -493,18 +493,20 @@ def test_check_13_per_iteration_cost_separation():
 
     median_iter_wall(run_gd, 3)
     median_iter_wall(run_rcd, 20, block_size=4, seed=0)
-    best = 0.0
+    ratios = []
     for _ in range(3):  # wall-clock medians; retry absorbs scheduler noise
         gd = median_iter_wall(run_gd, 30)
         rcd = median_iter_wall(run_rcd, 1000, block_size=4, seed=1)
-        best = max(best, gd / rcd)
-        if best >= 5.0:
+        ratios.append(gd / rcd)
+        if ratios[-1] >= 5.0:
             break
-    ok = best >= 5.0
+    ok = max(ratios) >= 5.0
+    tries = ", ".join(f"{ratio:.2f}x" for ratio in ratios)
     line = record_acceptance(
         13,
         "small-block iterations at least 5x cheaper",
         ok,
-        f"median wall ratio {best:.1f}x >= 5x at n=6, d=64, blocks of 4",
+        f"median wall ratio per try {tries}; best {max(ratios):.1f}x >= 5x "
+        f"at n=6, d=64, blocks of 4",
     )
     assert ok, line

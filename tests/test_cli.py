@@ -595,6 +595,34 @@ class TestParamsFile:
         assert not (tmp_path / "out").exists()
 
 
+class TestPerturbed:
+    """init.perturb moves each amplitude's magnitude and keeps its sign."""
+
+    ANSATZ = tuple(parse(w) for w in ("XI", "IZ", "XY", "ZZ", "YX"))
+
+    def test_negative_amplitudes_keep_their_sign(self):
+        kp = KParams(self.ANSATZ, np.array([0.6, -0.0016, 0.7, -0.3, -0.00005]),
+                     np.linspace(0.0, 1.0, 5))
+        out = cli._perturbed(kp, 1e-4, 17)
+        np.testing.assert_array_equal(np.sign(out.r), np.sign(kp.r))
+        # the magnitudes are those of the start with every sign dropped
+        mirror = cli._perturbed(kp.with_params(np.abs(kp.r), kp.theta), 1e-4, 17)
+        np.testing.assert_array_equal(np.abs(out.r), mirror.r)
+        np.testing.assert_array_equal(out.theta, mirror.theta)
+
+    def test_non_negative_amplitudes_reflect_at_zero(self):
+        # r >= 0 gives |r + noise| normalized, bit for bit; the two entries
+        # below the noise width may reflect
+        r = np.array([0.0, 1e-5, 0.5, -0.0, 0.7])
+        kp = KParams(self.ANSATZ, r, np.zeros(5))
+        rng = np.random.default_rng(3)
+        want = np.abs(r + rng.uniform(-1e-4, 1e-4, 5))
+        theta = rng.uniform(-1e-4, 1e-4, 5)
+        out = cli._perturbed(kp, 1e-4, 3)
+        assert np.array_equal(out.r, want / np.linalg.norm(want))
+        assert np.array_equal(out.theta, theta)
+
+
 class TestLiedim:
     def test_example_with_rotation_prefix_saturates(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

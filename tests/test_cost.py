@@ -9,7 +9,7 @@ from paulidiag.operators import PauliSum, build_support_sets, sum_multiply
 from paulidiag.pauli import PauliString, parse
 from paulidiag.verify import string_to_dense
 
-from conftest import dense_terms, fd_gradient, random_instance
+from conftest import dense_terms, fd_gradient, key_strings, random_instance
 
 
 def dense(a):
@@ -67,7 +67,7 @@ class TestValues:
         h = PauliSum.from_words({"X": 1.0})
         ansatz = (parse("I"), parse("Z"))
         s = build_support_sets(h, ansatz)
-        assert tuple(p.word for p in s.g1) == ("X", "Y")
+        assert tuple(p.word for p in key_strings(1, s.g1)) == ("X", "Y")
         kp = KParams(ansatz, np.array([1.0, 0.0]), np.zeros(2))
         assert eval_f(h, kp, s) == pytest.approx(4.0)
 
@@ -95,7 +95,7 @@ class TestValues:
         h, kp, s = random_instance(rng, 3, 6)
         k = k_as_sum(kp)
         kk = sum_multiply(k.adjoint(), k)
-        for p in s.g2:
+        for p in key_strings(kp.n, s.g2):
             assert eval_phi(kp, p, s) == pytest.approx(kk.coefficient(p), abs=1e-12)
             assert abs(eval_phi(kp, p, s).imag) < 1e-12  # K'K is Hermitian
 

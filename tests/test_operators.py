@@ -25,7 +25,7 @@ from paulidiag.operators import (
 from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
 from paulidiag.pauli import MAX_QUBITS, PauliString, multiply, parse
 
-from conftest import dense_terms, dense_word
+from conftest import dense_terms, dense_word, key_strings, random_instance
 
 
 def dense(a: PauliSum) -> np.ndarray:
@@ -202,9 +202,9 @@ class TestSupportSets:
         # h=Z, ansatz (I, X): closure {Z, Y}, g1 = {Y}, g2 = {X}
         h = PauliSum.from_words({"Z": 1.0})
         s = build_support_sets(h, (parse("I"), parse("X")))
-        assert tuple(p.word for p in s.g1) == ("Y",)
-        assert tuple(p.word for p in s.g2) == ("X",)
-        assert set(p.word for p in s.closure) == {"Z", "Y"}
+        assert tuple(p.word for p in key_strings(1, s.g1)) == ("Y",)
+        assert tuple(p.word for p in key_strings(1, s.g2)) == ("X",)
+        assert set(p.word for p in key_strings(1, s.closure)) == {"Z", "Y"}
         # phi_X = conj(k_I) k_X + conj(k_X) k_I: the pair grid's two off-diagonal entries
         kp = KParams(s.ansatz, np.array([0.6, 0.8]), np.array([0.3, -0.4]))
         assert eval_phi(kp, parse("X"), s) == pytest.approx(2 * 0.6 * 0.8 * np.cos(0.7))
@@ -247,10 +247,11 @@ class TestSupportSets:
             th = rng.uniform(0, 2 * np.pi, len(ansatz))
             k = PauliSum(3, [(p, rr * np.exp(1j * tt)) for p, rr, tt in zip(ansatz, r, th)])
             khk = conjugate(h, k)
+            closure, g1 = set(key_strings(3, s.closure)), set(key_strings(3, s.g1))
             for p, _ in khk.items():
-                assert p in set(s.closure)
+                assert p in closure
                 if not p.is_diagonal:
-                    assert p in set(s.g1)
+                    assert p in g1
 
     def test_vectors_match_dict_path(self, rng):
         for _ in range(6):
@@ -262,12 +263,12 @@ class TestSupportSets:
             d = len(ansatz)
             r = rng.uniform(0.1, 1, d)
             th = rng.uniform(0, 2 * np.pi, d)
-            kc = s.k_coeffs(r, th)
+            kc = r * np.exp(1j * th)
             k = PauliSum(3, list(zip(ansatz, kc)))
 
             hk_vec = s.hk_vector(kc)
             hk = sum_multiply(h, k)
-            for idx, p in enumerate(s.hk_strings):
+            for idx, p in enumerate(key_strings(3, s.hk_strings)):
                 assert hk_vec[idx] == pytest.approx(hk.coefficient(p), abs=1e-13)
             assert len(hk_vec) == len(s.hk_strings)
 
@@ -278,8 +279,8 @@ class TestSupportSets:
             assert vec.dtype == np.float64 and len(vec) == len(s.closure) + 1 + len(s.g2)
             khk = conjugate(h, k)
             kk = sum_multiply(k.adjoint(), k)
-            want = [khk.coefficient(p) for p in s.closure]
-            want += [kk.coefficient(p) for p in (PauliString.identity(3),) + s.g2]
+            want = [khk.coefficient(p) for p in key_strings(3, s.closure)]
+            want += [kk.coefficient(p) for p in (PauliString.identity(3),) + key_strings(3, s.g2)]
             for got, c in zip(vec, want):
                 assert abs(got - c.real) <= 1e-13
                 assert abs(c.imag) <= 1e-13
@@ -291,9 +292,8 @@ class TestSupportSets:
         ansatz = sorted({p for p, _ in random_sum(rng, 3, 4).items()})
         s1 = build_support_sets(h, ansatz)
         s2 = build_support_sets(h, ansatz)
-        assert s1.g1 == s2.g1
-        assert s1.g2 == s2.g2
-        assert s1.closure == s2.closure
+        for name in ("hk_strings", "closure", "g1", "g2"):
+            np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
 
 
 def sorted_products(left, right) -> tuple[list, tuple, dict]:
@@ -304,10 +304,15 @@ def sorted_products(left, right) -> tuple[list, tuple, dict]:
     return products, strings, {p: t for t, p in enumerate(strings)}
 
 
+def packed(strings) -> np.ndarray:
+    return np.array([p.x_mask << MAX_QUBITS | p.z_mask for p in strings], dtype=np.int64)
+
+
 def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
     """Every SupportSets table built entry by entry with pauli.multiply: the
     loop reference the mask-array build must reproduce exactly. Every string
-    tuple is numbered in sorted (PauliString) order. The khk grid is
+    table is numbered in sorted (PauliString) order and held as the strings'
+    packed keys x << MAX_QUBITS | z. The khk grid is
     K'[HK | K]: entry (a, s) is P_a * Y_s = i^m P with Y = hk_strings ++
     ansatz, its slot P's index in [closure | identity | g2] and its selector
     m * (|hk| + d) + s. Also returns the hk and khk entry rows
@@ -340,10 +345,10 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
 
     tables = {
         "h_strings": h_strings,
-        "hk_strings": hk_strings,
-        "closure": closure,
-        "g1": g1,
-        "g2": g2,
+        "hk_strings": packed(hk_strings),
+        "closure": packed(closure),
+        "g1": packed(g1),
+        "g2": packed(g2),
         "hk_phase": np.array([row[2] for row in hk_rows], dtype=complex),
         "hk_tgt": np.array([row[3] for row in hk_rows], dtype=np.intp),
         "khk_sel": np.array(khk_sel, dtype=np.intp),
@@ -361,7 +366,7 @@ def assert_vectors_match_rows(s, hk_rows, khk_rows, rng) -> None:
     Re(conj(k_a) W[a, s]) to slot tgt of [K'HK | K'K]."""
     d = len(s.ansatz)
     r, theta = rng.uniform(0.1, 1.0, d), rng.uniform(0.0, 2 * np.pi, d)
-    k = s.k_coeffs(r, theta)
+    k = r * np.exp(1j * theta)
     i, b, phase, tgt = (np.array(col) for col in zip(*hk_rows))
     hk = _accumulate(tgt, s.h_coeffs[i] * k[b] * phase, len(s.hk_strings))
     a, si, phase, tgt = (np.array(col) for col in zip(*khk_rows))
@@ -424,11 +429,14 @@ def assert_gradient_matches_loop(s, h: PauliSum, ansatz, rng) -> None:
 
 def assert_matches_reference(h: PauliSum, ansatz, rng) -> None:
     s = build_support_sets(h, ansatz)
-    # one numbering rule: every string tuple sorted, g1 the closure's suffix
-    for name in ("h_strings", "hk_strings", "closure", "g1", "g2"):
-        strings = getattr(s, name)
+    # one numbering rule: every string table sorted, g1 a view of the
+    # closure's suffix
+    assert list(s.h_strings) == sorted(s.h_strings)
+    for name in ("hk_strings", "closure", "g1", "g2"):
+        strings = key_strings(h.n, getattr(s, name))
         assert list(strings) == sorted(strings), name
-    assert s.g1 == s.closure[len(s.closure) - len(s.g1):]
+    np.testing.assert_array_equal(s.g1, s.closure[len(s.closure) - len(s.g1):])
+    assert len(s.g1) == 0 or np.shares_memory(s.g1, s.closure)
     ref, hk_rows, khk_rows = reference_tables(h, ansatz)
     assert_fields_equal(s, ref)
     assert_vectors_match_rows(s, hk_rows, khk_rows, rng)
@@ -564,6 +572,23 @@ class TestLazyTables:
         assert np.array_equal(traces[0].final_params.r, traces[1].final_params.r)
         assert np.array_equal(traces[0].final_params.theta, traces[1].final_params.theta)
 
+    def test_table_build_and_table_path_construct_no_strings(self, rng, monkeypatch):
+        # the string tables are packed keys: neither the build nor a
+        # table-path run forms a PauliString
+        h, kp, _ = random_instance(rng, 3, 6)
+        assert not cost._dense_path_applies(h.n, kp.d)
+        made = []
+        check = PauliString.__post_init__
+        monkeypatch.setattr(PauliString, "__post_init__",
+                            lambda p: made.append(p) or check(p))
+        s = build_support_sets(h, kp.ansatz)
+        s.khk_tgt
+        assert built(s) == _TABLES
+        run_gd(h, kp, OptConfig(max_iters=5), s)
+        assert made == []
+        PauliString.identity(3)  # the counter sees a construction
+        assert len(made) == 1
+
     @pytest.mark.parametrize("roundtrip", [copy.copy, lambda s: pickle.loads(pickle.dumps(s))],
                              ids=["copy", "pickle"])
     def test_copies_of_an_unbuilt_object(self, roundtrip):
@@ -573,5 +598,5 @@ class TestLazyTables:
         assert built(s) == set() and built(c) == set()
         assert not hasattr(c, "no_such_field")
         assert built(c) == set()
-        assert c.g1 == s.g1
+        np.testing.assert_array_equal(c.g1, s.g1)
         np.testing.assert_array_equal(c.khk_tgt, s.khk_tgt)

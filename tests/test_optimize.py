@@ -217,7 +217,7 @@ class TestRunRCD:
             y_r, y_theta = state.r - 0.01 * gr, state.theta - 0.01 * gt
             state.apply_update(y_r, y_theta, float(np.linalg.norm(y_r)))
             r, theta = state.r, state.theta
-            k = s.k_coeffs(r, theta)
+            k = r * np.exp(1j * theta)
             w = s.khk_rows(k, s.hk_vector(k))
             f, penalty, _, _ = cost._evaluate_sparse(s, r, theta, False)
             assert np.array_equal(state.w, w.view(float).reshape(s.d, -1, 2))

@@ -13,8 +13,11 @@ from paulidiag.pauli import (
     commutes,
     multiply,
     multiply_masks,
+    pack_keys,
     parse,
     popcount,
+    string_masks,
+    unpack_keys,
 )
 
 from conftest import dense_word
@@ -270,3 +273,18 @@ class TestStringBasics:
 
     def test_repr(self):
         assert "XZ" in repr(parse("XZ"))
+
+
+class TestPackedKeys:
+    @given(st.lists(pauli_strings(n=MAX_QUBITS), min_size=1, max_size=30))
+    def test_round_trip_and_order(self, strings):
+        keys = pack_keys(*string_masks(strings))
+        assert keys.dtype == np.int64
+        # int32 masks and single strings pack to the same keys
+        np.testing.assert_array_equal(pack_keys(*string_masks(strings, np.int32)), keys)
+        assert [pack_keys(p.x_mask, p.z_mask) for p in strings] == keys.tolist()
+        x, z = unpack_keys(keys)
+        assert [PauliString(MAX_QUBITS, xi, zi)
+                for xi, zi in zip(x.tolist(), z.tolist())] == strings
+        # sorted keys give sorted strings
+        assert [strings[i] for i in np.argsort(keys, kind="stable")] == sorted(strings)
