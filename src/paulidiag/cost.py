@@ -12,7 +12,8 @@ SupportSets holds g1 and g2 as sorted arrays of packed int64 keys
 (pauli.pack_keys); pauli.unpack_keys gives their x/z masks.
 
 K'HK and K'K are Hermitian, so t_P = tr(K'HK P) and phi_P are real. The
-table path accumulates both as real numbers from one product grid,
+table path, _table_values (the one routine that evaluates SupportSets'
+grids), accumulates both as real numbers from one product grid,
 K'[HK | K] (the dense path's K' [HK | K] matmul, entry by entry). With
 k_j = r_j e^{i theta_j}, y = [hk | k] the coefficients of Y = (H*K strings)
 ++ ansatz, and P_a Y_s = c_as P, the grid entry W[a, s] = c_as y_s adds
@@ -125,9 +126,12 @@ class CostReport:
     def grad_norm(self) -> float:
         if self.grad_r is None:
             raise ValueError("report was computed without gradients")
-        return float(
-            np.sqrt(np.dot(self.grad_r, self.grad_r) + np.dot(self.grad_theta, self.grad_theta))
-        )
+        return _grad_norm(self.grad_r, self.grad_theta)
+
+
+def _grad_norm(grad_r: np.ndarray, grad_theta: np.ndarray) -> float:
+    """The gradient norm every report and optimizer step uses, two dots."""
+    return float(np.sqrt(np.dot(grad_r, grad_r) + np.dot(grad_theta, grad_theta)))
 
 
 def k_as_sum(kp: KParams) -> PauliSum:
@@ -247,25 +251,39 @@ def _evaluate_dense(work: _DenseWork, r: np.ndarray, theta: np.ndarray, want_gra
 
 
 def _table_values(s: SupportSets, r: np.ndarray, theta: np.ndarray):
-    """The table path's values at (r, theta): (w, u, f, penalty), where w is
-    the khk grid's rows (SupportSets.khk_rows) as a (d, |hk| + d, 2) float
-    view and u the real coefficients over [closure | identity | g2]
-    (khk_vector) times slot_scale, the weights the partials gather."""
+    """The table path's values at (r, theta): (w, v, f, penalty). w is the
+    khk grid's rows W[a, s] = i^m y_s (y = [hk | k], P_a * Y_s = i^m P) as a
+    (d, |hk| + d, 2) float view; v the real coefficients over
+    [closure | identity | g2], K'HK then K'K, entry (a, s) adding
+    Re(conj(k_a) W[a, s]); v * slot_scale is the u the partials gather."""
     k = r * np.exp(1j * theta)
-    rows = s.khk_rows(k, s.hk_vector(k))
-    v = s.khk_vector(k, rows)
+    # a first read of a table builds them all, so it comes before any
+    # temporary: one alive across the build leaves a hole in the heap
+    # (0.6 MB more peak RSS on the bench's udu14_gd)
+    phase = s.hk_phase.reshape(-1, s.d)
+    # both operands carry two axes: a (1, 1) * (1,) product skips the
+    # vector loop and rounds differently from the gathered entry rows
+    terms = (s.h_coeffs[:, None] * k[None, :] * phase).ravel()
+    hk = (np.bincount(s.hk_tgt, weights=terms.real, minlength=len(s.hk_strings))
+          + 1j * np.bincount(s.hk_tgt, weights=terms.imag, minlength=len(s.hk_strings)))
+    del terms
+    rows = np.multiply.outer(PHASES, np.concatenate((hk, k))).take(s.khk_sel)
+    del hk
+    w = rows.view(float).reshape(s.d, -1, 2)
+    v = np.bincount(s.khk_tgt, weights=np.matmul(w, k.view(float).reshape(s.d, 2, 1)).ravel(),
+                    minlength=len(s.slot_scale))
     t_g1 = float(2**s.n) * v[len(s.closure) - len(s.g1):len(s.closure)]
     phi = v[len(s.closure) + 1:]
     f = float(np.sum(t_g1 * t_g1))
     penalty = float(np.sum(phi * phi))
-    return rows.view(float).reshape(s.d, -1, 2), v * s.slot_scale, f, penalty
+    return w, v, f, penalty
 
 
 def _evaluate_sparse(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
-    w, u, f, penalty = _table_values(s, r, theta)
+    w, v, f, penalty = _table_values(s, r, theta)
     if not want_grad:
         return f, penalty, None, None
-    z = _partial_rows(s, theta, w, u, slice(None))
+    z = _partial_rows(s, theta, w, v * s.slot_scale, slice(None))
     return f, penalty, z.real, r * z.imag
 
 
@@ -309,8 +327,8 @@ def eval_phi(kp: KParams, p: PauliString, s: SupportSets) -> complex:
     i = int(np.searchsorted(s.g2, key))
     if i == len(s.g2) or s.g2[i] != key:
         raise ValueError(f"{p.word} is not a product of two ansatz strings")
-    k = kp.r * np.exp(1j * kp.theta)
-    return complex(s.khk_vector(k, s.khk_rows(k, s.hk_vector(k)))[len(s.closure) + 1 + i])
+    _, v, _, _ = _table_values(s, kp.r, kp.theta)
+    return complex(v[len(s.closure) + 1 + i])
 
 
 def eval_F(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:

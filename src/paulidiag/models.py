@@ -133,6 +133,8 @@ def build_random_udu(
         raise ValueError(f"only {2 ** n} diagonal strings exist on {n} qubits")
     if n_rot < 0:
         raise ValueError("n_rot must be nonnegative")
+    if n_rot > (2 ** n - 1) * 2 ** n:
+        raise ValueError(f"only {(2 ** n - 1) * 2 ** n} non-diagonal strings exist on {n} qubits")
     rng = np.random.default_rng(seed)
 
     z_seen: set[int] = set()

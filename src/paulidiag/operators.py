@@ -5,17 +5,16 @@ unnormalized convention tr(A P) = 2^n c_P.
 
 build_support_sets checks a Hamiltonian H and an ansatz list (P_1..P_d)
 and returns their SupportSets, which hold everything the cost evaluator
-needs. The product tables below are built on the first read of any of them
-(the table path's first evaluation, IncrementalState, eval_phi), so a run on
-cost's dense path, which reads only H and the ansatz, never builds them:
+needs; cost._table_values is the one routine that evaluates them. The
+product tables below are built on the first read of any of them (the table
+path's first evaluation, IncrementalState, eval_phi), so a run on cost's
+dense path, which reads only H and the ansatz, never builds them:
 
 * g1: the off-diagonal strings that can appear in K'HK (ansatz closure),
 * g2: the non-identity products P_i P_j,
 * two row-major product grids, H P_b and P_a [HK | K], each a flat phase
-  and target-slot table, so that values are bincount accumulations and
-  gradients are row gathers instead of per-term dict arithmetic. K'HK and
-  K'K are Hermitian, so their coefficients are real and come from one real
-  bincount of the second grid.
+  and target-slot table, so that cost's values are bincount accumulations
+  and its gradients row gathers instead of per-term dict arithmetic.
 
 The build works on int32 x/z mask arrays and never forms a PauliString:
 each grid is one broadcast of pauli.multiply_masks, and the string tables
@@ -208,13 +207,6 @@ def save_hamiltonian(path, h: PauliSum) -> None:
 # --- support sets -----------------------------------------------------------
 
 
-def _accumulate(tgt: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
-    """Complex bincount: sum weights into slots tgt of a length-`length` vector."""
-    re = np.bincount(tgt, weights=weights.real, minlength=length)
-    im = np.bincount(tgt, weights=weights.imag, minlength=length)
-    return re + 1j * im
-
-
 @dataclass(eq=False)
 class SupportSets:
     """Closure data for a fixed (H, ansatz) pair. Identity semantics: two
@@ -225,7 +217,7 @@ class SupportSets:
     {strip(P_a Q_i P_b)}; the coefficient of any string outside it is
     identically zero in K'HK, whatever the parameters. g1 holds its
     off-diagonal strings, and g2 the non-identity pair products P_i P_j, the
-    strings phi_P is defined on. Every string tuple is sorted (PauliString
+    strings phi_P is defined on. Every string table is sorted (PauliString
     order); the diagonal strings sort first, so g1 is the closure's suffix,
     the index range [len(closure) - len(g1), len(closure)).
 
@@ -239,14 +231,14 @@ class SupportSets:
       [closure | identity | g2]: the first |hk| columns make K'HK, the last
       d make K'K. Its phase table is a selector, m * (|hk| + d) + s, into the
       flat (4, |hk| + d) table [y, i y, -y, -i y], so the grid's rows
-      W[a, s] = i^m y_s are one take (khk_rows).
+      W[a, s] = i^m y_s are one take.
 
-    hk is complex (HK is not Hermitian). K'HK and K'K are Hermitian, so
-    khk_vector returns real coefficients: entry (a, s) adds
-    Re(conj(k_a) W[a, s]) to its slot, one real bincount for both. Gradients
-    read the same grid by rows: row j holds every term the partials in r_j
-    and theta_j need, each slot weighted by slot_scale (4 4^n on g1, 4 on
-    g2, 0 on the diagonal closure strings and the identity).
+    HK's coefficients are complex (HK is not Hermitian); K'HK and K'K are
+    Hermitian, so entry (a, s) of khk adds the real Re(conj(k_a) W[a, s])
+    to its slot. Row j of khk holds every term the partials in r_j and
+    theta_j read; slot_scale weights each slot there (4 4^n on g1, 4 on g2,
+    0 on the diagonal closure strings and the identity). All of this
+    arithmetic is cost._table_values'; the class holds the tables only.
 
     build_support_sets sets n, ansatz, h_ref, h_strings and h_coeffs, which
     is all the dense path of cost reads. The nine derived fields (_TABLES:
@@ -276,7 +268,7 @@ class SupportSets:
     khk_sel: np.ndarray = field(init=False, repr=False)
     khk_tgt: np.ndarray = field(init=False, repr=False)
 
-    # per-slot weight of khk_vector's output in the gradient
+    # per-slot gradient weight of the [closure | identity | g2] coefficients
     slot_scale: np.ndarray = field(init=False, repr=False)
 
     def __getattr__(self, name: str):
@@ -306,32 +298,6 @@ class SupportSets:
         identity diagonal. bench/pipeline.py counts it."""
         pairs = self.grad_tgt[:, len(self.hk_strings):]
         return pairs.ravel() - (len(self.closure) + 1)
-
-    def hk_vector(self, k_coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of H*K over hk_strings."""
-        # a first read of a table builds them all, so it comes before any
-        # temporary: one alive across the build leaves a hole in the heap
-        # (0.6 MB more peak RSS on the bench's udu14_gd)
-        phase = self.hk_phase.reshape(-1, self.d)
-        # both operands carry two axes: a (1, 1) * (1,) product skips the
-        # vector loop and rounds differently from the gathered entry rows
-        w = self.h_coeffs[:, None] * k_coeffs[None, :] * phase
-        return _accumulate(self.hk_tgt, w.ravel(), len(self.hk_strings))
-
-    def khk_rows(self, k_coeffs: np.ndarray, hk_vec: np.ndarray) -> np.ndarray:
-        """The khk grid's (d, |hk| + d) complex rows W[a, s] = i^m y_s, where
-        y = [hk | k] and P_a * Y_s = i^m P; hk_vec is hk_vector's output."""
-        y = np.concatenate((hk_vec, k_coeffs))
-        return np.multiply.outer(PHASES, y).take(self.khk_sel).reshape(self.d, -1)
-
-    def khk_vector(self, k_coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Real coefficients over [closure | identity | g2]: K'HK on the
-        closure, then K'K (||r||^2 on the identity, phi_P on g2); rows is
-        khk_rows' output. Entry (a, s) adds Re(conj(k_a) W[a, s]), one
-        batched real matmul of W's float view with (Re k_a, Im k_a)."""
-        w = np.matmul(rows.view(float).reshape(self.d, -1, 2),
-                      k_coeffs.view(float).reshape(self.d, 2, 1))
-        return np.bincount(self.khk_tgt, weights=w.ravel(), minlength=len(self.slot_scale))
 
 
 _TABLES = frozenset(f.name for f in fields(SupportSets) if not f.init)

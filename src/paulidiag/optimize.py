@@ -23,7 +23,8 @@ The step size is OptConfig.lr or, when that is None, the automatic constant
 step min(base, 1.2 F0 / ||g0||^2) from the start point's cost F0 and gradient
 norm ||g0||, the base being GD_DEFAULT_LR (0.05) or RCD_DEFAULT_LR (0.1). GD
 and full-block RCD read F0 and ||g0|| off their iteration 0; sampled RCD
-evaluates the full gradient once at entry for them.
+reads them off its caches at the start, the full gradient being every row
+of the same tables, so the start is evaluated once either way.
 
 Stop reasons: "converged" (F < stop_tol), "stationary" (gradient norm below
 grad_tol; RCD confirms it on the full gradient), "max_iters" and
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cost import KParams, _check, _evaluator, _partial_rows, _table_values
+from .cost import KParams, _check, _evaluator, _grad_norm, _partial_rows, _table_values
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
 
@@ -81,8 +82,8 @@ class LRSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"step size {self.a} outside (0, 1)")
-        if self.rate < 0.0:
-            raise ValueError(f"decay rate {self.rate} must be nonnegative")
+        if not (math.isfinite(self.rate) and self.rate >= 0.0):
+            raise ValueError(f"decay rate {self.rate} must be a finite nonnegative number")
 
     @classmethod
     def constant(cls, a: float) -> "LRSchedule":
@@ -157,6 +158,10 @@ def rolling_median(values, window: int = 20) -> list[float]:
     return out
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 @dataclass
 class TraceRecord:
     iteration: int
@@ -169,16 +174,15 @@ class TraceRecord:
     wall_time: float
 
     def as_dict(self) -> dict:
+        """The record as strict JSON values: NaN and infinities are None."""
         return {
             "iter": self.iteration,
-            "F_total": self.F_total,
-            "f_value": self.f_value,
-            "penalty": self.penalty,
-            "grad_norm": self.grad_norm,
-            "alpha_estimate": None
-            if math.isnan(self.alpha_estimate)
-            else self.alpha_estimate,
-            "r_norm_pre_normalization": self.r_norm_pre_normalization,
+            "F_total": _finite_or_none(self.F_total),
+            "f_value": _finite_or_none(self.f_value),
+            "penalty": _finite_or_none(self.penalty),
+            "grad_norm": _finite_or_none(self.grad_norm),
+            "alpha_estimate": _finite_or_none(self.alpha_estimate),
+            "r_norm_pre_normalization": _finite_or_none(self.r_norm_pre_normalization),
         }
 
 
@@ -222,7 +226,7 @@ def _full_grad(s: SupportSets):
 
     def grad(r, theta):
         f, penalty, gr, gt = evaluate(r, theta, True)
-        return f, penalty, gr, gt, float(np.sqrt(np.dot(gr, gr) + np.dot(gt, gt)))
+        return f, penalty, gr, gt, _grad_norm(gr, gt)
 
     return grad
 
@@ -305,9 +309,9 @@ def run_gd(
 
 
 class IncrementalState:
-    """The table path's values at the current params (r, theta), as
-    cost._table_values returns them: the K'[HK | K] grid's rows w, the
-    slot-weighted real coefficients u, f_value and penalty.
+    """The table path's values at the current params (r, theta), from
+    cost._table_values: the K'[HK | K] grid's rows w, the real coefficients
+    over [closure | identity | g2] times slot_scale (u), f_value and penalty.
 
     sparse_grad reads them to compute a sampled block of partials;
     apply_update adopts a step and refresh rebuilds every table from scratch
@@ -322,7 +326,8 @@ class IncrementalState:
 
     def refresh(self) -> None:
         """Rebuild every table from scratch at (r, theta)."""
-        self.w, self.u, self.f_value, self.penalty = _table_values(self.s, self.r, self.theta)
+        self.w, v, self.f_value, self.penalty = _table_values(self.s, self.r, self.theta)
+        self.u = v * self.s.slot_scale
 
     def sparse_grad(self, coords: np.ndarray):
         """Exact partials for the distinct sampled coordinate indices (r_j
@@ -362,13 +367,14 @@ def run_rcd(
         raise ValueError(f"block_size {cfg.block_size} exceeds 2d = {2 * d}")
     if cfg.block_size == 2 * d:
         return _drive(kp0, cfg, RCD_DEFAULT_LR, _full_grad(s))
+    state = IncrementalState(s, kp0.r, kp0.theta)
     if cfg.lr is None:
         # iteration 0 samples only a block of the gradient, so the automatic
-        # step evaluates the full gradient at the start
-        f_value, penalty, _, _, gnorm = _full_grad(s)(kp0.r, kp0.theta)
-        cfg = replace(cfg, lr=_auto_lr(RCD_DEFAULT_LR, f_value + penalty, gnorm))
+        # step reads the full gradient off the start's caches: every row
+        z = _partial_rows(s, state.theta, state.w, state.u, slice(None))
+        gnorm = _grad_norm(z.real, state.r * z.imag)
+        cfg = replace(cfg, lr=_auto_lr(RCD_DEFAULT_LR, state.f_value + state.penalty, gnorm))
     rng = np.random.default_rng(cfg.seed)
-    state = IncrementalState(s, kp0.r, kp0.theta)
 
     def sampled_grad(r, theta):
         # the caches hold the loop's (r, theta); the arguments are not read

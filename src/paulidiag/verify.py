@@ -321,7 +321,6 @@ def diag_report(
     kp: KParams,
     f_value: Optional[float] = None,
     penalty: Optional[float] = None,
-    support=None,
 ) -> DiagReport:
     """Compute all dense error metrics and a posteriori bounds for (h, kp).
 
@@ -340,8 +339,7 @@ def diag_report(
     """
     _check_report_inputs(h, kp, f_value=f_value, penalty=penalty)
     if f_value is None or penalty is None:
-        rep = eval_F(h, kp, support if support is not None else
-                     build_support_sets(h, kp.ansatz))
+        rep = eval_F(h, kp, build_support_sets(h, kp.ansatz))
         f_value, penalty = rep.f_value, rep.penalty
 
     n = h.n

@@ -72,7 +72,7 @@ def battery():
         n, d = combos[i % len(combos)]
         h, kp, s = random_instance(rng, n, d)
         rep = eval_grad(h, kp, s)
-        _note(diag_report(h, kp, f_value=rep.f_value, penalty=rep.penalty, support=s))
+        _note(diag_report(h, kp, f_value=rep.f_value, penalty=rep.penalty))
         out.append((h, kp, s, rep))
     return out
 
@@ -104,12 +104,12 @@ def udu_runs():
         s = build_support_sets(h, kp.ansatz)
         g0 = eval_grad(h, kp, s)
         a = lr_fixed if lr_fixed is not None else 1.2 * g0.total / g0.grad_norm**2
-        rep0 = _note(diag_report(h, kp, f_value=g0.f_value, penalty=g0.penalty, support=s))
+        rep0 = _note(diag_report(h, kp, f_value=g0.f_value, penalty=g0.penalty))
         cfg = OptConfig(max_iters=5000, lr=LRSchedule.constant(a), stop_tol=1e-14)
         tr = run_gd(h, kp, cfg, s)
         rec = tr.records[-1]
         repf = _note(
-            diag_report(h, tr.final_params, f_value=rec.f_value, penalty=rec.penalty, support=s)
+            diag_report(h, tr.final_params, f_value=rec.f_value, penalty=rec.penalty)
         )
         out[label] = {
             "trace": tr,
@@ -136,7 +136,7 @@ def xxz_runs():
         s = build_support_sets(h, kp.ansatz)
         g = eval_grad(h, kp, s)
         a = min(2.9e-5, 1.2 * g.total / g.grad_norm**2)
-        rep0 = _note(diag_report(h, kp, f_value=g.f_value, penalty=g.penalty, support=s))
+        rep0 = _note(diag_report(h, kp, f_value=g.f_value, penalty=g.penalty))
         iters, seg = 0, 0
         proj_trail = []
         frob = rep0.frob_error
@@ -153,7 +153,7 @@ def xxz_runs():
             rec = tr.records[-1]
             iters += rec.iteration
             seg += 1
-            rep = _note(diag_report(h, kp, f_value=rec.f_value, penalty=rec.penalty, support=s))
+            rep = _note(diag_report(h, kp, f_value=rec.f_value, penalty=rec.penalty))
             frob = rep.frob_error
             if delta == 0.8:
                 k = kparams_to_dense(kp)
@@ -183,7 +183,7 @@ def hubbard_runs():
         s = build_support_sets(h, kp.ansatz)
         g = eval_grad(h, kp, s)
         a_fast = min(2.9e-5, 1.2 * g.total / g.grad_norm**2)
-        rep0 = _note(diag_report(h, kp, f_value=g.f_value, penalty=g.penalty, support=s))
+        rep0 = _note(diag_report(h, kp, f_value=g.f_value, penalty=g.penalty))
         iters, seg = 0, 0
         frob = rep0.frob_error
         slow_phase = False
@@ -203,7 +203,7 @@ def hubbard_runs():
             rec = tr.records[-1]
             iters += rec.iteration
             seg += 1
-            rep = _note(diag_report(h, kp, f_value=rec.f_value, penalty=rec.penalty, support=s))
+            rep = _note(diag_report(h, kp, f_value=rec.f_value, penalty=rec.penalty))
             frob = rep.frob_error
             if frob <= 0.095 or iters >= 120000:
                 break

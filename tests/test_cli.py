@@ -273,7 +273,15 @@ class TestDiagonalize:
         assert code == 5
         assert "stop=non_finite" in capsys.readouterr().out
         lines = (out / "trace.jsonl").read_text().splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["iter"] == 0
+        assert len(lines) == 1
+
+        def strict(name):
+            raise ValueError(f"{name} is not JSON")
+
+        # NaN and Infinity are not JSON: the non-finite fields are null
+        rec = json.loads(lines[0], parse_constant=strict)
+        assert rec["iter"] == 0
+        assert rec["F_total"] is None and rec["grad_norm"] is None
         assert json.loads((out / "params.json").read_text())["n"] == 2
 
     def test_dense_infeasible_is_exit_3(self, tmp_path, capsys):
@@ -638,6 +646,14 @@ class TestLiedim:
         path = write_json(tmp_path / "m.json", cfg)
         assert main(["liedim", "--config", path]) == 0
         assert "63 / 63 (saturated)" in capsys.readouterr().out
+
+    def test_random_udu_with_too_many_rotations_is_exit_1(self, tmp_path, capsys):
+        # n_rot = 3 exceeds the 2 non-diagonal strings on one qubit
+        cfg = {"model": {"family": "random_udu", "n": 1, "n_diag": 1, "n_rot": 3, "seed": 0}}
+        path = write_json(tmp_path / "m.json", cfg)
+        assert main(["liedim", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: model: only 2 non-diagonal strings exist on 1 qubits\n")
 
     @pytest.mark.parametrize("gate", [["cnot", 0], ["s"], [], ["rot", 0.4]])
     def test_prefix_gate_with_missing_fields_is_exit_1(self, tmp_path, capsys, gate):

@@ -179,6 +179,17 @@ class TestRandomUDU:
         with pytest.raises(ValueError):
             build_random_udu(2, 2, -1, seed=0)
 
+    def test_more_rotations_than_strings(self):
+        # (2^n - 1) 2^n distinct non-diagonal strings exist; one more used to
+        # loop forever drawing them
+        h, u, _ = build_random_udu(1, 1, 2, seed=0)
+        assert sorted(p.word for _, p in u) == ["X", "Y"]
+        assert len(build_random_udu(2, 1, 12, seed=0)[1]) == 12
+        with pytest.raises(ValueError, match="only 2 non-diagonal strings exist on 1 qubits"):
+            build_random_udu(1, 1, 3, seed=0)
+        with pytest.raises(ValueError, match="only 12 non-diagonal"):
+            build_random_udu(2, 1, 13, seed=0)
+
 
 def valid_example_args(n=3, rng=None):
     rng = rng or np.random.default_rng(5)

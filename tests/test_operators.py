@@ -14,7 +14,6 @@ from paulidiag.operators import (
     PauliSum,
     SupportSets,
     _TABLES,
-    _accumulate,
     build_support_sets,
     conjugate,
     load_hamiltonian,
@@ -265,17 +264,23 @@ class TestSupportSets:
             th = rng.uniform(0, 2 * np.pi, d)
             kc = r * np.exp(1j * th)
             k = PauliSum(3, list(zip(ansatz, kc)))
+            w, vec, _, _ = cost._table_values(s, r, th)
 
-            hk_vec = s.hk_vector(kc)
+            # the grid's rows W[a, s] = c y_s, where P_a Y_s = c P and y
+            # holds the coefficients of Y = hk_strings ++ ansatz in [HK | K]
             hk = sum_multiply(h, k)
-            for idx, p in enumerate(key_strings(3, s.hk_strings)):
-                assert hk_vec[idx] == pytest.approx(hk.coefficient(p), abs=1e-13)
-            assert len(hk_vec) == len(s.hk_strings)
+            hk_strings = key_strings(3, s.hk_strings)
+            y = [hk.coefficient(p) for p in hk_strings] + list(kc)
+            rows = w.view(complex)[..., 0]
+            assert rows.shape == (d, len(hk_strings) + d)
+            for a, pa in enumerate(ansatz):
+                for si, ys in enumerate(hk_strings + tuple(ansatz)):
+                    want = multiply(pa, ys)[0].value * y[si]
+                    assert rows[a, si] == pytest.approx(want, abs=1e-13)
 
             # K'HK and K'K are Hermitian: the table holds real coefficients
             # over [closure | identity | g2], the real parts of the complex
             # reference, whose imaginary parts are rounding noise
-            vec = s.khk_vector(kc, s.khk_rows(kc, hk_vec))
             assert vec.dtype == np.float64 and len(vec) == len(s.closure) + 1 + len(s.g2)
             khk = conjugate(h, k)
             kk = sum_multiply(k.adjoint(), k)
@@ -359,24 +364,25 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
 
 
 def assert_vectors_match_rows(s, hk_rows, khk_rows, rng) -> None:
-    """hk_vector, khk_rows and khk_vector against the entry-row formula,
-    gathered per row, with k = r e^{i theta} and y = [hk | k]: row
-    (i, b, phase, tgt) adds h_i k_b phase to slot tgt of H*K; row
-    (a, s, phase, tgt) is W[a, s] = phase y_s and adds the real
-    Re(conj(k_a) W[a, s]) to slot tgt of [K'HK | K'K]."""
+    """cost._table_values' w and v against the entry-row formula, gathered
+    per row, with k = r e^{i theta} and y = [hk | k]: row (i, b, phase, tgt)
+    adds h_i k_b phase to slot tgt of H*K; row (a, s, phase, tgt) is
+    W[a, s] = phase y_s and adds the real Re(conj(k_a) W[a, s]) to slot tgt
+    of [K'HK | K'K]."""
     d = len(s.ansatz)
     r, theta = rng.uniform(0.1, 1.0, d), rng.uniform(0.0, 2 * np.pi, d)
     k = r * np.exp(1j * theta)
     i, b, phase, tgt = (np.array(col) for col in zip(*hk_rows))
-    hk = _accumulate(tgt, s.h_coeffs[i] * k[b] * phase, len(s.hk_strings))
+    terms = s.h_coeffs[i] * k[b] * phase
+    hk = (np.bincount(tgt, weights=terms.real, minlength=len(s.hk_strings))
+          + 1j * np.bincount(tgt, weights=terms.imag, minlength=len(s.hk_strings)))
     a, si, phase, tgt = (np.array(col) for col in zip(*khk_rows))
-    w = phase * np.concatenate((hk, k))[si]
+    rows = phase * np.concatenate((hk, k))[si]
     length = len(s.closure) + 1 + len(s.g2)
-    khk = np.bincount(tgt, weights=(k.conj()[a] * w).real, minlength=length)
-    assert np.array_equal(s.hk_vector(k), hk)
-    rows = s.khk_rows(k, hk)
-    assert np.array_equal(rows, w.reshape(d, -1))
-    assert np.array_equal(s.khk_vector(k, rows), khk)
+    khk = np.bincount(tgt, weights=(k.conj()[a] * rows).real, minlength=length)
+    w, v, _, _ = cost._table_values(s, r, theta)
+    assert np.array_equal(w, rows.view(float).reshape(d, -1, 2))
+    assert np.array_equal(v, khk)
 
 
 def loop_gradient(h: PauliSum, ansatz, r, theta) -> np.ndarray:

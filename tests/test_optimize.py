@@ -58,6 +58,12 @@ class TestSchedules:
         with pytest.raises(ValueError):
             LRSchedule("warmup", 0.1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rate_must_be_finite(self, rate):
+        # an infinite rate made the step inf * 0 = NaN at t = 0
+        with pytest.raises(ValueError, match="finite"):
+            LRSchedule.decay(0.5, rate)
+
     def test_opt_config_validation(self):
         with pytest.raises(ValueError):
             OptConfig(max_iters=-1)
@@ -183,6 +189,28 @@ class TestRunRCD:
         with pytest.raises(ValueError, match="block_size"):
             run_rcd(h, kp, OptConfig(max_iters=5, block_size=5), s)
 
+    def test_sampled_rcd_evaluates_its_start_once(self, rng, monkeypatch):
+        # the automatic step reads F0 and ||g0|| off the start's caches, so
+        # each iterate's tables are evaluated once
+        h, kp, s = random_instance(rng, 3, 6)
+        cfg = OptConfig(max_iters=2, block_size=3, seed=4, stop_tol=0.0)
+        start = eval_grad(h, kp, s)
+        lr = optimize._auto_lr(optimize.RCD_DEFAULT_LR, start.total, start.grad_norm)
+        want = run_rcd(h, kp, replace(cfg, lr=lr), s)
+        calls = []
+        real = cost._table_values
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cost, "_table_values", counted)
+        monkeypatch.setattr(optimize, "_table_values", counted)
+        got = run_rcd(h, kp, cfg, s)
+        assert len(got.records) == 3 and len(calls) == 3
+        # the step equals the one from a separate full evaluation, bit for bit
+        assert [rec.as_dict() for rec in got.records] == [rec.as_dict() for rec in want.records]
+
     def test_coincides_with_gd_at_full_block(self, rng):
         h, kp, s = random_instance(rng, 3, 5)
         d = kp.d
@@ -217,11 +245,9 @@ class TestRunRCD:
             y_r, y_theta = state.r - 0.01 * gr, state.theta - 0.01 * gt
             state.apply_update(y_r, y_theta, float(np.linalg.norm(y_r)))
             r, theta = state.r, state.theta
-            k = r * np.exp(1j * theta)
-            w = s.khk_rows(k, s.hk_vector(k))
-            f, penalty, _, _ = cost._evaluate_sparse(s, r, theta, False)
-            assert np.array_equal(state.w, w.view(float).reshape(s.d, -1, 2))
-            assert np.array_equal(state.u, s.khk_vector(k, w) * s.slot_scale)
+            w, v, f, penalty = cost._table_values(s, r.copy(), theta.copy())
+            assert np.array_equal(state.w, w)
+            assert np.array_equal(state.u, v * s.slot_scale)
             assert state.f_value == f and state.penalty == penalty
 
     @pytest.mark.parametrize("n, d, with_g2", [(1, 1, False), (2, 5, True), (3, 7, True)])

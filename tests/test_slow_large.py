@@ -33,13 +33,13 @@ def test_ten_qubit_warm_start_descent():
     s = build_support_sets(h, kp.ansatz)
     g0 = eval_grad(h, kp, s)
     a = 1.2 * g0.total / g0.grad_norm**2
-    rep0 = diag_report(h, kp, f_value=g0.f_value, penalty=g0.penalty, support=s)
+    rep0 = diag_report(h, kp, f_value=g0.f_value, penalty=g0.penalty)
     assert rep0.frob_error == pytest.approx(2.5936, abs=1e-3)
 
     cfg = OptConfig(max_iters=12000, lr=LRSchedule.constant(a), stop_tol=1e-14)
     tr = run_gd(h, kp, cfg, s)
     rec = tr.records[-1]
-    rep = diag_report(h, tr.final_params, f_value=rec.f_value, penalty=rec.penalty, support=s)
+    rep = diag_report(h, tr.final_params, f_value=rec.f_value, penalty=rec.penalty)
 
     assert rec.F_total < g0.total * 1e-3
     assert rep.frob_error < 6e-3
