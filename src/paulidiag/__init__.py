@@ -34,7 +34,6 @@ from .optimize import (
     LRSchedule,
     OptConfig,
     OptTrace,
-    RadialCollapseError,
     TraceRecord,
     estimate_alpha,
     rolling_median,
@@ -73,7 +72,6 @@ __all__ = [
     "PauliSum",
     "Phase",
     "RCD_DEFAULT_LR",
-    "RadialCollapseError",
     "RotationProduct",
     "SupportSets",
     "TraceRecord",

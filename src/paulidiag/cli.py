@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 config or input error, 2 radial collapse,
 3 dense verification infeasible, 4 bounds violated (verify only),
-5 non-finite cost or gradient (trace.jsonl and params.json are written,
-no report).
+5 non-finite cost or gradient. Codes 2 and 5 are the optimizer's stop
+reasons "radial_collapse" and "non_finite": trace.jsonl and params.json
+are written as for every run, and no report.
 
 A --sweep runs its configs in a pool of worker processes and prints one
 line per run. A run whose config is invalid, or is not a JSON object,
@@ -48,7 +49,6 @@ from .operators import PauliSum, build_support_sets, load_hamiltonian
 from .optimize import (
     LRSchedule,
     OptConfig,
-    RadialCollapseError,
     rolling_median,
     run_gd,
     run_rcd,
@@ -195,6 +195,10 @@ def load_params(path) -> KParams:
     if not np.any(kp.r):
         # K = 0 has no normalization; the optimizers and reports need ||r|| = 1
         raise ConfigError(f"{path}: 'r' is all zeros")
+    nr = kp.r_norm
+    if not 0.0 < nr < np.inf:
+        # finite entries whose norm overflows would normalize to all zeros
+        raise ConfigError(f"{path}: 'r' has norm {nr}, which cannot be normalized")
     return kp
 
 
@@ -249,10 +253,10 @@ def _perturbed(kp: KParams, perturb: float, seed: int) -> KParams:
     mag = np.abs(np.abs(kp.r) + rng.uniform(-perturb, perturb, kp.d))
     r = np.where(kp.r < 0, -mag, mag)
     theta = kp.theta + rng.uniform(-perturb, perturb, kp.d)
-    norm = np.linalg.norm(r)
-    if norm == 0.0:
-        raise ConfigError("init perturbation produced a zero amplitude vector")
-    return kp.with_params(r / norm, theta)
+    try:
+        return kp.with_params(r, theta).normalized()
+    except ValueError as exc:
+        raise ConfigError(f"init.perturb: {exc}") from exc
 
 
 def _lr_from_config(raw) -> LRSchedule | None:
@@ -263,10 +267,12 @@ def _lr_from_config(raw) -> LRSchedule | None:
     kind = raw.get("kind", "constant")
     if kind not in ("constant", "decay"):
         raise ConfigError(f"opt.lr: unknown kind {kind!r}")
+    if kind == "constant" and "rate" in raw:
+        raise ConfigError('opt.lr: a rate needs "kind": "decay"')
     keys = ("a0",) if kind == "constant" else ("a0", "rate")
     args = [_number(_require(raw, key, "opt.lr"), f"opt.lr.{key}") for key in keys]
     try:
-        return LRSchedule(kind, *args)
+        return LRSchedule(*args)
     except ValueError as exc:
         raise ConfigError(f"opt.lr: {exc}") from exc
 
@@ -319,21 +325,16 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
     support = build_support_sets(h, kp0.ansatz)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        if algorithm == "gd":
-            trace = run_gd(h, kp0, opt_cfg, support)
-        else:
-            trace = run_rcd(h, kp0, opt_cfg, support)
-    except RadialCollapseError as exc:
-        exc.trace.save_jsonl(out_dir / "trace.jsonl")
-        save_params(out_dir / "params.json", exc.trace.final_params)
-        return 2, f"aborted: {exc}"
-
+    run = run_gd if algorithm == "gd" else run_rcd
+    trace = run(h, kp0, opt_cfg, support)
     trace.save_jsonl(out_dir / "trace.jsonl")
     save_params(out_dir / "params.json", trace.final_params)
 
     final = trace.records[-1]
     iterations = final.iteration
+    if trace.stop_reason == "radial_collapse":
+        return 2, (f"aborted: radial collapse at iteration {iterations}: "
+                   f"||r(y)|| = {final.r_norm_pre_normalization:.3e}")
     if trace.stop_reason == "non_finite":
         return 5, (f"aborted: final_F={final.F_total:.3e} grad_norm={final.grad_norm:.3e} "
                    f"iterations={iterations} stop=non_finite")
@@ -570,9 +571,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RadialCollapseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DenseLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -100,15 +100,18 @@ class KParams:
 
     @property
     def r_norm(self) -> float:
-        return float(np.linalg.norm(self.r))
+        # finite entries can overflow the norm: it reads inf, which every
+        # caller rejects, so numpy's overflow warning would only be noise
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.r))
 
     def with_params(self, r: np.ndarray, theta: np.ndarray) -> "KParams":
         return KParams(self.ansatz, r, theta)
 
     def normalized(self) -> "KParams":
         nr = self.r_norm
-        if nr == 0.0:
-            raise ValueError("cannot normalize zero amplitude vector")
+        if not 0.0 < nr < np.inf:
+            raise ValueError(f"cannot normalize amplitudes of norm {nr}")
         return self.with_params(self.r / nr, self.theta)
 
 

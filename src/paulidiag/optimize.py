@@ -2,9 +2,9 @@
 
 Both optimizers walk x_{t+1} = (r(y_t)/||r(y_t)||, theta(y_t)) with
 y_t = x_t - a_t g_t, in one shared loop that owns the stop tests, the trace
-records, radial collapse and the final params. Inside it r and theta are
-plain arrays: the ansatz/Hamiltonian check runs once at entry and KParams is
-built once, for final_params. Only the step differs. GD uses the full exact
+records and the final params. Inside it r and theta are plain arrays: the
+ansatz/Hamiltonian check runs once at entry and KParams is built once, for
+final_params. Only the step differs. GD uses the full exact
 gradient recomputed from scratch every iteration (dense or table path, chosen
 once at entry). RCD samples S of the 2d coordinates uniformly without
 replacement and computes only those partials, from cached tables (the rows
@@ -26,11 +26,13 @@ and full-block RCD read F0 and ||g0|| off their iteration 0; sampled RCD
 reads them off its caches at the start, the full gradient being every row
 of the same tables, so the start is evaluated once either way.
 
-Stop reasons: "converged" (F < stop_tol), "stationary" (gradient norm below
-grad_tol; RCD confirms it on the full gradient), "max_iters" and
-"non_finite" (F or the gradient norm is NaN or infinite; that iteration is
-recorded and final_params are the params it was evaluated at). A radial
-collapse raises RadialCollapseError carrying the trace so far.
+Every run returns its trace, and trace.stop_reason says how it ended:
+"converged" (F < stop_tol), "stationary" (gradient norm below grad_tol;
+RCD confirms it on the full gradient), "max_iters", "non_finite" (F or the
+gradient norm is NaN or infinite) or "radial_collapse" (||r(y_t)|| below
+RADIAL_COLLAPSE_TOL, where the normalized step is undefined). The stopping
+iteration is recorded, and final_params are the params it was evaluated
+at.
 
 Per-iteration trace records: for RCD the recorded grad_norm / alpha_estimate
 cover the sampled coordinates only; at S = 2d they equal the full quantities.
@@ -56,30 +58,14 @@ from .operators import PauliSum, SupportSets, build_support_sets
 RADIAL_COLLAPSE_TOL = 1e-14
 
 
-class RadialCollapseError(RuntimeError):
-    """The pre-normalization amplitude norm fell below 1e-14; the normalized
-    iteration is undefined from here."""
-
-    def __init__(self, iteration: int, norm: float, trace: "OptTrace"):
-        self.iteration = iteration
-        self.norm = norm
-        self.trace = trace
-        super().__init__(
-            f"radial collapse at iteration {iteration}: ||r(y)|| = {norm:.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class LRSchedule:
-    """Step sizes a_t: constant a, or decaying a0 / (1 + rate * t)."""
+    """Step sizes a_t = a / (1 + rate * t); rate 0 is the constant step a."""
 
-    kind: str
     a: float
     rate: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "decay"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"step size {self.a} outside (0, 1)")
         if not (math.isfinite(self.rate) and self.rate >= 0.0):
@@ -87,16 +73,15 @@ class LRSchedule:
 
     @classmethod
     def constant(cls, a: float) -> "LRSchedule":
-        return cls("constant", a)
+        return cls(a)
 
     @classmethod
     def decay(cls, a0: float, rate: float) -> "LRSchedule":
-        return cls("decay", a0, rate)
+        return cls(a0, rate)
 
 
 def lr_schedule_eval(schedule: LRSchedule, t: int) -> float:
-    if schedule.kind == "constant":
-        return schedule.a
+    # at rate 0 this is a / 1.0, which is a exactly
     return schedule.a / (1.0 + schedule.rate * t)
 
 
@@ -241,7 +226,10 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
     the step and returns the new (r, theta), which are otherwise
     (y_r / nr, y_theta). The step is cfg.lr, or with cfg.lr None the
     automatic step from base and iteration 0's evaluation.
-    KParams is built once, for trace.final_params."""
+    Every way the run ends is a stop reason, a step whose ||r(y)|| falls
+    below RADIAL_COLLAPSE_TOL ("radial_collapse") included: the stopping
+    iteration is recorded, advance is not called for it, and
+    trace.final_params (the one KParams built) is the point it evaluated."""
     trace = OptTrace()
     r, theta = kp0.r, kp0.theta
     t0 = time.perf_counter()
@@ -267,6 +255,8 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
             y_r = r - a * gr
             y_theta = theta - a * gt
             nr = math.sqrt(y_r.dot(y_r))
+            if nr < RADIAL_COLLAPSE_TOL:
+                stop = "radial_collapse"
         trace.records.append(
             TraceRecord(
                 iteration=t,
@@ -282,10 +272,6 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
         if stop:
             trace.stop_reason = stop
             break
-        if nr < RADIAL_COLLAPSE_TOL:
-            trace.stop_reason = "radial_collapse"
-            trace.final_params = kp0.with_params(r, theta)
-            raise RadialCollapseError(t, nr, trace)
         if advance is None:
             r, theta = y_r / nr, y_theta
         else:
@@ -329,6 +315,11 @@ class IncrementalState:
         self.w, v, self.f_value, self.penalty = _table_values(self.s, self.r, self.theta)
         self.u = v * self.s.slot_scale
 
+    def full_grad_norm(self) -> float:
+        """The full gradient's norm at (r, theta), from every grid row."""
+        z = _partial_rows(self.s, self.theta, self.w, self.u, slice(None))
+        return _grad_norm(z.real, self.r * z.imag)
+
     def sparse_grad(self, coords: np.ndarray):
         """Exact partials for the distinct sampled coordinate indices (r_j
         for coords < d, theta_{j-d} otherwise), zeros elsewhere. Each sampled
@@ -370,10 +361,9 @@ def run_rcd(
     state = IncrementalState(s, kp0.r, kp0.theta)
     if cfg.lr is None:
         # iteration 0 samples only a block of the gradient, so the automatic
-        # step reads the full gradient off the start's caches: every row
-        z = _partial_rows(s, state.theta, state.w, state.u, slice(None))
-        gnorm = _grad_norm(z.real, state.r * z.imag)
-        cfg = replace(cfg, lr=_auto_lr(RCD_DEFAULT_LR, state.f_value + state.penalty, gnorm))
+        # step reads the full gradient off the start's caches
+        total = state.f_value + state.penalty
+        cfg = replace(cfg, lr=_auto_lr(RCD_DEFAULT_LR, total, state.full_grad_norm()))
     rng = np.random.default_rng(cfg.seed)
 
     def sampled_grad(r, theta):
@@ -385,7 +375,7 @@ def run_rcd(
     def stationary():
         # a sampled block can have zero partials away from stationarity,
         # so confirm against the full gradient before stopping
-        return state.sparse_grad(np.arange(2 * d))[2] < cfg.grad_tol
+        return state.full_grad_norm() < cfg.grad_tol
 
     def advance(y_r, y_theta, nr):
         state.apply_update(y_r, y_theta, nr)

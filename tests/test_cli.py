@@ -6,7 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from paulidiag import cli, cost, verify
+from paulidiag import cli, cost, optimize, verify
 from paulidiag.cli import main
 from paulidiag.cost import KParams, eval_F
 from paulidiag.models import build_xxz
@@ -237,9 +237,50 @@ class TestDiagonalize:
         path = write_json(tmp_path / "run.json", cfg)
         out = tmp_path / "out"
         assert main(["diagonalize", "--config", path, "--out-dir", str(out)]) == 2
-        assert "aborted" in capsys.readouterr().out
+        line = capsys.readouterr().out
+        assert line.startswith("aborted: radial collapse at iteration 0: ||r(y)|| = ")
         # the partial trace and last params still land on disk
         assert (out / "trace.jsonl").exists() and (out / "params.json").exists()
+
+    @pytest.mark.parametrize("lr, message", [
+        ({"kind": "warmup", "a0": 1e-3}, "opt.lr: unknown kind 'warmup'"),
+        ({"kind": "decay", "a0": 1e-3}, "opt.lr: missing required key 'rate'"),
+        # with no kind the step is constant, which would drop the rate
+        ({"a0": 1e-3, "rate": 5}, 'opt.lr: a rate needs "kind": "decay"'),
+        ({"kind": "constant", "a0": 1e-3, "rate": 5}, 'opt.lr: a rate needs "kind": "decay"'),
+    ])
+    def test_bad_lr_is_exit_1(self, tmp_path, capsys, lr, message):
+        cfg = base_config(tmp_path / "out")
+        cfg["opt"]["lr"] = lr
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_decay_lr_runs_the_decaying_step(self, tmp_path):
+        h = build_xxz(2, 1.0, 1.0)
+        kp = KParams((parse("XY", 2), parse("ZZ", 2)), np.array([0.6, 0.8]),
+                     np.array([0.3, 0.1]))
+        params = write_json(tmp_path / "start.json", {
+            "n": 2, "ansatz": ["XY", "ZZ"], "r": [0.6, 0.8], "theta": [0.3, 0.1],
+        })
+        cfg = {
+            "model": {"family": "xxz", "n": 2, "j": 1.0, "delta": 1.0},
+            "ansatz_source": {"kind": "file", "path": params},
+            "algorithm": "gd",
+            "opt": {"max_iters": 5, "lr": {"kind": "decay", "a0": 1e-3, "rate": 5}},
+        }
+        path = write_json(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        assert main(["diagonalize", "--config", path, "--out-dir", str(out)]) == 0
+        got = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+
+        def library(lr):
+            trace = optimize.run_gd(h, kp, optimize.OptConfig(max_iters=5, lr=lr))
+            return [rec.as_dict() for rec in trace.records]
+
+        assert got == library(optimize.LRSchedule.decay(1e-3, 5.0))
+        assert got != library(optimize.LRSchedule.constant(1e-3))
 
     @pytest.mark.parametrize("key", ["r", "theta"])
     def test_non_finite_start_params_is_exit_1(self, tmp_path, capsys, key):
@@ -592,6 +633,9 @@ class TestParamsFile:
         ("r", [0.0, 0.0], "'r' is all zeros"),
         ("ansatz", ["XY", 5], "ansatz entry 5"),
         ("ansatz", 5, "ansatz"),
+        # every entry is finite, but the norm overflows (or underflows)
+        ("r", [1e200, 1e200], "'r' has norm inf, which cannot be normalized"),
+        ("r", [1e-200, 1e-200], "'r' has norm 0.0, which cannot be normalized"),
     ])
     def test_unusable_params_are_exit_1(self, tmp_path, capsys, command, key, value,
                                         message):
@@ -629,6 +673,17 @@ class TestPerturbed:
         out = cli._perturbed(kp, 1e-4, 3)
         assert np.array_equal(out.r, want / np.linalg.norm(want))
         assert np.array_equal(out.theta, theta)
+
+    def test_overflowing_perturbation_is_exit_1(self, tmp_path, capsys):
+        # every perturbed entry is finite, but their norm overflows to inf
+        cfg = base_config(tmp_path / "out", max_iters=5)
+        cfg["init"] = {"perturb": 1e200}
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: init.perturb: cannot normalize amplitudes of norm inf")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestLiedim:

@@ -6,13 +6,14 @@ import pytest
 
 from paulidiag import cli, cost, optimize
 from paulidiag.cost import KParams, eval_F, eval_grad
+from paulidiag.models import build_xxz
 from paulidiag.operators import PauliSum, build_support_sets
 from paulidiag.optimize import (
     GD_DEFAULT_LR,
     IncrementalState,
     LRSchedule,
     OptConfig,
-    RadialCollapseError,
+    RADIAL_COLLAPSE_TOL,
     TraceRecord,
     estimate_alpha,
     lr_schedule_eval,
@@ -55,8 +56,6 @@ class TestSchedules:
             LRSchedule.constant(1.0)
         with pytest.raises(ValueError):
             LRSchedule.decay(0.5, -1.0)
-        with pytest.raises(ValueError):
-            LRSchedule("warmup", 0.1)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_rate_must_be_finite(self, rate):
@@ -167,11 +166,13 @@ class TestRunGD:
         rep = eval_grad(h, kp, s)
         a = float(kp.r[0] / rep.grad_r[0])  # gradient is radial here
         assert 0.0 < a < 1.0
-        with pytest.raises(RadialCollapseError) as err:
-            run_gd(h, kp, OptConfig(max_iters=3, lr=LRSchedule.constant(a), stop_tol=0.0), s)
-        assert err.value.iteration == 0
-        assert err.value.norm < 1e-14
-        assert len(err.value.trace.records) == 1
+        trace = run_gd(h, kp, OptConfig(max_iters=3, lr=LRSchedule.constant(a), stop_tol=0.0), s)
+        assert trace.stop_reason == "radial_collapse"
+        assert len(trace.records) == 1
+        assert trace.records[0].r_norm_pre_normalization < RADIAL_COLLAPSE_TOL
+        # the final params are the point the collapsing step started from
+        np.testing.assert_array_equal(trace.final_params.r, kp.r)
+        np.testing.assert_array_equal(trace.final_params.theta, kp.theta)
 
     def test_deterministic(self, rng):
         h, kp, s = random_instance(rng, 2, 4)
@@ -298,6 +299,31 @@ class TestRunRCD:
             a.as_dict() != b.as_dict() for a, b in zip(t1.records, t3.records)
         )
 
+    def test_radial_collapse_ends_a_sampled_run(self, monkeypatch):
+        # one string: r * dF/dr = 4F, so the step a = 1/(4F) on r lands on
+        # r = 0; seed 1 samples r (coordinate 0) first
+        h = build_xxz(2, 1.0, 1.0)
+        kp = KParams((parse("XY", 2),), np.array([1.0]), np.array([0.3]))
+        s = build_support_sets(h, kp.ansatz)
+        a = 1.0 / (4.0 * eval_F(h, kp, s).total)
+        updates = []
+        real = IncrementalState.apply_update
+
+        def counted(self, *args):
+            updates.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(IncrementalState, "apply_update", counted)
+        cfg = OptConfig(max_iters=10, lr=LRSchedule.constant(a), block_size=1, seed=1,
+                        stop_tol=0.0)
+        trace = run_rcd(h, kp, cfg, s)
+        assert trace.stop_reason == "radial_collapse"
+        assert len(trace.records) == 1
+        assert trace.records[0].r_norm_pre_normalization < RADIAL_COLLAPSE_TOL
+        assert updates == []
+        np.testing.assert_array_equal(trace.final_params.r, kp.r)
+        np.testing.assert_array_equal(trace.final_params.theta, kp.theta)
+
     def test_converges_small_instance(self):
         h, kp, s = one_qubit_instance()
         cfg = OptConfig(max_iters=3000, block_size=2, seed=11, stop_tol=1e-10)
@@ -315,6 +341,7 @@ class TestRunRCD:
         full = eval_grad(h, kp, s)
         np.testing.assert_allclose(gr, full.grad_r, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(gt, full.grad_theta, rtol=1e-10, atol=1e-12)
+        assert state.full_grad_norm() == pytest.approx(full.grad_norm, rel=1e-10)
 
 
 class TestTraceSerialization:
@@ -430,3 +457,35 @@ class TestNonFinite:
         assert not (math.isfinite(rec.F_total) and math.isfinite(rec.grad_norm))
         np.testing.assert_array_equal(trace.final_params.r, kp.r)
         np.testing.assert_array_equal(trace.final_params.theta, kp.theta)
+
+
+class TestStationary:
+    """K = I under a diagonal H is a zero-cost fixed point, and under
+    H = X + 0.5 Z its gradient is all radial: dF/dr_I = 16, every other
+    partial 0."""
+
+    ANSATZ = (parse("I"), parse("X"))
+    START = KParams(ANSATZ, np.array([1.0, 0.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("run", [run_gd, run_rcd])
+    def test_zero_gradient_stops_at_iteration_0(self, run):
+        h = PauliSum.from_words({"Z": 1.0})
+        s = build_support_sets(h, self.ANSATZ)
+        cfg = OptConfig(max_iters=10, block_size=1, stop_tol=0.0)
+        trace = run(h, self.START, cfg, s)
+        assert trace.stop_reason == "stationary"
+        assert [rec.iteration for rec in trace.records] == [0]
+        assert trace.records[0].grad_norm == 0.0
+
+    def test_sampled_zero_block_is_confirmed_on_the_full_gradient(self):
+        h = PauliSum.from_words({"X": 1.0, "Z": 0.5})
+        s = build_support_sets(h, self.ANSATZ)
+        state = IncrementalState(s, self.START.r, self.START.theta)
+        assert state.full_grad_norm() == 16.0
+        # seed 0 samples theta_1 (coordinate 3) first, whose partial is 0
+        assert np.random.default_rng(0).choice(4, size=1, replace=False).tolist() == [3]
+        cfg = OptConfig(max_iters=5, block_size=1, seed=0, stop_tol=0.0)
+        trace = run_rcd(h, self.START, cfg, s)
+        assert trace.records[0].grad_norm == 0.0
+        assert trace.stop_reason == "max_iters"
+        assert len(trace.records) == 6
