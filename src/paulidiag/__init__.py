@@ -40,7 +40,7 @@ from .optimize import (
     run_gd,
     run_rcd,
 )
-from .pauli import PauliParseError, PauliString, Phase, commutes, multiply, parse, unpack_keys
+from .pauli import PauliParseError, PauliString, commutes, multiply, parse, unpack_keys
 from .verify import (
     DENSE_MAX_QUBITS,
     DenseLimitError,
@@ -70,7 +70,6 @@ __all__ = [
     "PauliParseError",
     "PauliString",
     "PauliSum",
-    "Phase",
     "RCD_DEFAULT_LR",
     "RotationProduct",
     "SupportSets",

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import KParams
+from .cost import UNIT_NORM_TOL, KParams
 from .models import (
     build_example_hams,
     build_hubbard,
@@ -441,7 +441,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"qubit count mismatch: hamiltonian has {h.n}, params have {kp.n}"
         )
-    if abs(kp.r_norm - 1.0) > 1e-8:
+    if abs(kp.r_norm - 1.0) > UNIT_NORM_TOL:
         print(
             f"warning: ||r|| = {kp.r_norm:.12g}, renormalizing to 1",
             file=sys.stderr,

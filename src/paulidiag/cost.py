@@ -60,6 +60,9 @@ import numpy as np
 from .operators import PauliSum, SupportSets
 from .pauli import PHASES, PauliString, pack_keys, popcount, string_masks
 
+# how far ||r|| may be from 1 for params to count as unit norm
+UNIT_NORM_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class KParams:

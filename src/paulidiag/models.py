@@ -113,7 +113,7 @@ def conjugate_by_rotation(a: PauliSum, angle: float, p: PauliString) -> PauliSum
         else:
             ph, pq = multiply(p, q)
             acc[q] = acc.get(q, 0j) + coeff * c2
-            acc[pq] = acc.get(pq, 0j) + coeff * 1j * s2 * ph.value
+            acc[pq] = acc.get(pq, 0j) + coeff * 1j * s2 * ph
     return PauliSum(a.n, acc)
 
 

@@ -135,7 +135,7 @@ def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
     for pa, ca in a.items():
         for pb, cb in b.items():
             ph, s = multiply(pa, pb)
-            acc[s] = acc.get(s, 0j) + ca * cb * ph.value
+            acc[s] = acc.get(s, 0j) + ca * cb * ph
     return PauliSum(a.n, acc)
 
 

@@ -19,23 +19,30 @@ With S = 2d the sampled set is always the full coordinate set, so one RCD
 iteration reproduces one GD iteration (same step, seed-independent); run_rcd
 takes GD's step in that case.
 
+Both optimizers reject at entry a start whose ||r|| is not within
+cost.UNIT_NORM_TOL of 1 (a NaN norm included) or whose theta is not finite.
+
 The step size is OptConfig.lr or, when that is None, the automatic constant
-step min(base, 1.2 F0 / ||g0||^2) from the start point's cost F0 and gradient
-norm ||g0||, the base being GD_DEFAULT_LR (0.05) or RCD_DEFAULT_LR (0.1). GD
-and full-block RCD read F0 and ||g0|| off their iteration 0; sampled RCD
-reads them off its caches at the start, the full gradient being every row
-of the same tables, so the start is evaluated once either way.
+step min(base, 1.2 F0 / ||g0||^2) from the start point's cost F0 and full
+gradient norm ||g0||, the base being GD_DEFAULT_LR (0.05) or RCD_DEFAULT_LR
+(0.1). The shared loop computes it at iteration 0 and nowhere else. GD and
+full-block RCD read ||g0|| off their own evaluation; sampled RCD hands the
+loop a full_norm hook that reads every row of its caches' tables, so the
+start is evaluated once either way.
 
 Every run returns its trace, and trace.stop_reason says how it ended:
 "converged" (F < stop_tol), "stationary" (gradient norm below grad_tol;
-RCD confirms it on the full gradient), "max_iters", "non_finite" (F or the
-gradient norm is NaN or infinite) or "radial_collapse" (||r(y_t)|| below
-RADIAL_COLLAPSE_TOL, where the normalized step is undefined). The stopping
-iteration is recorded, and final_params are the params it was evaluated
-at.
+sampled RCD confirms it on the full norm through the same hook),
+"max_iters", "non_finite" (F, the gradient norm or the start's full gradient
+norm is NaN or infinite, so a sampled run whose start gradient overflows
+stops at iteration 0 even when its sampled block is finite) or
+"radial_collapse" (||r(y_t)|| below RADIAL_COLLAPSE_TOL, where the
+normalized step is undefined). The stopping iteration is recorded, and
+final_params are the params it was evaluated at.
 
 Per-iteration trace records: for RCD the recorded grad_norm / alpha_estimate
-cover the sampled coordinates only; at S = 2d they equal the full quantities.
+cover the sampled coordinates only, also in a record that stopped on the
+full norm; at S = 2d they equal the full quantities.
 alpha_estimate is log(||g||^2/4) / log F, the local Lojasiewicz exponent read
 off with mu = 1; it is NaN when F is 0 or 1 or the gradient vanishes.
 wall_time is stamped after the evaluation, the stop tests and y_t, before
@@ -47,11 +54,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import KParams, _check, _evaluator, _grad_norm, _partial_rows, _table_values
+from .cost import (
+    UNIT_NORM_TOL, KParams, _check, _evaluator, _grad_norm, _partial_rows, _table_values,
+)
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
 
@@ -197,8 +206,13 @@ class OptTrace:
 
 def _support_for(h: PauliSum, kp0: KParams, support: SupportSets | None) -> SupportSets:
     """Entry checks shared by both optimizers; returns the support tables."""
-    if abs(kp0.r_norm - 1.0) > 1e-8:
+    # written so that a NaN norm fails it
+    if not abs(kp0.r_norm - 1.0) <= UNIT_NORM_TOL:
         raise ValueError(f"initial amplitudes must be unit norm, got ||r|| = {kp0.r_norm}")
+    bad = np.flatnonzero(~np.isfinite(kp0.theta))
+    if len(bad):
+        raise ValueError(f"initial phases must be finite, got theta[{bad[0]}] = "
+                         f"{kp0.theta[bad[0]]}")
     if support is None:
         return build_support_sets(h, kp0.ansatz)
     _check(h, kp0, support)
@@ -217,15 +231,18 @@ def _full_grad(s: SupportSets):
 
 
 def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
-           stationary=None, advance=None) -> OptTrace:
+           full_norm=None, advance=None) -> OptTrace:
     """The loop GD and RCD share, on plain r and theta arrays.
 
-    grad(r, theta) returns (f, penalty, grad_r, grad_theta, grad_norm);
-    stationary() confirms a gradient norm below grad_tol before the run stops
-    on it; advance(y_r, y_theta, nr), when given, moves the caches across
-    the step and returns the new (r, theta), which are otherwise
-    (y_r / nr, y_theta). The step is cfg.lr, or with cfg.lr None the
-    automatic step from base and iteration 0's evaluation.
+    grad(r, theta) returns (f, penalty, grad_r, grad_theta, grad_norm).
+    full_norm(), given when grad samples, is the full gradient's norm at the
+    loop's point; without it grad_norm is the full norm. The loop reads it
+    at iteration 0, for the automatic step from base (cfg.lr None) and the
+    start's finiteness, and to confirm a sampled norm below grad_tol before
+    a "stationary" stop (a sampled block can have zero partials away from
+    stationarity).
+    advance(y_r, y_theta, nr), when given, moves the caches across the step
+    and returns the new (r, theta), which are otherwise (y_r / nr, y_theta).
     Every way the run ends is a stop reason, a step whose ||r(y)|| falls
     below RADIAL_COLLAPSE_TOL ("radial_collapse") included: the stopping
     iteration is recorded, advance is not called for it, and
@@ -234,14 +251,15 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
     r, theta = kp0.r, kp0.theta
     t0 = time.perf_counter()
     f_value, penalty, gr, gt, gnorm = grad(r, theta)
-    lr = cfg.lr if cfg.lr is not None else _auto_lr(base, f_value + penalty, gnorm)
+    g0 = gnorm if full_norm is None else full_norm()
+    lr = cfg.lr if cfg.lr is not None else _auto_lr(base, f_value + penalty, g0)
     for t in range(cfg.max_iters + 1):
         total = f_value + penalty
-        if not (math.isfinite(total) and math.isfinite(gnorm)):
+        if not (math.isfinite(total) and math.isfinite(gnorm) and math.isfinite(g0)):
             stop = "non_finite"
         elif total < cfg.stop_tol:
             stop = "converged"
-        elif gnorm < cfg.grad_tol and (stationary is None or stationary()):
+        elif gnorm < cfg.grad_tol and (full_norm is None or full_norm() < cfg.grad_tol):
             stop = "stationary"
         elif t == cfg.max_iters:
             stop = "max_iters"
@@ -334,12 +352,15 @@ class IncrementalState:
         out[coords] = part
         return out[:d], out[d:], math.sqrt(part.dot(part))
 
-    def apply_update(self, y_r: np.ndarray, y_theta: np.ndarray, nr: float) -> None:
-        """Adopt the step to (y_r / nr, y_theta) and rebuild the tables."""
+    def apply_update(self, y_r: np.ndarray, y_theta: np.ndarray,
+                     nr: float) -> tuple[np.ndarray, np.ndarray]:
+        """Adopt the step to (y_r / nr, y_theta), rebuild the tables and
+        return the new (r, theta)."""
         # r uses the same division as GD's step
         self.r = y_r / nr
         self.theta = np.array(y_theta, dtype=float)
         self.refresh()
+        return self.r, self.theta
 
 
 def run_rcd(
@@ -349,9 +370,11 @@ def run_rcd(
 
     Each iteration samples block_size coordinates uniformly without
     replacement, steps them with exact partials from the coefficient caches,
-    then renormalizes r. block_size = 2d always samples every coordinate, so
-    that case takes GD's full-gradient step outright (bit-identical
-    trajectory, no sampling, no caches)."""
+    then renormalizes r. The loop reads the caches' full gradient norm for
+    the automatic step, the start's finiteness and the stationary test, and
+    adopts each step through IncrementalState.apply_update. block_size = 2d
+    always samples every coordinate, so that case takes GD's full-gradient
+    step outright (bit-identical trajectory, no sampling, no caches)."""
     s = _support_for(h, kp0, support)
     d = s.d
     if cfg.block_size > 2 * d:
@@ -359,11 +382,6 @@ def run_rcd(
     if cfg.block_size == 2 * d:
         return _drive(kp0, cfg, RCD_DEFAULT_LR, _full_grad(s))
     state = IncrementalState(s, kp0.r, kp0.theta)
-    if cfg.lr is None:
-        # iteration 0 samples only a block of the gradient, so the automatic
-        # step reads the full gradient off the start's caches
-        total = state.f_value + state.penalty
-        cfg = replace(cfg, lr=_auto_lr(RCD_DEFAULT_LR, total, state.full_grad_norm()))
     rng = np.random.default_rng(cfg.seed)
 
     def sampled_grad(r, theta):
@@ -372,13 +390,5 @@ def run_rcd(
         gr, gt, gnorm = state.sparse_grad(coords)
         return state.f_value, state.penalty, gr, gt, gnorm
 
-    def stationary():
-        # a sampled block can have zero partials away from stationarity,
-        # so confirm against the full gradient before stopping
-        return state.full_grad_norm() < cfg.grad_tol
-
-    def advance(y_r, y_theta, nr):
-        state.apply_update(y_r, y_theta, nr)
-        return state.r, state.theta
-
-    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, stationary, advance)
+    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, state.full_grad_norm,
+                  state.apply_update)

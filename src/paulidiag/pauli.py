@@ -41,26 +41,6 @@ class PauliParseError(ValueError):
         super().__init__(f"bad Pauli word {text!r} at position {pos}: {reason}")
 
 
-@dataclass(frozen=True)
-class Phase:
-    """A power of i: the value i^k with k mod 4."""
-
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.k % 4)
-
-    @property
-    def value(self) -> complex:
-        return _PHASE_VALUES[self.k]
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.k + other.k)
-
-    def conjugate(self) -> "Phase":
-        return Phase(-self.k)
-
-
 @functools.total_ordering
 @dataclass(frozen=True)
 class PauliString:
@@ -151,8 +131,9 @@ def parse(text: str, n: int | None = None) -> PauliString:
     return PauliString(len(text), x, z)
 
 
-def multiply(a: PauliString, b: PauliString) -> tuple[Phase, PauliString]:
-    """Product a*b = i^k * c, returned as (Phase(k), c).
+def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+    """Product a*b = i^k * c, returned as (i^k, c), i^k one of the exact
+    complex values 1, 1j, -1, -1j (PHASES[k & 3]).
 
     Writing each factor as i^{x.z} X^x Z^z and moving every Z of a past every
     X of b gives k = w(ax&az) + w(bx&bz) - w(cx&cz) + 2 w(az&bx), w = popcount.
@@ -167,7 +148,7 @@ def multiply(a: PauliString, b: PauliString) -> tuple[Phase, PauliString]:
         - (cx & cz).bit_count()
         + 2 * (a.z_mask & b.x_mask).bit_count()
     )
-    return Phase(k), PauliString(a.n, cx, cz)
+    return _PHASE_VALUES[k & 3], PauliString(a.n, cx, cz)
 
 
 def popcount(v: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost import KParams, eval_F
+from .cost import UNIT_NORM_TOL, KParams, eval_F
 from .operators import PauliSum, build_support_sets
 from .pauli import PHASES, PauliString, pack_keys, popcount, string_masks, unpack_keys
 
@@ -272,7 +272,7 @@ def _check_report_inputs(h: PauliSum, kp: KParams, f_value=None, penalty=None) -
             where = f"[{bad[0]}]" if np.ndim(value) else ""
             raise ValueError(f"{name}{where} must be finite, got {values[bad[0]]}")
     # a NaN r passes this check, hence the finiteness check first
-    if abs(kp.r_norm - 1.0) > 1e-8:
+    if abs(kp.r_norm - 1.0) > UNIT_NORM_TOL:
         raise ValueError("kp.r must have unit norm")
     _check_dense_n(h.n)
 

@@ -146,6 +146,25 @@ class TestDiagonalize:
         assert len(lines) == 1 and json.loads(lines[0])["iter"] == 0
         assert json.loads((out / "params.json").read_text())["n"] == 3
 
+    def test_sampled_rcd_start_whose_full_gradient_overflows_is_exit_5(self, tmp_path,
+                                                                       capsys):
+        # the first sampled block's norm is finite, the full one is not:
+        # the run stops before its first step, as GD's does
+        cfg = {
+            "model": {"family": "xxz", "n": 2, "j": 1e78, "delta": 1.0},
+            "algorithm": "rcd",
+            "ansatz_source": {"kind": "full_basis"},
+            "opt": {"max_iters": 5},
+        }
+        path = write_json(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["diagonalize", "--config", path, "--out-dir", str(out)])
+        assert code == 5
+        assert "iterations=0 stop=non_finite" in capsys.readouterr().out
+        lines = (out / "trace.jsonl").read_text().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["iter"] == 0
+
     def test_same_seed_byte_identical_traces(self, tmp_path):
         cfg = base_config(tmp_path / "a")
         main(["diagonalize", "--config", write_json(tmp_path / "a.json", cfg)])

@@ -22,7 +22,7 @@ from paulidiag.operators import (
     trace_with,
 )
 from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
-from paulidiag.pauli import MAX_QUBITS, PauliString, multiply, parse
+from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, multiply, parse
 
 from conftest import dense_terms, dense_word, key_strings, random_instance
 
@@ -275,7 +275,7 @@ class TestSupportSets:
             assert rows.shape == (d, len(hk_strings) + d)
             for a, pa in enumerate(ansatz):
                 for si, ys in enumerate(hk_strings + tuple(ansatz)):
-                    want = multiply(pa, ys)[0].value * y[si]
+                    want = multiply(pa, ys)[0] * y[si]
                     assert rows[a, si] == pytest.approx(want, abs=1e-13)
 
             # K'HK and K'K are Hermitian: the table holds real coefficients
@@ -325,7 +325,7 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
     h_strings = tuple(sorted(h.strings()))
     hk_products, hk_strings, hk_index = sorted_products(h_strings, ansatz)
     hk_rows = [
-        (i, b, ph.value, hk_index[p])
+        (i, b, ph, hk_index[p])
         for i, row in enumerate(hk_products)
         for b, (ph, p) in enumerate(row)
     ]
@@ -342,8 +342,8 @@ def reference_tables(h: PauliSum, ansatz) -> tuple[dict, list, list]:
         for si, y in enumerate(hk_strings + tuple(ansatz)):
             ph, p = multiply(pa, y)
             slot = closure_index[p] if si < len(hk_strings) else pair_index[p]
-            khk_rows.append((a, si, ph.value, slot))
-            khk_sel.append(ph.k * width + si)
+            khk_rows.append((a, si, ph, slot))
+            khk_sel.append(PHASES.tolist().index(ph) * width + si)
     slot_scale = np.zeros(len(closure) + 1 + len(g2))
     slot_scale[[closure_index[p] for p in g1]] = 4.0 * 4**h.n
     slot_scale[len(closure) + 1:] = 4.0
@@ -403,7 +403,7 @@ def loop_gradient(h: PauliSum, ansatz, r, theta) -> np.ndarray:
         t = 2**n * c.real
         for j, pj in enumerate(ansatz):
             ph, rs = multiply(p, pj)
-            w = np.exp(-1j * theta[j]) * ph.value * trace_with(hk, rs)
+            w = np.exp(-1j * theta[j]) * ph * trace_with(hk, rs)
             grad_r[j] += 4 * t * w.real
             grad_theta[j] += 4 * t * r[j] * w.imag
     for i, pi in enumerate(ansatz):
@@ -411,7 +411,7 @@ def loop_gradient(h: PauliSum, ansatz, r, theta) -> np.ndarray:
             ph, p = multiply(pi, pj)
             if p.is_identity:
                 continue
-            a = kk.coefficient(p).conjugate() * ph.value * np.exp(1j * (theta[j] - theta[i]))
+            a = kk.coefficient(p).conjugate() * ph * np.exp(1j * (theta[j] - theta[i]))
             grad_r[j] += 2 * a.real * r[i]
             grad_r[i] += 2 * a.real * r[j]
             grad_theta[j] -= 2 * a.imag * r[i] * r[j]

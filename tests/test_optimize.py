@@ -458,6 +458,42 @@ class TestNonFinite:
         np.testing.assert_array_equal(trace.final_params.r, kp.r)
         np.testing.assert_array_equal(trace.final_params.theta, kp.theta)
 
+    @pytest.mark.parametrize("lr", [None, LRSchedule.constant(0.01)])
+    def test_sampled_start_whose_full_gradient_overflows_stops_at_iteration_0(self, lr):
+        # F0 = 3.2e157 is finite, and so is the first sampled block's norm,
+        # but the full gradient norm overflows: the loop reads it at
+        # iteration 0 and stops before any step
+        h = build_xxz(2, 1e78, 1.0)
+        kp = cli.build_initial_params({"ansatz_source": {"kind": "full_basis"}}, h, None)
+        cfg = OptConfig(max_iters=5, lr=lr, block_size=4, stop_tol=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = IncrementalState(build_support_sets(h, kp.ansatz), kp.r, kp.theta)
+            assert state.full_grad_norm() == math.inf
+            trace = run_rcd(h, kp, cfg)
+        assert trace.stop_reason == "non_finite"
+        assert [rec.iteration for rec in trace.records] == [0]
+        # the record holds the sampled norm, finite here
+        assert math.isfinite(trace.records[0].grad_norm)
+        np.testing.assert_array_equal(trace.final_params.r, kp.r)
+
+
+class TestEntryChecks:
+    """The start must have unit-norm r and finite theta, NaN included."""
+
+    ANSATZ = (parse("I"), parse("X"))
+
+    @pytest.mark.parametrize("run", [run_gd, run_rcd])
+    @pytest.mark.parametrize("r, theta, match", [
+        ([math.nan, 0.0], [0.0, 0.0], "unit norm"),
+        ([1.0, 0.0], [math.nan, 0.0], r"theta\[0\] = nan"),
+    ], ids=["nan_r", "nan_theta"])
+    def test_nan_start_is_rejected(self, run, r, theta, match):
+        h = PauliSum.from_words({"X": 1.0, "Z": 0.5})
+        kp = KParams(self.ANSATZ, np.array(r), np.array(theta))
+        cfg = OptConfig(max_iters=5, block_size=1)
+        with pytest.raises(ValueError, match=match):
+            run(h, kp, cfg, build_support_sets(h, self.ANSATZ))
+
 
 class TestStationary:
     """K = I under a diagonal H is a zero-cost fixed point, and under

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from paulidiag.pauli import (
     MAX_QUBITS,
+    PHASES,
     PauliParseError,
     PauliString,
-    Phase,
     commutes,
     multiply,
     multiply_masks,
@@ -39,17 +39,6 @@ def pauli_pairs(n_max=6):
     return st.integers(1, n_max).flatmap(
         lambda n: st.tuples(pauli_strings(n=n), pauli_strings(n=n))
     )
-
-
-class TestPhase:
-    def test_values(self):
-        assert [Phase(k).value for k in range(4)] == [1, 1j, -1, -1j]
-
-    def test_mod4_and_compose(self):
-        assert Phase(5) == Phase(1)
-        assert Phase(-1) == Phase(3)
-        assert Phase(3) * Phase(2) == Phase(1)
-        assert Phase(1).conjugate() == Phase(3)
 
 
 class TestParseFormat:
@@ -111,21 +100,21 @@ class TestMultiply:
     @pytest.mark.parametrize("a,b,k,c", CASES)
     def test_single_qubit_table(self, a, b, k, c):
         ph, prod = multiply(parse(a), parse(b))
-        assert (ph, prod.word) == (Phase(k), c)
+        assert (ph, prod.word) == (PHASES[k], c)
 
     def test_xz_times_yx(self):
         # frozen from the dense 4x4 oracle: (XZ)(YX) = -(ZY)
         ph, prod = multiply(parse("XZ"), parse("YX"))
-        assert ph == Phase(2)
+        assert ph == -1
         assert prod.word == "ZY"
         expect = dense_word("XZ") @ dense_word("YX")
-        np.testing.assert_allclose(ph.value * dense_word(prod.word), expect, atol=1e-15)
+        np.testing.assert_allclose(ph * dense_word(prod.word), expect, atol=1e-15)
 
     def test_dense_equivalence_exhaustive_n2(self):
         for wa in words(2):
             for wb in words(2):
                 ph, prod = multiply(parse(wa), parse(wb))
-                got = ph.value * dense_word(prod.word)
+                got = ph * dense_word(prod.word)
                 np.testing.assert_allclose(
                     got, dense_word(wa) @ dense_word(wb), atol=1e-15
                 )
@@ -138,7 +127,7 @@ class TestMultiply:
     def test_involution(self, pair):
         a, _ = pair
         ph, prod = multiply(a, a)
-        assert ph == Phase(0)
+        assert ph == 1
         assert prod.is_identity
 
     @settings(max_examples=150)
@@ -160,7 +149,7 @@ class TestMultiply:
         a, b = pair
         ph, prod = multiply(a, b)
         np.testing.assert_allclose(
-            ph.value * dense_word(prod.word),
+            ph * dense_word(prod.word),
             dense_word(a.word) @ dense_word(b.word),
             atol=1e-14,
         )
@@ -185,7 +174,7 @@ def assert_masks_match_multiply(pairs):
     k, cx, cz = multiply_masks(ax, az, bx, bz)
     for (a, b), ki, xi, zi in zip(pairs, k.tolist(), cx.tolist(), cz.tolist()):
         ph, c = multiply(a, b)
-        assert (ki, xi, zi) == (ph.k, c.x_mask, c.z_mask), (a, b)
+        assert (PHASES[ki], xi, zi) == (ph, c.x_mask, c.z_mask), (a, b)
 
 
 class TestMultiplyMasks:
@@ -223,7 +212,7 @@ class TestMultiplyMasks:
         for i, pa in enumerate(a):
             for j, pb in enumerate(b):
                 ph, c = multiply(pa, pb)
-                assert (k[i, j], cx[i, j], cz[i, j]) == (ph.k, c.x_mask, c.z_mask)
+                assert (PHASES[k[i, j]], cx[i, j], cz[i, j]) == (ph, c.x_mask, c.z_mask)
 
     @given(st.lists(st.integers(0, (1 << MAX_QUBITS) - 1), min_size=1, max_size=50))
     def test_popcount(self, values):
@@ -246,12 +235,11 @@ class TestCommutes:
 
     @given(pauli_pairs())
     def test_swap_phase_consistency(self, pair):
-        # ab = +-ba: the product phases differ by 2 mod 4 exactly when they anticommute
+        # ab = +-ba: the product phases differ in sign exactly when they anticommute
         a, b = pair
         pab, _ = multiply(a, b)
         pba, _ = multiply(b, a)
-        diff = (pab.k - pba.k) % 4
-        assert diff == (0 if commutes(a, b) else 2)
+        assert pab == (pba if commutes(a, b) else -pba)
 
 
 class TestStringBasics:
