@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import UNIT_NORM_TOL, KParams
+from .cost import UNIT_NORM_TOL, KParams, eval_grad
 from .models import (
     build_example_hams,
     build_hubbard,
@@ -336,7 +336,9 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
         return 2, (f"aborted: radial collapse at iteration {iterations}: "
                    f"||r(y)|| = {final.r_norm_pre_normalization:.3e}")
     if trace.stop_reason == "non_finite":
-        return 5, (f"aborted: final_F={final.F_total:.3e} grad_norm={final.grad_norm:.3e} "
+        # the full gradient's norm: a sampled RCD record holds its block's
+        grad_norm = eval_grad(h, trace.final_params, support).grad_norm
+        return 5, (f"aborted: final_F={final.F_total:.3e} grad_norm={grad_norm:.3e} "
                    f"iterations={iterations} stop=non_finite")
     try:
         # report.json reads only the start's Frobenius error

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import PauliSum, SupportSets
-from .pauli import PHASES, PauliString, pack_keys, popcount, string_masks
+from .pauli import PHASES, PauliString, pack_keys, string_masks
 
 # how far ||r|| may be from 1 for params to count as unit norm
 UNIT_NORM_TOL = 1e-8
@@ -137,7 +137,10 @@ class CostReport:
 
 def _grad_norm(grad_r: np.ndarray, grad_theta: np.ndarray) -> float:
     """The gradient norm every report and optimizer step uses, two dots."""
-    return float(np.sqrt(np.dot(grad_r, grad_r) + np.dot(grad_theta, grad_theta)))
+    # finite partials can overflow the dots: the norm reads inf, which the
+    # optimizers stop on, so numpy's overflow warning would only be noise
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.dot(grad_r, grad_r) + np.dot(grad_theta, grad_theta)))
 
 
 def k_as_sum(kp: KParams) -> PauliSum:
@@ -213,7 +216,7 @@ class _DenseWork:
 
     def _grid_slots(self, strings):
         x, z = string_masks(strings)
-        return z * self.dim + x, PHASES[popcount(x & z) & 3]
+        return z * self.dim + x, PHASES[np.bitwise_count(x & z) & 3]
 
     def matrix(self, slot: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The dense matrix of the sum with values at grid slots (the

@@ -16,12 +16,14 @@ dense path, which reads only H and the ansatz, never builds them:
   and target-slot table, so that cost's values are bincount accumulations
   and its gradients row gathers instead of per-term dict arithmetic.
 
-The build works on int32 x/z mask arrays and never forms a PauliString:
-each grid is one broadcast of pauli.multiply_masks, and the string tables
+The build works on mask arrays and never forms a PauliString: each grid's
+phases are one broadcast of pauli.multiply_masks, and the string tables
 (hk_strings, closure, g1, g2) are sorted arrays of packed int64 keys
-(pauli.pack_keys; pauli.unpack_keys decodes them). Key order is PauliString
-order, so every table is independent of how the products are computed, and
-the diagonal strings sort first, which makes g1 the closure's suffix.
+(pauli.pack_keys; pauli.unpack_keys decodes them), a product's key being
+the XOR of its factors'. Key order is PauliString order, so every table is
+independent of how the products are computed, and the diagonal strings
+sort first, which makes g1 the closure's suffix. The closure is sorted from
+the smaller of two grids with the same key set (see _product_tables).
 """
 
 from __future__ import annotations
@@ -215,7 +217,10 @@ class SupportSets:
 
     closure holds the strings of K'HK, the conjugation closure
     {strip(P_a Q_i P_b)}; the coefficient of any string outside it is
-    identically zero in K'HK, whatever the parameters. g1 holds its
+    identically zero in K'HK, whatever the parameters. It is the key set
+    of P_a * hk_s over the d x |hk| grid (N keys) and equally of the pair
+    products P_a P_b times the H terms Q_i (M = |pairs| |H| keys); the
+    build sorts the smaller, min(M, N) <= d |hk| keys. g1 holds its
     off-diagonal strings, and g2 the non-identity pair products P_i P_j, the
     strings phi_P is defined on. Every string table is sorted (PauliString
     order); the diagonal strings sort first, so g1 is the closure's suffix,
@@ -330,39 +335,59 @@ def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
 def _product_tables(n: int, ansatz, h_strings) -> dict:
     """The nine derived fields of SupportSets (_TABLES), by name.
 
-    The grids are formed on int32 masks: n <= MAX_QUBITS = 24 makes every
-    mask and XOR fit, and only the packed keys need int64. The index tables
-    are intp, which take and bincount read without a copy."""
+    The phase grids are formed on int32 masks: n <= MAX_QUBITS = 24 makes
+    every mask and XOR fit. The strings are packed int64 keys, and a
+    product's key is the XOR of its factors' keys. The index tables are
+    intp, which take and bincount read without a copy.
+
+    P_a h_i P_b has the key (a ^ b) ^ h_i, so the closure is the key set of
+    two grids: ansatz x HK, a ^ hk_s (N = d |hk| keys), and pairs x H,
+    (a ^ b) ^ h_i (M = |pairs| |H| keys). One unique sorts the smaller
+    grid, so it never holds more than d |hk| keys. The slot of khk entry
+    (a, s) < |hk| is then one gather from its inverse: entry (a, s) itself
+    on the ansatz side, entry (pair (a, b_s), term i_s) on the pairs side,
+    for one (i_s, b_s) with h_i P_b = hk_s."""
     d = len(ansatz)
     hx, hz = string_masks(h_strings, np.int32)
     ax, az = string_masks(ansatz, np.int32)
+    h_keys, a_keys = pack_keys(hx, hz), pack_keys(ax, az)
 
     # H*K support and its build table; entry (i, b) is h_strings[i] * P_b
-    k, cx, cz = multiply_masks(hx[:, None], hz[:, None], ax, az)
-    hk_keys, hk_tgt = np.unique(pack_keys(cx, cz).ravel(), return_inverse=True)
-    hk_x, hk_z = (m.astype(np.int32) for m in unpack_keys(hk_keys))
+    k, _, _ = multiply_masks(hx[:, None], hz[:, None], ax, az)
+    hk_keys, hk_tgt = np.unique((h_keys[:, None] ^ a_keys).ravel(), return_inverse=True)
     hk_phase = PHASES[k.ravel()]
+    # the pair products P_a P_b, at a * d + b. The ansatz being distinct,
+    # only the diagonal is the identity, whose key 0 sorts first
+    pair_keys, pair_tgt = np.unique((a_keys[:, None] ^ a_keys).ravel(), return_inverse=True)
+    pair_tgt = pair_tgt.reshape(d, d)
 
-    # the K'[HK | K] grid; entry (a, s) is P_a * Y_s, Y = hk_strings ++ ansatz
+    # closure = strings of K'HK, sorted from the smaller grid; at[a, s] is
+    # the flat grid index of khk entry (a, s)
+    if len(pair_keys) * len(h_keys) < d * len(hk_keys):
+        # every (i, b) with h_i P_b = hk_s gives the same key; keep one
+        term = np.empty(len(hk_keys), dtype=np.intp)
+        term[hk_tgt] = np.arange(hk_tgt.size)
+        i_s, b_s = np.divmod(term, d)
+        rows, cols, at = pair_keys, h_keys, pair_tgt[:, b_s] * len(h_keys) + i_s
+    else:
+        rows, cols, at = a_keys, hk_keys, np.arange(d * len(hk_keys)).reshape(d, -1)
+    closure_keys, closure_tgt = np.unique((rows[:, None] ^ cols).ravel(), return_inverse=True)
+
     width = len(hk_keys) + d
-    k, cx, cz = multiply_masks(ax[:, None], az[:, None],
-                               np.concatenate((hk_x, ax)), np.concatenate((hk_z, az)))
-    # the build's largest grid: the selector is k widened to intp once and
-    # then formed in place, and the masks are freed before the sorts
+    khk_tgt = np.empty((d, width), dtype=np.intp)
+    khk_tgt[:, : len(hk_keys)] = closure_tgt[at]
+    khk_tgt[:, len(hk_keys):] = len(closure_keys) + pair_tgt
+
+    # the K'[HK | K] grid's phases; entry (a, s) is P_a * Y_s, Y = hk_strings
+    # ++ ansatz. The build's largest grid: the selector is k widened to intp
+    # once and then formed in place
+    hk_x, hk_z = (m.astype(np.int32) for m in unpack_keys(hk_keys))
+    k, _, _ = multiply_masks(ax[:, None], az[:, None],
+                             np.concatenate((hk_x, ax)), np.concatenate((hk_z, az)))
     khk_sel = k.astype(np.intp)
     del k
     khk_sel *= width
     khk_sel += np.arange(width)
-    keys = pack_keys(cx, cz)
-    del cx, cz
-    # closure = strings of K'(HK), the first |hk| columns
-    closure_keys, closure_tgt = np.unique(keys[:, : len(hk_keys)], return_inverse=True)
-    # the pair products P_i P_j, the last d columns. The ansatz being
-    # distinct, only the diagonal is the identity, whose key 0 sorts first
-    pair_keys, pair_tgt = np.unique(keys[:, len(hk_keys):], return_inverse=True)
-    khk_tgt = np.empty((d, width), dtype=np.intp)
-    khk_tgt[:, : len(hk_keys)] = closure_tgt.reshape(d, -1)
-    khk_tgt[:, len(hk_keys):] = len(closure_keys) + pair_tgt.reshape(d, d)
 
     # diagonal strings (x = 0) are the keys below 1 << MAX_QUBITS, so g1,
     # the off-diagonal closure strings, is the closure's suffix

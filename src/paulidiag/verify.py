@@ -22,7 +22,7 @@ import numpy as np
 
 from .cost import UNIT_NORM_TOL, KParams, eval_F
 from .operators import PauliSum, build_support_sets
-from .pauli import PHASES, PauliString, pack_keys, popcount, string_masks, unpack_keys
+from .pauli import PHASES, PauliString, pack_keys, string_masks, unpack_keys
 
 DENSE_MAX_QUBITS = 12
 
@@ -127,10 +127,10 @@ def _strings_to_dense(n: int, strings, coeffs, sectors: _Sectors) -> np.ndarray:
     rows = np.bitwise_or.reduce((xr[:, None] >> sectors.pivots & 1) << bits, axis=1)
     if np.any(sectors.idx[0, rows] != xr):
         raise ValueError("a string's x lies outside the sectors' span")
-    scaled = np.asarray(coeffs, dtype=complex) * PHASES[popcount(xr & zr) & 3]
+    scaled = np.asarray(coeffs, dtype=complex) * PHASES[np.bitwise_count(xr & zr) & 3]
     cols = sectors.idx.ravel()
     # (-1)^{popcount(c)} for every dense index c
-    signs = 1.0 - 2.0 * (popcount(np.arange(len(cols), dtype=np.int64)) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(len(cols), dtype=np.int64)) & 1)
     local = np.arange(len(cols), dtype=np.int64) & (s - 1)
     # flat index of (b, 0, i) for column c = idx[b, i]
     base = (np.arange(len(cols), dtype=np.int64) - local) * s + local
@@ -194,7 +194,7 @@ def pauli_decompose(mat: np.ndarray, n: int, prune_tol: float = 0.0) -> PauliSum
     for xr in range(dim):
         s = _fwht(mat[cols, cols ^ xr])
         zr = np.flatnonzero(np.abs(s) >= floor * dim)
-        coeff = PHASES[popcount(xr & zr) & 3] * s[zr] / dim
+        coeff = PHASES[np.bitwise_count(xr & zr) & 3] * s[zr] / dim
         keep = np.abs(coeff) >= floor
         x_mask = int(masks[xr])
         strings += [PauliString(n, x_mask, z) for z in masks[zr[keep]].tolist()]
@@ -500,7 +500,7 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
 def _commutators(ax, az, bx, bz) -> np.ndarray:
     """Keys of the commutators of the anticommuting pairs among broadcast
     mask arrays (a, b)."""
-    anti = (popcount((ax & bz) ^ (az & bx)) & 1).astype(bool)
+    anti = (np.bitwise_count((ax & bz) ^ (az & bx)) & 1).astype(bool)
     return pack_keys(ax ^ bx, az ^ bz)[anti]
 
 

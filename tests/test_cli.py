@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,28 @@ class TestDiagonalize:
         assert "iterations=0 stop=non_finite" in capsys.readouterr().out
         lines = (out / "trace.jsonl").read_text().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["iter"] == 0
+
+    def test_overflowing_full_gradient_line_reads_inf_for_gd_and_rcd(self, tmp_path, capsys):
+        # sampled RCD's record holds a finite sampled norm; the exit-5 line
+        # reports the full gradient norm at the final params for both
+        # algorithms, and the run warns nothing on the way
+        lines = {}
+        for algorithm in ("gd", "rcd"):
+            cfg = {
+                "model": {"family": "xxz", "n": 2, "j": 1e78, "delta": 1.0},
+                "algorithm": algorithm,
+                "ansatz_source": {"kind": "full_basis"},
+                "opt": {"max_iters": 5},
+            }
+            path = write_json(tmp_path / f"{algorithm}.json", cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["diagonalize", "--config", path,
+                             "--out-dir", str(tmp_path / algorithm)])
+            assert code == 5
+            lines[algorithm] = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "grad_norm=inf " in lines["gd"]
+        assert lines["rcd"] == lines["gd"]
 
     def test_same_seed_byte_identical_traces(self, tmp_path):
         cfg = base_config(tmp_path / "a")

@@ -473,16 +473,32 @@ def strings_of(words) -> tuple[PauliString, ...]:
 class TestMaskArrayBuild:
     """build_support_sets against the loop reference, field by field."""
 
+    # the closure is sorted from the pairs x H grid (M = |pairs| |H| keys)
+    # when M < N = d |hk|, else from the ansatz x HK grid; each comment
+    # names the side its instance takes
     @pytest.mark.parametrize("h_words,ansatz_words", [
-        # n = 1, one ansatz string: g2 empty, a one-entry pair grid
+        # n = 1, one ansatz string: g2 empty, a one-entry pair grid.
+        # M = N = 1: ansatz side
         ({"Z": 1.0}, ("X",)),
+        # M = 8 < N = 16: pairs side
         ({"Z": 1.0, "X": 0.3}, ("I", "X", "Y", "Z")),
         # identity term in H, identity in the ansatz, colliding pair
-        # products (XI*IX = II*XX = IX*XI = XX)
+        # products (XI*IX = II*XX = IX*XI = XX). M = 24 < N = 65: pairs side
         ({"II": 0.7, "ZZ": -1.0, "XY": 0.25}, ("II", "IX", "XI", "XX", "YZ")),
         # diagonal-only H and ansatz: no g1, every khk entry lands on a
-        # diagonal string
+        # diagonal string. M = N = 4: ansatz side
         ({"ZI": 1.0, "IZ": 0.5}, ("II", "ZZ")),
+        # dense H (all 16 strings) with three ansatz strings: four pair
+        # products times 16 terms, M = 64 > N = 3 * 16 = 48: ansatz side
+        ({"".join(w): 0.1 * (i + 1) - 0.75
+          for i, w in enumerate(itertools.product("IXYZ", repeat=2))}, ("XI", "IZ", "YY")),
+        # the Z group as ansatz: its pair products are the group, so the
+        # closure is HK itself (12 strings). M = 4 * 3 = 12 < N = 48: pairs side
+        ({"XX": 1.0, "XI": 0.5, "IY": -0.3}, ("II", "ZI", "IZ", "ZZ")),
+        # the X group against H = YI, YX, ZI: each of the four HK slots is
+        # reached from three (i, b), with phases 1, i and -i among them.
+        # M = 4 * 3 = 12 < N = 16: pairs side
+        ({"YI": 1.0, "YX": -0.5, "ZI": 0.3}, ("II", "XI", "IX", "XX")),
     ])
     def test_handpicked_instances(self, rng, h_words, ansatz_words):
         assert_matches_reference(PauliSum.from_words(h_words), strings_of(ansatz_words), rng)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -475,6 +476,20 @@ class TestNonFinite:
         # the record holds the sampled norm, finite here
         assert math.isfinite(trace.records[0].grad_norm)
         np.testing.assert_array_equal(trace.final_params.r, kp.r)
+
+
+    @pytest.mark.parametrize("run", [run_gd, run_rcd])
+    def test_overflowing_gradient_norm_warns_nothing(self, run):
+        # F0 = 3.2e157 is finite and the partials are too, but their squared
+        # norm overflows: inf is the value the loop stops on, so numpy's
+        # overflow warning from the norm's dots would only be noise
+        h = build_xxz(2, 1e78, 1.0)
+        kp = cli.build_initial_params({"ansatz_source": {"kind": "full_basis"}}, h, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(h, kp, OptConfig(max_iters=5, stop_tol=0.0, block_size=4))
+        assert trace.stop_reason == "non_finite"
+        assert [rec.iteration for rec in trace.records] == [0]
 
 
 class TestEntryChecks:

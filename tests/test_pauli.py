@@ -15,7 +15,6 @@ from paulidiag.pauli import (
     multiply_masks,
     pack_keys,
     parse,
-    popcount,
     string_masks,
     unpack_keys,
 )
@@ -213,11 +212,6 @@ class TestMultiplyMasks:
             for j, pb in enumerate(b):
                 ph, c = multiply(pa, pb)
                 assert (PHASES[k[i, j]], cx[i, j], cz[i, j]) == (ph, c.x_mask, c.z_mask)
-
-    @given(st.lists(st.integers(0, (1 << MAX_QUBITS) - 1), min_size=1, max_size=50))
-    def test_popcount(self, values):
-        got = popcount(np.array(values, dtype=np.int64))
-        assert got.tolist() == [v.bit_count() for v in values]
 
 
 class TestCommutes:

@@ -1,7 +1,8 @@
 """A/B series of the benchmark between two checkouts, written as BENCH_<n>.json.
 
     python3 tools/ab_bench.py --base DIR --head DIR --seeds 41-50 \
-        --seconds 30 --out BENCH_<n>.json [--minflt-reps 5]
+        --seconds 30 --out BENCH_<n>.json [--minflt-reps 5] \
+        [--claim WORKLOAD/METRIC]
 
 DIR is the root of a paulidiag checkout (for example a `git clone` of the
 parent commit). For each seed, `python3 bench/run.py --workload all --seed S
@@ -20,6 +21,13 @@ records its peak RSS and its dense verification time (`peak_rss_mb` and
 The output records both git shas, the host, Python, NumPy and BLAS, and for
 every side, workload and metric the median, interquartile range and count,
 plus the fail ratio, and for head against base the number of pairs head won.
+
+Against head's BENCHMARK.json it also records two verdicts. With --claim,
+whether the claimed metric improved on the claimed workload: head wins at
+least nine tenths of the pairs, and the medians differ, in the metric's
+`better` direction, by more than base's interquartile range. For every other
+end-to-end metric and workload, whether head's median is worse than base's by
+more than that metric's (relative) `bound`.
 """
 
 from __future__ import annotations
@@ -95,6 +103,36 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
 
 
+def _values(results: list[dict], workload: str, metric: str) -> list[float]:
+    return [r[workload]["metrics"][metric]["value"] for r in results]
+
+
+def claim_verdict(runs: dict, workload: str, spec: dict) -> dict:
+    """Whether head's gain in one metric holds: head wins at least 9/10 of
+    the pairs (ties count for neither), and the medians differ in the better
+    direction by more than base's IQR."""
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    base, head = (_values(runs[side], workload, spec["name"]) for side in ("base", "head"))
+    wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
+    b, h = summary(base), summary(head)
+    gain = sign * (b["median"] - h["median"])
+    return {"workload": workload, "metric": spec["name"], "better": spec["better"],
+            "pairs": len(base), "head_wins": wins, "base_median": b["median"],
+            "head_median": h["median"], "base_iqr": b["iqr"], "median_gain": gain,
+            "holds": wins >= 0.9 * len(base) and gain > b["iqr"]}
+
+
+def bound_verdict(runs: dict, workload: str, spec: dict) -> dict:
+    """Whether head's median is worse than base's by more than the metric's
+    bound, relative to base's median."""
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    base, head = (statistics.median(_values(runs[side], workload, spec["name"]))
+                  for side in ("base", "head"))
+    worse_by = sign * (head - base) / base
+    return {"bound": spec["bound"], "head_worse_by": worse_by,
+            "exceeds": worse_by > spec["bound"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path)
@@ -103,9 +141,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--minflt-reps", type=int, default=0)
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="an end-to-end metric head claims to improve on one workload")
     args = parser.parse_args(argv)
     first, last = (int(v) for v in args.seeds.split("-"))
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
+    benchmark = json.loads((roots["head"] / "BENCHMARK.json").read_text())
+    specs = {m["name"]: m for m in benchmark["end_to_end"]}
+    claim = None
+    if args.claim:
+        claim = tuple(args.claim.split("/", 1))
+        names = [w["name"] for w in benchmark["workloads"]]
+        if len(claim) != 2 or claim[0] not in names or claim[1] not in specs:
+            parser.error(f"--claim {args.claim}: expected WORKLOAD/METRIC with WORKLOAD "
+                         f"in {names} and METRIC in {list(specs)}")
 
     runs = {"base": [], "head": []}
     env = {}
@@ -143,6 +192,19 @@ def main(argv=None) -> int:
                    for b, h in zip(runs["base"], runs["head"]))
             for m in entry["base"]["metrics"]}
         record["workloads"][w] = entry
+
+    if claim:
+        record["claim"] = claim_verdict(runs, claim[0], specs[claim[1]])
+        print(f"claim {args.claim}: {'holds' if record['claim']['holds'] else 'fails'} "
+              f"({record['claim']['head_wins']}/{record['claim']['pairs']} pairs won)")
+    record["bounds"] = {
+        w: {m: bound_verdict(runs, w, spec) for m, spec in specs.items()
+            if (w, m) != claim}
+        for w in workloads}
+    for w, verdicts in record["bounds"].items():
+        for m, v in verdicts.items():
+            if v["exceeds"]:
+                print(f"{w} {m}: head worse by {v['head_worse_by']:.3f} > bound {v['bound']}")
 
     if args.minflt_reps:
         reps = {"base": [], "head": []}
