@@ -48,6 +48,35 @@ Hadamard matmul of its (2^n, 2^n) coefficient grid plus one fixed gather,
 its d partials are the adjoint (one gather of the matrix gradient plus one
 Hadamard matmul), and K'HK, K'K and the matrix gradient take three more
 matmuls, so no step touches a d x 2^n table.
+
+The third route, the algebra path (_evaluate_algebra), works on the
+algebra that the span G of the ansatz strings spans: 2^l blocks of
+2^k x 2^k (operators' notes on the algebra give the representation, the
+grid slots and their phases). H = sum_c P_c A_c over the C cosets of G
+that H's terms lie in, so
+
+    K'HK = sum_c P_c K~_c' A_c K,    K~_c = P_c K P_c,
+
+and each representative P_c commutes with G's pairs, so K~_c is K with
+its blocks permuted. K'HK's coefficients on coset c are those of
+B_c = K~_c' A_c K, read back through the adjoint map; P_c P_g is
+off-diagonal iff x(P_c) ^ x(g) != 0, so f = 4^n sum |m_cg|^2 over those
+slots, and the penalty is the traceless part of K'K, formed on the blocks
+as on the dense path. The forward map (K's coefficients to blocks) is one
+Hadamard matmul and one gather, its adjoint one gather and one Hadamard
+matmul, as on the dense path; the C coset operators sit side by side, so
+each product is one matmul per block. The gradient is the adjoint: with Y_c
+the off-diagonal part of B_c,
+
+    G = 2^(2n+1-m) sum_c A_c' K~_c Y_c + (2 / 2^m) K T    (m = k + l)
+
+on the blocks, and tr(P_j G) for every ansatz string is one adjoint map
+of G. One evaluation costs O(C 2^l 8^k) in block products and
+O(C 2^k 4^m) in Hadamard matmuls, whose matrix of 2^m is built whole,
+against the table path's O(d (|hk| + d)). _path takes the dense path where
+it applies, then the algebra path where _algebra_path_applies (m at most
+_ALGEBRA_MAX_M, and a fitted time model of both terms), else the table
+path.
 """
 
 from __future__ import annotations
@@ -307,19 +336,101 @@ def _partial_rows(s: SupportSets, theta, w, u, J):
     return z.view(complex).ravel() * np.exp(-1j * theta[J])
 
 
-def _evaluator(s: SupportSets):
-    """The evaluation routine for s, called as fn(r, theta, want_grad) and
-    returning (f, penalty, grad_r, grad_theta): the dense path when it
-    applies, else the support tables."""
+def _evaluate_algebra(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
+    hadamard = s.alg_hadamard
+    nb, w, _ = s.alg_to_matrix.shape
+    dim = nb * w
+    e = np.exp(1j * theta)
+    grid = np.zeros(dim * w, dtype=complex)
+    grid[s.alg_k_slot] = (r * e) * s.alg_k_phase
+    k = (hadamard @ grid.reshape(dim, w)).take(s.alg_to_matrix)
+    kh = k.conj().swapaxes(-1, -2)
+    # the blocks of K~_c' A_c K side by side, then their coefficients
+    b = kh @ (s.alg_h @ k).take(s.alg_turn)
+    y = (hadamard @ b.take(s.alg_to_coef)) * s.alg_offdiag
+    f = float(4.0**s.n / dim**2 * np.vdot(y, y).real)
+    # K'K and its traceless part, formed entrywise as on the dense path
+    t = kh @ k
+    diag = t.reshape(nb, -1)[:, ::w + 1]
+    diag -= diag.sum() / dim
+    penalty = float(np.vdot(t, t).real / dim)
+    if not want_grad:
+        return f, penalty, None, None
+
+    # G = 2^(2n+1-m) sum_c A_c' K~_c Y_c + (2/2^m) K T on the blocks, Y_c the
+    # off-diagonal part of K~_c' A_c K; the partials are the adjoint of G
+    y *= 2.0**(2 * s.n + 1) / dim**2
+    z = (k @ (hadamard @ y).take(s.alg_to_blocks)).take(s.alg_back)
+    g = s.alg_h.conj().swapaxes(-1, -2) @ z
+    g += (2.0 / dim) * (k @ t)
+    gvec = (hadamard @ g.take(s.alg_to_grid)).take(s.alg_k_slot) * s.alg_k_phase * e.conj()
+    return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
+
+
+# The algebra path's rule, two time models in microseconds fitted by
+# tools/path_model.py (BENCH_21_pathfit.json; one BLAS thread): the first
+# evaluation on the algebra path, its build included, against one table-path
+# evaluation with the tables already built. The algebra side has two terms,
+# the block products and the Hadamard matmuls on the (2^m, C 2^k) grids.
+_ALGEBRA_FIRST_US = (800.0, 0.0066, 0.00091)  # a + b C 2^l 8^k + c C 2^k 4^m
+_TABLE_US = (59.0, 0.0075)  # a + b d (min(|H| d, C 2^(2k+l)) + d)
+# the Hadamard matrix of 2^m is built whole: m <= 10 keeps it at 16 MB, and
+# the fit has points up to m = 10
+_ALGEBRA_MAX_M = 10
+
+
+def _algebra_path_applies(s: SupportSets) -> bool:
+    """Whether s takes the algebra path: k < n, m = k + l at most
+    _ALGEBRA_MAX_M, and the models predict its first evaluation, build
+    included, cheaper than one table evaluation with the tables built.
+    Then every run of evaluations is predicted cheaper on the algebra path,
+    however many it makes and whether or not a caller (sampled RCD,
+    eval_phi) has built the tables; where only later evaluations would
+    repay the build, the table path stays. The inputs are k, l and C of s's
+    span (from the masks alone), d and |H|; C 2^(2k+l) bounds |hk|, since
+    H's terms times the ansatz lie in the C cosets."""
+    k = s.span_pairs
+    m = len(s.span_basis) - k
+    l, c = m - k, len(s.coset_rep)
+    if k >= s.n or m > _ALGEBRA_MAX_M:
+        return False
+    a, b, b_h = _ALGEBRA_FIRST_US
+    a_t, b_t = _TABLE_US
+    hk_bound = min(len(s.h_strings) * s.d, c << (2 * k + l))
+    algebra = a + b * (c << (l + 3 * k)) + b_h * (c << (k + 2 * m))
+    return algebra < a_t + b_t * s.d * (hk_bound + s.d)
+
+
+def _path(s: SupportSets):
+    """The path s is evaluated on: _evaluate_dense when the dense path
+    applies, else _evaluate_algebra when the algebra path applies, else
+    _evaluate_sparse (the support tables). Choosing builds no product
+    table."""
     if _dense_path_applies(s.n, s.d):
-        return functools.partial(_evaluate_dense, _DenseWork(s))
-    return functools.partial(_evaluate_sparse, s)
+        return _evaluate_dense
+    if _algebra_path_applies(s):
+        return _evaluate_algebra
+    return _evaluate_sparse
+
+
+def _evaluator(s: SupportSets):
+    """The evaluation routine for s on its _path, called as
+    fn(r, theta, want_grad) and returning (f, penalty, grad_r, grad_theta)."""
+    path = _path(s)
+    return functools.partial(path, _DenseWork(s) if path is _evaluate_dense else s)
+
+
+# an overflow reads inf or NaN, which every caller rejects or stops on, so
+# numpy's warnings about it would only be noise (as in _grad_norm)
+@np.errstate(over="ignore", invalid="ignore")
+def _evaluate(h: PauliSum, kp: KParams, s: SupportSets, want_grad: bool):
+    _check(h, kp, s)
+    return _evaluator(s)(kp.r, kp.theta, want_grad)
 
 
 def eval_f(h: PauliSum, kp: KParams, s: SupportSets) -> float:
     """Off-diagonal cost sum_{P in g1} tr(K'HK P)^2."""
-    _check(h, kp, s)
-    f, _, _, _ = _evaluator(s)(kp.r, kp.theta, False)
+    f, _, _, _ = _evaluate(h, kp, s, False)
     return f
 
 
@@ -342,13 +453,11 @@ def eval_phi(kp: KParams, p: PauliString, s: SupportSets) -> complex:
 
 def eval_F(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:
     """Total cost, values only."""
-    _check(h, kp, s)
-    f, penalty, _, _ = _evaluator(s)(kp.r, kp.theta, False)
+    f, penalty, _, _ = _evaluate(h, kp, s, False)
     return CostReport(f_value=f, penalty=penalty, total=f + penalty)
 
 
 def eval_grad(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:
     """Total cost with its exact gradient."""
-    _check(h, kp, s)
-    f, penalty, gr, gt = _evaluator(s)(kp.r, kp.theta, True)
+    f, penalty, gr, gt = _evaluate(h, kp, s, True)
     return CostReport(f_value=f, penalty=penalty, total=f + penalty, grad_r=gr, grad_theta=gt)

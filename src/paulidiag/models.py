@@ -14,7 +14,7 @@ import numpy as np
 
 from .cost import KParams
 from .operators import PauliSum, sum_multiply
-from .pauli import PauliString, commutes, multiply, parse
+from .pauli import MAX_QUBITS, PauliString, commutes, multiply, parse
 from .verify import pauli_decompose, to_dense
 
 
@@ -127,6 +127,9 @@ def build_random_udu(
     strings with angles uniform in [-pi/2, pi/2]. The conjugation is expanded
     exactly, so h's term count is at most n_diag * 2^n_rot.
     """
+    # before any 2 ** n: a huge n would build a huge integer first
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
     if n_diag < 1:
         raise ValueError("need at least one diagonal string")
     if n_diag > 2 ** n:

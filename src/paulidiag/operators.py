@@ -5,10 +5,15 @@ unnormalized convention tr(A P) = 2^n c_P.
 
 build_support_sets checks a Hamiltonian H and an ansatz list (P_1..P_d)
 and returns their SupportSets, which hold everything the cost evaluator
-needs; cost._table_values is the one routine that evaluates them. The
-product tables below are built on the first read of any of them (the table
-path's first evaluation, IncrementalState, eval_phi), so a run on cost's
-dense path, which reads only H and the ansatz, never builds them:
+needs. Its derived fields come in three groups, each built on the first
+read of any of its fields and never by a read of another group's: the span
+of the ansatz (the inputs of cost's path rule, from the masks alone), the
+algebra path's blocks and maps (see the notes on the algebra below), and
+the product tables, which cost._table_values is the one routine to
+evaluate. A run on cost's dense path, which reads only H and the ansatz,
+builds none of them, and one on the algebra path no product table. The
+product tables (built by the table path's first evaluation,
+IncrementalState or eval_phi) are:
 
 * g1: the off-diagonal strings that can appear in K'HK (ansatz closure),
 * g2: the non-identity products P_i P_j,
@@ -246,11 +251,15 @@ class SupportSets:
     arithmetic is cost._table_values'; the class holds the tables only.
 
     build_support_sets sets n, ansatz, h_ref, h_strings and h_coeffs, which
-    is all the dense path of cost reads. The nine derived fields (_TABLES:
-    the four string tables, the grids and slot_scale) are built together by
-    _product_tables on the first read of any of them, for example by the
-    first table-path evaluation, IncrementalState or eval_phi, and are
-    plain instance attributes from then on.
+    is all the dense path of cost reads. The derived fields come in three
+    groups, each built together on the first read of any of its fields and
+    a plain instance attribute from then on: the nine product tables
+    (_TABLES: the four string tables, the grids and slot_scale) by
+    _product_tables, for example on the first table-path evaluation,
+    IncrementalState or eval_phi; the four span fields (_SPAN) by
+    _span_tables, on cost's first path choice past the dense path; and the
+    algebra path's fields (_ALGEBRA) by _algebra_tables, on its first
+    evaluation.
     """
 
     n: int
@@ -276,14 +285,40 @@ class SupportSets:
     # per-slot gradient weight of the [closure | identity | g2] coefficients
     slot_scale: np.ndarray = field(init=False, repr=False)
 
+    # the span G of the ansatz (_SPAN): its symplectic basis as packed keys,
+    # e_1..e_k then f_1..f_k (pairs) then c_1..c_l (central), k, and the
+    # cosets of G that H's terms fall in, each term's coset index
+    span_basis: np.ndarray = field(init=False, repr=False)
+    span_pairs: int = field(init=False, repr=False)
+    coset_rep: np.ndarray = field(init=False, repr=False)
+    h_coset: np.ndarray = field(init=False, repr=False)
+
+    # the algebra path's maps, blocks and weights (_ALGEBRA; see _algebra_tables)
+    alg_hadamard: np.ndarray = field(init=False, repr=False)
+    alg_to_matrix: np.ndarray = field(init=False, repr=False)
+    alg_to_grid: np.ndarray = field(init=False, repr=False)
+    alg_h: np.ndarray = field(init=False, repr=False)
+    alg_k_slot: np.ndarray = field(init=False, repr=False)
+    alg_k_phase: np.ndarray = field(init=False, repr=False)
+    alg_offdiag: np.ndarray = field(init=False, repr=False)
+    alg_to_blocks: np.ndarray = field(init=False, repr=False)
+    alg_to_coef: np.ndarray = field(init=False, repr=False)
+    alg_turn: np.ndarray = field(init=False, repr=False)
+    alg_back: np.ndarray = field(init=False, repr=False)
+
     def __getattr__(self, name: str):
-        # reached only when normal lookup fails, that is for a table before
-        # the build; afterwards the tables are instance attributes. Any
-        # other name fails here, so a half-built object (copy.copy, pickle)
-        # never recurses
-        if name not in _TABLES:
+        # reached only when normal lookup fails, that is for a derived field
+        # before its group is built; afterwards the fields are instance
+        # attributes. Any other name fails here, so a half-built object
+        # (copy.copy, pickle) never recurses
+        if name in _TABLES:
+            tables = _product_tables(self.n, self.ansatz, self.h_strings)
+        elif name in _SPAN:
+            tables = _span_tables(self.ansatz, self.h_strings)
+        elif name in _ALGEBRA:
+            tables = _algebra_tables(self)
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        tables = _product_tables(self.n, self.ansatz, self.h_strings)
         vars(self).update(tables)
         return tables[name]
 
@@ -305,7 +340,10 @@ class SupportSets:
         return pairs.ravel() - (len(self.closure) + 1)
 
 
-_TABLES = frozenset(f.name for f in fields(SupportSets) if not f.init)
+# the three groups of first-read fields, each built on its own
+_SPAN = frozenset(("span_basis", "span_pairs", "coset_rep", "h_coset"))
+_ALGEBRA = frozenset(f.name for f in fields(SupportSets) if f.name.startswith("alg_"))
+_TABLES = frozenset(f.name for f in fields(SupportSets) if not f.init) - _SPAN - _ALGEBRA
 
 
 def build_support_sets(h: PauliSum, ansatz) -> SupportSets:
@@ -408,3 +446,182 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
         "slot_scale": slot_scale,
     }
 
+
+# --- the algebra the ansatz spans ---------------------------------------------
+#
+# A packed key is a vector of GF(2)^(2n), and a product's key is the XOR of
+# its factors'; two strings anticommute iff their symplectic product
+# omega(u, v) = |u.x & v.z| + |u.z & v.x| is odd. The ansatz keys span a
+# subgroup G, which symplectic Gram-Schmidt splits into k anticommuting
+# pairs (e_i, f_i) and l central elements c_j. Sending e_i to X and f_i to Z
+# on virtual qubit i < k, and c_j to Z on virtual qubit k + j, represents
+# the algebra G spans faithfully on m = k + l virtual qubits, P_g going to
+# +-V_g'; no V_g' has x bits on the central qubits, so the representation's
+# matrices are 2^l blocks of 2^k x 2^k.
+#
+# The element whose basis coordinates are the bits of i (bit t for basis
+# element t, in span_basis order) has slot i of the dense path's grid
+# C[z, x] (2^m x 2^k: x is i's low k bits, z the rest), and the ordered
+# product of its basis strings is i^mu P_g. The forward map puts the
+# coefficient of P_g at its slot times i^-mu, multiplies the z axis by the
+# Sylvester-Hadamard matrix S of 2^m and gathers the blocks M[b, row, col] =
+# (S C)[b 2^k + col, row ^ col], as cost._DenseWork.matrix does. Its
+# adjoint gathers E[b 2^k + c, x] = M[b, c, c ^ x]; then tr(P_g X) =
+# 2^(n-m) i^-mu (S E)[slot], and the coefficient of P_g in X is
+# i^-mu (S E)[slot] / 2^m.
+#
+# H's term h_i lies in a coset of G with representative P_c: h_i = i^-t P_c
+# P_g for one g in G, i^t the phase of P_c P_g. So H = sum_c P_c A_c, A_c =
+# sum_i h_i i^-t P_g, and K'HK = sum_c P_c K~_c' A_c K with K~_c = P_c K
+# P_c, which flips the sign of each k_g that anticommutes with P_c. Each
+# representative is chosen to commute with every e_i and f_i, so K~_c only
+# swaps blocks: K~_c[b] = K[b ^ gamma_c], bit j of gamma_c being
+# omega(P_c, c_j).
+
+
+def _omega(u: int, v: int) -> int:
+    """Symplectic product of two packed keys: 1 iff the strings anticommute."""
+    return (((u >> MAX_QUBITS) & v) ^ (u & (v >> MAX_QUBITS))).bit_count() & 1
+
+
+def _anticommute(keys: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """omega of every key with every basis key, as a (len(keys), len(basis))
+    0/1 array."""
+    kx, kz = unpack_keys(keys)
+    bx, bz = unpack_keys(basis)
+    return np.bitwise_count((kx[:, None] & bz) ^ (kz[:, None] & bx)) & 1
+
+
+def _reduce(keys: np.ndarray, echelon) -> np.ndarray:
+    """keys with every leading bit of an echelon basis (leading bits
+    descending) cleared: one canonical member of each key's coset."""
+    for b in echelon:
+        keys = np.where(keys & (1 << (b.bit_length() - 1)), keys ^ b, keys)
+    return keys
+
+
+def _span_tables(ansatz, h_strings) -> dict:
+    """The four _SPAN fields, from the masks alone: an echelon basis of the
+    ansatz keys' span (one vector op over the keys per basis element),
+    symplectic Gram-Schmidt on it (O(r^2) integer ops, r <= 2n), and H's
+    keys reduced modulo the span, each coset's representative then moved
+    within the coset to commute with every pair element."""
+    keys = pack_keys(*string_masks(ansatz))
+    echelon = []
+    keys = keys[keys != 0]
+    while keys.size:
+        top = int(keys.max())
+        echelon.append(top)
+        keys = _reduce(keys, [top])
+        keys = keys[keys != 0]
+
+    pairs, central, rest = [], [], list(echelon)
+    while rest:
+        u = rest.pop()
+        j = next((i for i, v in enumerate(rest) if _omega(u, v)), None)
+        if j is None:
+            central.append(u)
+            continue
+        v = rest.pop(j)
+        pairs.append((u, v))
+        rest = [w ^ (u if _omega(w, v) else 0) ^ (v if _omega(w, u) else 0) for w in rest]
+    basis = np.array([e for e, _ in pairs] + [f for _, f in pairs] + central, dtype=np.int64)
+
+    reps, h_coset = np.unique(_reduce(pack_keys(*string_masks(h_strings)), echelon),
+                              return_inverse=True)
+    # P_c e_i anticommuting is cured by f_i, P_c f_i by e_i
+    k = len(pairs)
+    cure = np.concatenate((basis[k:2 * k], basis[:k]))
+    reps ^= np.bitwise_xor.reduce(np.where(_anticommute(reps, basis[:2 * k]) == 1, cure, 0),
+                                  axis=1)
+    return {"span_basis": basis, "span_pairs": k, "coset_rep": reps, "h_coset": h_coset}
+
+
+def _block_gathers(k: int, l: int, gamma: np.ndarray):
+    """Fixed flat indices between the grids and the blocks of len(gamma)
+    operators M_c, coset c's block b being stored at b ^ gamma[c].
+
+    Layouts, with W = 2^k, B = 2^l and C = len(gamma): the grids side by
+    side, (2^m, C W), slot (z, x) of c at [z, c W + x]; the blocks side by
+    side, (B, W, C W), M_c[b][r, col] at [b ^ gamma[c], r, c W + col]; and
+    stacked, (B, C W, W), at [b, c W + r, col]. Returns (to_blocks, to_grid,
+    turn, back): the forward gather into the side-by-side blocks, the
+    adjoint gather from them, and the gathers from stacked to side by side
+    and back."""
+    w, nb, nc = 1 << k, 1 << l, len(gamma)
+    shape = (nc, nb, w, w)
+    c = np.arange(nc)[:, None, None, None]
+    b = np.arange(nb)[:, None, None]
+    r = np.arange(w)[:, None]
+    col = np.arange(w)
+    at = gamma[:, None, None, None] ^ b
+
+    def scatter(where, what):
+        out = np.empty(nc * nb * w * w, dtype=np.intp)
+        out[np.broadcast_to(where, shape).ravel()] = np.broadcast_to(what, shape).ravel()
+        return out
+
+    side = ((at * w + r) * nc + c) * w + col
+    stacked = ((b * nc + c) * w + r) * w + col
+    to_blocks = scatter(side, ((b * w + col) * nc + c) * w + (r ^ col))
+    # with col read as x: slot (b W + r, x) of c is M_c[b][r, r ^ x]
+    to_grid = scatter(((b * w + r) * nc + c) * w + col, ((at * w + r) * nc + c) * w + (r ^ col))
+    return (to_blocks.reshape(nb, w, nc * w), to_grid.reshape(nb * w, nc * w),
+            scatter(side, stacked).reshape(nb, w, nc * w),
+            scatter(stacked, side).reshape(nb, nc * w, w))
+
+
+def _algebra_tables(s: SupportSets) -> dict:
+    """The _ALGEBRA fields: the Hadamard matrix of 2^m, the block gathers
+    of K (alone) and of the C coset operators (side by side), H's block
+    operators A_c (stacked), the ansatz's grid slots and phases, and the
+    weights alg_offdiag of the coset coefficients (side by side): (-1)^mu
+    where P_c P_g is off-diagonal, x(P_c) ^ x(g) != 0, and 0 elsewhere."""
+    basis, k = s.span_basis, s.span_pairs
+    m = len(basis) - k
+    w, dim, nc = 1 << k, 1 << m, len(s.coset_rep)
+
+    # G's keys and the exponent mu of each slot, doubling over the basis
+    g_keys = np.zeros(1, dtype=np.int64)
+    mu = np.zeros(1, dtype=np.uint8)
+    for b in basis:
+        t, _, _ = multiply_masks(*unpack_keys(g_keys), *unpack_keys(b))
+        g_keys = np.concatenate((g_keys, g_keys ^ b))
+        mu = np.concatenate((mu, mu + t))
+    order = np.argsort(g_keys)
+
+    def slots(keys):
+        return order[np.searchsorted(g_keys, keys, sorter=order)]
+
+    phase = PHASES[-mu.astype(np.intp) & 3]
+    z = np.arange(dim)
+    hadamard = (1.0 - 2.0 * (np.bitwise_count(z[:, None] & z) & 1)).astype(complex)
+    to_matrix, to_grid, _, _ = _block_gathers(k, m - k, np.zeros(1, dtype=np.intp))
+    gamma = (_anticommute(s.coset_rep, basis[2 * k:]) << np.arange(m - k)).sum(axis=1)
+    to_blocks, to_coef, turn, back = _block_gathers(k, m - k, gamma)
+
+    reps = s.coset_rep[s.h_coset]
+    g = pack_keys(*string_masks(s.h_strings)) ^ reps
+    t, _, _ = multiply_masks(*unpack_keys(reps), *unpack_keys(g))
+    g_slot = slots(g)
+    grid = np.zeros((nc, dim * w), dtype=complex)
+    grid[s.h_coset, g_slot] = s.h_coeffs * PHASES[-t.astype(np.intp) & 3] * phase[g_slot]
+    a = (hadamard @ grid.reshape(nc, dim, w)).reshape(nc, -1).take(to_matrix, axis=-1)
+
+    a_slot = slots(pack_keys(*string_masks(s.ansatz)))
+    gx, _ = unpack_keys(g_keys)
+    rx, _ = unpack_keys(s.coset_rep)
+    offdiag = np.where(rx[:, None] != gx, 1.0 - 2.0 * (mu & 1), 0.0)
+    return {
+        "alg_hadamard": hadamard,
+        "alg_to_matrix": to_matrix,
+        "alg_to_grid": to_grid,
+        "alg_h": a.transpose(1, 0, 2, 3).reshape(-1, nc * w, w),
+        "alg_k_slot": a_slot,
+        "alg_k_phase": phase[a_slot],
+        "alg_offdiag": offdiag.reshape(nc, dim, w).transpose(1, 0, 2).reshape(dim, nc * w),
+        "alg_to_blocks": to_blocks,
+        "alg_to_coef": to_coef,
+        "alg_turn": turn,
+        "alg_back": back,
+    }

@@ -5,9 +5,10 @@ y_t = x_t - a_t g_t, in one shared loop that owns the stop tests, the trace
 records and the final params. Inside it r and theta are plain arrays: the
 ansatz/Hamiltonian check runs once at entry and KParams is built once, for
 final_params. Only the step differs. GD uses the full exact
-gradient recomputed from scratch every iteration (dense or table path, chosen
-once at entry). RCD samples S of the 2d coordinates uniformly without
-replacement and computes only those partials, from cached tables (the rows
+gradient recomputed from scratch every iteration (dense, algebra or table
+path, chosen once at entry by cost._evaluator). RCD samples S of the 2d
+coordinates uniformly without replacement and computes only those partials,
+whatever path a full evaluation would take, from cached tables (the rows
 W of the K'[HK | K] grid and the slot-weighted real coefficients of K'HK and
 K'K) and the same fused partial rows as GD's table path, on the rows of the
 sampled ansatz indices only: O(|S| (|hk| + d)) instead of O(d (|hk| + d)).
@@ -26,9 +27,11 @@ The step size is OptConfig.lr or, when that is None, the automatic constant
 step min(base, 1.2 F0 / ||g0||^2) from the start point's cost F0 and full
 gradient norm ||g0||, the base being GD_DEFAULT_LR (0.05) or RCD_DEFAULT_LR
 (0.1). The shared loop computes it at iteration 0 and nowhere else. GD and
-full-block RCD read ||g0|| off their own evaluation; sampled RCD hands the
-loop a full_norm hook that reads every row of its caches' tables, so the
-start is evaluated once either way.
+full-block RCD read F0 and ||g0|| off their own evaluation. Sampled RCD
+hands the loop a full hook that evaluates them on the path cost.eval_grad
+takes, so its step is eval_grad's at the start on every path: its caches
+on the table path (the start is evaluated once), GD's full evaluation on
+the dense and algebra paths.
 
 Every run returns its trace, and trace.stop_reason says how it ended:
 "converged" (F < stop_tol), "stationary" (gradient norm below grad_tol;
@@ -59,7 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import (
-    UNIT_NORM_TOL, KParams, _check, _evaluator, _grad_norm, _partial_rows, _table_values,
+    UNIT_NORM_TOL, KParams, _check, _evaluate_sparse, _evaluator, _grad_norm, _partial_rows,
+    _path, _table_values,
 )
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
@@ -231,14 +235,14 @@ def _full_grad(s: SupportSets):
 
 
 def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
-           full_norm=None, advance=None) -> OptTrace:
+           full=None, advance=None) -> OptTrace:
     """The loop GD and RCD share, on plain r and theta arrays.
 
     grad(r, theta) returns (f, penalty, grad_r, grad_theta, grad_norm).
-    full_norm(), given when grad samples, is the full gradient's norm at the
-    loop's point; without it grad_norm is the full norm. The loop reads it
-    at iteration 0, for the automatic step from base (cfg.lr None) and the
-    start's finiteness, and to confirm a sampled norm below grad_tol before
+    full(r, theta), given when grad samples, returns the full evaluation's
+    (F, grad_norm); without it grad is the full evaluation. The loop calls
+    it at iteration 0, for the automatic step from base (cfg.lr None) and
+    the start's finiteness, and to confirm a sampled norm below grad_tol before
     a "stationary" stop (a sampled block can have zero partials away from
     stationarity).
     advance(y_r, y_theta, nr), when given, moves the caches across the step
@@ -251,15 +255,15 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
     r, theta = kp0.r, kp0.theta
     t0 = time.perf_counter()
     f_value, penalty, gr, gt, gnorm = grad(r, theta)
-    g0 = gnorm if full_norm is None else full_norm()
-    lr = cfg.lr if cfg.lr is not None else _auto_lr(base, f_value + penalty, g0)
+    total0, g0 = (f_value + penalty, gnorm) if full is None else full(r, theta)
+    lr = cfg.lr if cfg.lr is not None else _auto_lr(base, total0, g0)
     for t in range(cfg.max_iters + 1):
         total = f_value + penalty
         if not (math.isfinite(total) and math.isfinite(gnorm) and math.isfinite(g0)):
             stop = "non_finite"
         elif total < cfg.stop_tol:
             stop = "converged"
-        elif gnorm < cfg.grad_tol and (full_norm is None or full_norm() < cfg.grad_tol):
+        elif gnorm < cfg.grad_tol and (full is None or full(r, theta)[1] < cfg.grad_tol):
             stop = "stationary"
         elif t == cfg.max_iters:
             stop = "max_iters"
@@ -301,6 +305,9 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
     return trace
 
 
+# an overflow anywhere in a run reads inf or NaN, which the loop stops on
+# ("non_finite"), so numpy's warnings about it would only be noise
+@np.errstate(over="ignore", invalid="ignore")
 def run_gd(
     h: PauliSum, kp0: KParams, cfg: OptConfig, support: SupportSets | None = None
 ) -> OptTrace:
@@ -363,6 +370,7 @@ class IncrementalState:
         return self.r, self.theta
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_rcd(
     h: PauliSum, kp0: KParams, cfg: OptConfig, support: SupportSets | None = None
 ) -> OptTrace:
@@ -370,10 +378,12 @@ def run_rcd(
 
     Each iteration samples block_size coordinates uniformly without
     replacement, steps them with exact partials from the coefficient caches,
-    then renormalizes r. The loop reads the caches' full gradient norm for
-    the automatic step, the start's finiteness and the stationary test, and
-    adopts each step through IncrementalState.apply_update. block_size = 2d
-    always samples every coordinate, so that case takes GD's full-gradient
+    then renormalizes r. The loop reads F and the full gradient norm for the
+    automatic step, the start's finiteness and the stationary test on the
+    path cost.eval_grad takes (the caches on the table path, GD's full
+    evaluation elsewhere), so they equal eval_grad's, and adopts each step
+    through IncrementalState.apply_update. block_size = 2d always samples
+    every coordinate, so that case takes GD's full-gradient
     step outright (bit-identical trajectory, no sampling, no caches)."""
     s = _support_for(h, kp0, support)
     d = s.d
@@ -390,5 +400,15 @@ def run_rcd(
         gr, gt, gnorm = state.sparse_grad(coords)
         return state.f_value, state.penalty, gr, gt, gnorm
 
-    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, state.full_grad_norm,
-                  state.apply_update)
+    if _path(s) is _evaluate_sparse:
+        # the caches hold the table path's full evaluation at the loop's point
+        def full(r, theta):
+            return state.f_value + state.penalty, state.full_grad_norm()
+    else:
+        evaluate = _full_grad(s)
+
+        def full(r, theta):
+            f_value, penalty, _, _, gnorm = evaluate(r, theta)
+            return f_value + penalty, gnorm
+
+    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, full, state.apply_update)

@@ -61,6 +61,32 @@ def random_instance(rng, n, d, m=None):
     return h, kp, build_support_sets(h, ansatz)
 
 
+def workload_instance(name, seed=1):
+    """(h, kp) of a benchmark workload's start at a workload seed, built from
+    bench/workloads.py's configs as bench/pipeline.py builds it: the
+    config's init perturbation applied to its warm start, or to the
+    workload's saved base point (start_config's perturbed start)."""
+    import sys
+    from pathlib import Path
+
+    from paulidiag import cli
+
+    # bench/workloads.py imports nothing from paulidiag
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import config, start_config
+
+    cfg, base = config(name, seed), start_config(name)
+    h, u = cli.build_model(cfg["model"])
+    if base is None:
+        kp = cli.build_initial_params(cfg, h, u)
+    else:
+        kp = cli.build_initial_params(base, h, u)
+        kp = cli._perturbed(kp, base["init"]["perturb"], base["init"]["seed"])
+    return h, cli._perturbed(kp, cfg["init"]["perturb"], cfg["init"]["seed"])
+
+
 def key_strings(n, keys):
     """The PauliStrings of a support table's packed keys, in table order."""
     from paulidiag.pauli import PauliString, unpack_keys

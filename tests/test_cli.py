@@ -2,6 +2,9 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +26,15 @@ GOOD_RECORD = json.dumps({"iter": 0, "F_total": 1.0, "f_value": 1.0, "penalty": 
 def write_json(path, payload):
     path.write_text(json.dumps(payload, indent=1))
     return str(path)
+
+
+def run_subprocess(*args):
+    """`paulidiag` ARGS in a fresh interpreter on this one's import path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from paulidiag.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *args],
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 def base_config(out_dir, max_iters=40):
@@ -366,6 +378,22 @@ class TestDiagonalize:
         assert rec["iter"] == 0
         assert rec["F_total"] is None and rec["grad_norm"] is None
         assert json.loads((out / "params.json").read_text())["n"] == 2
+
+    def test_dense_overflow_is_exit_5_without_warnings(self, tmp_path):
+        # -1e308 overflows H's dense matrix: the run stops non_finite, and
+        # numpy's overflow warnings stay off stderr (a subprocess, so that
+        # they would reach it under Python's default filters)
+        cfg = {
+            "model": {"family": "xxz", "n": 2, "j": -1e308, "delta": 1.0},
+            "ansatz_source": {"kind": "full_basis"},
+            "algorithm": "gd",
+            "opt": {"max_iters": 5},
+        }
+        path = write_json(tmp_path / "run.json", cfg)
+        proc = run_subprocess("diagonalize", "--config", path, "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 5
+        assert "stop=non_finite" in proc.stdout
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     def test_dense_infeasible_is_exit_3(self, tmp_path, capsys):
         word = "XX" + "I" * 11
@@ -751,6 +779,16 @@ class TestLiedim:
         assert main(["liedim", "--config", path]) == 1
         assert capsys.readouterr().err == (
             "error: model: only 2 non-diagonal strings exist on 1 qubits\n")
+
+    @pytest.mark.parametrize("n", [64, 1000000000, 437343046872964.0])
+    def test_random_udu_qubit_count_is_checked_first(self, tmp_path, capsys, n):
+        # 2 ** n came first: a huge integer, then numpy's "high is out of
+        # bounds for int64" or a MemoryError traceback
+        cfg = {"model": {"family": "random_udu", "n": n, "n_diag": 2, "n_rot": 2, "seed": 0}}
+        path = write_json(tmp_path / "m.json", cfg)
+        assert main(["liedim", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: model: qubit count {int(n)} outside [1, 24]\n")
 
     @pytest.mark.parametrize("gate", [["cnot", 0], ["s"], [], ["rot", 0.4]])
     def test_prefix_gate_with_missing_fields_is_exit_1(self, tmp_path, capsys, gate):

@@ -1,15 +1,19 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paulidiag.cost as cost_mod
 from paulidiag.cost import CostReport, KParams, eval_F, eval_f, eval_grad, eval_phi, k_as_sum
-from paulidiag.operators import PauliSum, build_support_sets, sum_multiply
-from paulidiag.pauli import PauliString, parse
+from paulidiag.operators import _ALGEBRA, _TABLES, PauliSum, build_support_sets, sum_multiply
+from paulidiag.optimize import OptConfig, run_gd, run_rcd
+from paulidiag.pauli import MAX_QUBITS, PauliString, parse, unpack_keys
 from paulidiag.verify import string_to_dense
 
-from conftest import dense_terms, fd_gradient, key_strings, random_instance
+from conftest import dense_terms, fd_gradient, key_strings, random_instance, workload_instance
 
 
 def dense(a):
@@ -242,3 +246,199 @@ class TestDensePath:
                 gscale = max(1.0, np.abs(want[2]).max(), np.abs(want[3]).max())
                 assert np.abs(gr - want[2]).max() <= 1e-12 * gscale
                 assert np.abs(gt - want[3]).max() <= 1e-12 * gscale
+
+
+# --- the algebra path ---------------------------------------------------------
+
+
+def span_keys(gens):
+    """Every XOR combination of the generator keys, each once."""
+    keys = {0}
+    for g in gens:
+        keys |= {key ^ g for key in keys}
+    return sorted(keys)
+
+
+def key_string(n, key):
+    return PauliString(n, key >> MAX_QUBITS, key & ((1 << MAX_QUBITS) - 1))
+
+
+@st.composite
+def span_instances(draw, subgroup):
+    """(h, kp, s): the ansatz spans the subgroup of 2-10 random generators
+    (all of it, or a random subset), and H's terms lie in a few of its
+    cosets, the identity coset included."""
+    n = draw(st.integers(2, 24))
+    full = (1 << n) - 1
+    key = st.tuples(st.integers(0, full), st.integers(0, full)).map(
+        lambda xz: (xz[0] << MAX_QUBITS) | xz[1])
+    gens = draw(st.lists(key.filter(bool), min_size=2, max_size=10, unique=True))
+    elements = span_keys(gens)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if subgroup:
+        chosen = elements
+    else:
+        size = draw(st.integers(1, len(elements)))
+        chosen = sorted(rng.choice(elements, size=size, replace=False).tolist())
+    shifts = [0] + draw(st.lists(key, min_size=1, max_size=3))
+    terms = {key_string(n, int(rng.choice(shifts)) ^ int(rng.choice(elements))): c
+             for c in rng.uniform(-1.0, 1.0, draw(st.integers(1, 6)))}
+    h = PauliSum(n, terms.items())
+    ansatz = tuple(key_string(n, k) for k in chosen)
+    r = rng.uniform(0.2, 1.0, len(ansatz))
+    kp = KParams(ansatz, r / np.linalg.norm(r), rng.uniform(0.0, 2 * np.pi, len(ansatz)))
+    return h, kp, build_support_sets(h, ansatz)
+
+
+def assert_paths_agree(s, kp):
+    """The algebra path's F, penalty and gradients within 1e-12 (relative)
+    of the table path's; values alone are the same numbers."""
+    f, penalty, gr, gt = cost_mod._evaluate_algebra(s, kp.r, kp.theta, True)
+    want_f, want_p, want_gr, want_gt = cost_mod._evaluate_sparse(s, kp.r, kp.theta, True)
+    scale = want_f + want_p
+    assert f == pytest.approx(want_f, rel=1e-12, abs=1e-12 * scale)
+    assert penalty == pytest.approx(want_p, rel=1e-12, abs=1e-12 * scale)
+    gscale = max(np.abs(want_gr).max(), np.abs(want_gt).max())
+    assert np.abs(gr - want_gr).max() <= 1e-12 * gscale
+    assert np.abs(gt - want_gt).max() <= 1e-12 * gscale
+    assert cost_mod._evaluate_algebra(s, kp.r, kp.theta, False) == (f, penalty, None, None)
+
+
+def built_tables(s) -> set[str]:
+    return _TABLES & set(vars(s))
+
+
+def check13_instance():
+    """Check 13's instance (tests/test_acceptance.py): n = 6, d = 64 strings
+    spanning all 12 bits."""
+    rng = np.random.default_rng(99)
+    n, d = 6, 64
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+    hw = rng.choice(len(words) - 1, size=13, replace=False) + 1
+    h = PauliSum(n, [(parse(words[i]), c) for i, c in zip(hw, rng.uniform(-1, 1, 13))])
+    aw = rng.choice(len(words), size=d, replace=False)
+    return h, tuple(sorted(parse(words[i]) for i in aw))
+
+
+def commuting_instance(n, l, d, n_h, seed):
+    """d X-type strings on qubits 0..l-1 (the l single-qubit X among them:
+    k = 0, l central elements) and n_h X-type terms on those qubits, a
+    share of them times one Z (other cosets): the shape of
+    tools/path_model.py's LARGE_L instances with k = 0."""
+    rng = np.random.default_rng(seed)
+    x_masks = {1 << q for q in range(l)}
+    while len(x_masks) < d:
+        x_masks.add(int(rng.integers(1, 1 << l)))
+    terms = {}
+    while len(terms) < n_h:
+        z = 1 << int(rng.integers(0, l)) if rng.random() < 0.5 else 0
+        terms[PauliString(n, int(rng.integers(0, 1 << l)), z)] = rng.uniform(-1, 1)
+    return PauliSum(n, terms.items()), tuple(sorted(PauliString(n, x, 0) for x in x_masks))
+
+
+class TestAlgebraPath:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(span_instances(subgroup=True))
+    def test_subgroup_ansatz_matches_table_path(self, instance):
+        h, kp, s = instance
+        assert_paths_agree(s, kp)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(span_instances(subgroup=False))
+    def test_subset_of_a_subgroup_matches_table_path(self, instance):
+        h, kp, s = instance
+        assert_paths_agree(s, kp)
+
+    @pytest.mark.parametrize("name", ["xxz4_dense", "udu10_rcd", "udu14_gd"])
+    def test_workload_instances_match_table_path(self, name):
+        h, kp = workload_instance(name)
+        assert_paths_agree(build_support_sets(h, kp.ansatz), kp)
+
+    def test_span_of_the_workloads(self):
+        # udu14_gd: 128 strings spanning rank 7, three pairs and one central
+        # element, so two 8 x 8 blocks; H's 309 terms lie in 20 cosets
+        h, kp = workload_instance("udu14_gd")
+        s = build_support_sets(h, kp.ansatz)
+        assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (3, 7, 20)
+        assert s.alg_h.shape == (2, 20 * 8, 8)
+        # each representative commutes with every pair element
+        pairs = s.span_basis[:6]
+        rx, rz = unpack_keys(s.coset_rep)
+        bx, bz = unpack_keys(pairs)
+        assert not (np.bitwise_count((rx[:, None] & bz) ^ (rz[:, None] & bx)) & 1).any()
+
+    @pytest.mark.parametrize("name, path, block", [
+        ("udu14_gd", "_evaluate_algebra", None),
+        ("udu10_rcd", "_evaluate_sparse", 4),
+    ])
+    def test_huge_coefficients_stop_without_warnings(self, name, path, block):
+        # each path overflows to inf and NaN, and a run stops on it; numpy's
+        # warnings stay silent, as on the dense path
+        h, kp = workload_instance(name)
+        h = h * 1e300
+        s = build_support_sets(h, kp.ansatz)
+        assert cost_mod._evaluator(s).func is getattr(cost_mod, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = eval_grad(h, kp, s)
+            gd = run_gd(h, kp, OptConfig(max_iters=5), s)
+            rcd = run_rcd(h, kp, OptConfig(max_iters=5, block_size=block or 2 * kp.d), s)
+        assert not np.isfinite(report.total)
+        for trace in (gd, rcd):
+            assert trace.stop_reason == "non_finite" and len(trace.records) == 1
+        assert caught == []
+
+
+class TestPathRule:
+    @pytest.mark.parametrize("name, path", [
+        ("xxz4_dense", "_evaluate_dense"),
+        ("udu10_rcd", "_evaluate_sparse"),
+        ("udu14_gd", "_evaluate_algebra"),
+    ])
+    def test_workload_paths(self, name, path):
+        h, kp = workload_instance(name)
+        s = build_support_sets(h, kp.ansatz)
+        assert cost_mod._path(s) is getattr(cost_mod, path)
+        assert built_tables(s) == set()
+
+    def test_full_span_takes_the_table_path(self):
+        # k = n: the one block is the whole 64 x 64 space
+        h, ansatz = check13_instance()
+        s = build_support_sets(h, ansatz)
+        assert (s.span_pairs, len(s.span_basis)) == (6, 12)
+        assert cost_mod._path(s) is cost_mod._evaluate_sparse
+        assert built_tables(s) == set()
+
+    def test_large_central_part_takes_the_table_path(self):
+        # 32 X-type strings spanning all 16 x bits (k = 0, l = 16) and 200
+        # X-type terms in the span (C = 1): the Hadamard matrix of 2^16 would
+        # take 64 GiB, while one table evaluation takes about a millisecond
+        n = 16
+        rng = np.random.default_rng(5)
+        x_masks = sorted({1 << q for q in range(n)} | set(rng.integers(1, 1 << n, 16).tolist()))
+        h = PauliSum(n, [(PauliString(n, int(x), 0), c) for x, c in
+                         zip(rng.choice(np.arange(1, 1 << n), 200, replace=False),
+                             rng.uniform(-1, 1, 200))])
+        s = build_support_sets(h, tuple(PauliString(n, x, 0) for x in x_masks[:32]))
+        assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (0, 16, 1)
+        assert cost_mod._path(s) is cost_mod._evaluate_sparse
+        assert built_tables(s) == set() and not _ALGEBRA & set(vars(s))
+
+    def test_hadamard_matmuls_count_in_the_rule(self):
+        # k = 0, l = 10, C = 11: the block products are small (C 2^l 8^k =
+        # 11264), the Hadamard matmuls are not (C 2^k 4^m = 11.5e6); at the
+        # fit point of this shape (BENCH_21_pathfit.json) the algebra path's
+        # first evaluation took 27 ms against 2.3 ms for a table evaluation
+        h, ansatz = commuting_instance(14, 10, 48, 200, 22)
+        s = build_support_sets(h, ansatz)
+        assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (0, 10, 11)
+        assert cost_mod._path(s) is cost_mod._evaluate_sparse
+        assert built_tables(s) == set()
+
+    def test_gd_on_the_algebra_path_builds_no_table(self):
+        h, kp = workload_instance("udu14_gd")
+        s = build_support_sets(h, kp.ansatz)
+        trace = run_gd(h, kp, OptConfig(max_iters=3), s)
+        assert len(trace.records) == 4
+        assert built_tables(s) == set()
+        assert _ALGEBRA <= set(vars(s))

@@ -179,6 +179,11 @@ class TestRandomUDU:
         with pytest.raises(ValueError):
             build_random_udu(2, 2, -1, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 25, 64, 1000000000, 437343046872964])
+    def test_qubit_count_checked_before_any_power_of_two(self, n):
+        with pytest.raises(ValueError, match=f"qubit count {n} outside"):
+            build_random_udu(n, 2, 2, seed=0)
+
     def test_more_rotations_than_strings(self):
         # (2^n - 1) 2^n distinct non-diagonal strings exist; one more used to
         # loop forever drawing them

@@ -13,6 +13,8 @@ from paulidiag.operators import (
     PRUNE_TOL,
     PauliSum,
     SupportSets,
+    _ALGEBRA,
+    _SPAN,
     _TABLES,
     build_support_sets,
     conjugate,
@@ -535,7 +537,10 @@ class TestMaskArrayBuild:
         h = PauliSum.from_words({"Z": 1.0})
         ref, _, _ = reference_tables(h, (parse("X"),))
         inputs = {"n", "ansatz", "h_ref", "h_coeffs"}
-        assert set(ref) | inputs == {f.name for f in dataclasses.fields(SupportSets)}
+        # the span and algebra fields are checked through the algebra path's
+        # values against the table path's (tests/test_cost.py)
+        assert set(ref) | inputs | _SPAN | _ALGEBRA == {
+            f.name for f in dataclasses.fields(SupportSets)}
 
 
 def dense_instance():
@@ -610,6 +615,20 @@ class TestLazyTables:
         assert made == []
         PauliString.identity(3)  # the counter sees a construction
         assert len(made) == 1
+
+    def test_three_groups_build_apart(self, rng):
+        # the span (the path rule's inputs), the algebra path's fields and
+        # the product tables: a read builds its own group, the algebra also
+        # the span it reads, and nothing else
+        h, kp, _ = random_instance(rng, 3, 6)
+        s = build_support_sets(h, kp.ansatz)
+        s.coset_rep
+        assert set(vars(s)) & (_TABLES | _SPAN | _ALGEBRA) == _SPAN
+        s.alg_h
+        assert set(vars(s)) & (_TABLES | _SPAN | _ALGEBRA) == _SPAN | _ALGEBRA
+        t = build_support_sets(h, kp.ansatz)
+        t.g1
+        assert set(vars(t)) & (_TABLES | _SPAN | _ALGEBRA) == _TABLES
 
     @pytest.mark.parametrize("roundtrip", [copy.copy, lambda s: pickle.loads(pickle.dumps(s))],
                              ids=["copy", "pickle"])

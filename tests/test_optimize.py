@@ -24,7 +24,7 @@ from paulidiag.optimize import (
 )
 from paulidiag.pauli import parse
 
-from conftest import random_instance
+from conftest import random_instance, workload_instance
 
 
 def one_qubit_instance(r0=None, theta0=None):
@@ -343,6 +343,28 @@ class TestRunRCD:
         np.testing.assert_allclose(gr, full.grad_r, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(gt, full.grad_theta, rtol=1e-10, atol=1e-12)
         assert state.full_grad_norm() == pytest.approx(full.grad_norm, rel=1e-10)
+
+
+    @pytest.mark.parametrize("name, path", [
+        ("xxz4_dense", "_evaluate_dense"),
+        ("udu10_rcd", "_evaluate_sparse"),
+        ("udu14_gd", "_evaluate_algebra"),
+    ])
+    def test_sampled_automatic_step_is_eval_grads_on_every_path(self, name, path):
+        # the caches are the table path's, which off it round F0 and ||g0||
+        # differently from eval_grad, the start evaluation the bench and the
+        # CLI read; the automatic step must be eval_grad's, bit for bit
+        h, kp = workload_instance(name)
+        s = build_support_sets(h, kp.ansatz)
+        assert cost._path(s) is getattr(cost, path)
+        start = eval_grad(h, kp, s)
+        lr = optimize._auto_lr(optimize.RCD_DEFAULT_LR, start.total, start.grad_norm)
+        assert lr.a < optimize.RCD_DEFAULT_LR.a
+        cfg = OptConfig(max_iters=3, block_size=4, seed=0, stop_tol=0.0)
+        got = run_rcd(h, kp, cfg, s)
+        want = run_rcd(h, kp, replace(cfg, lr=lr), s)
+        assert [rec.as_dict() for rec in got.records] == [rec.as_dict() for rec in want.records]
+        np.testing.assert_array_equal(got.final_params.r, want.final_params.r)
 
 
 class TestTraceSerialization:

@@ -12,13 +12,17 @@ byte, and head's `bench/pipeline.py parity` mode checks that the CLI writes
 the same trace and params as head's rep.
 
 One line is printed per workload, seed and file (and per start, rep and
-parity run that fails). The exit status is 1 on any difference or failure.
+parity run that fails). When trace.jsonl differs, more lines give both
+record counts and, per field, the largest relative difference over the
+records both traces hold, so that rounding shows apart from a different
+run. The exit status is 1 on any difference or failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +43,28 @@ def pipeline(root: Path, *args: str) -> list[str]:
     if proc.returncode != 0 or not lines:
         return [f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"]
     return json.loads(lines[-1])["failures"]
+
+
+def relative_difference(a, b) -> float:
+    """|a - b| / max(|a|, |b|); 0 for equal values (two nulls included),
+    inf when only one is null (a non-finite value written as null)."""
+    if a == b:
+        return 0.0
+    if a is None or b is None:
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def trace_differences(base: Path, head: Path) -> list[str]:
+    """The record counts of two trace.jsonl files and, per field, the
+    largest relative difference over the records both hold."""
+    runs = [[json.loads(line) for line in path.read_text().splitlines()] for path in (base, head)]
+    lines = [f"records: base {len(runs[0])}, head {len(runs[1])}"]
+    pairs = list(zip(*runs))
+    for name in pairs[0][0] if pairs else ():
+        worst = max(relative_difference(a[name], b[name]) for a, b in pairs)
+        lines.append(f"{name}: largest relative difference {worst:.3g}")
+    return lines
 
 
 def workload_names(head: Path) -> tuple[str, ...]:
@@ -84,6 +110,9 @@ def main(argv=None) -> int:
                         status = "differs"
                     ok = ok and status.startswith("identical")
                     print(f"{name} seed {seed} {fname}: {status}", flush=True)
+                    if status == "differs" and fname == "trace.jsonl":
+                        for line in trace_differences(a, b):
+                            print(f"  {line}", flush=True)
                 failures = pipeline(roots["head"], "parity", name, str(seed), str(out["head"]),
                                     str(Path(tmp) / "parity" / f"{name}-{seed}"))
                 report(f"{name} seed {seed} parity", failures)

@@ -1,0 +1,172 @@
+"""Measure the two sides of cost's algebra-path rule and fit its time models.
+
+    python3 tools/path_model.py [--out FILE]
+
+The rule (cost._algebra_path_applies) takes the algebra path only where
+m = k + l is at most cost._ALGEBRA_MAX_M and its first evaluation, the
+algebra build included, is predicted cheaper than one table-path evaluation
+with the product tables already built. The models are linear in
+microseconds:
+
+    algebra first evaluation  ~ a + b * C 2^l 8^k + c * C 2^k 4^m
+    table evaluation          ~ a' + b' * d (min(|H| d, C 2^(2k+l)) + d)
+
+k, l and C are the pairs, central elements and H cosets of the ansatz's
+span (operators._span_tables). The algebra side's two terms are the block
+products (2^l blocks of 2^k x 2^k per coset) and the Hadamard matmuls on
+the (2^m, C 2^k) grids. Each point is a random_udu instance with its known
+diagonalizer's strings as ansatz (a subgroup), or a random subset of them,
+or an instance with large l (LARGE_L), at one BLAS thread. The algebra side
+is the minimum over fresh SupportSets of the first evaluation with the
+gradient, the span already read; the table side the minimum per call over
+repeated calls. Both fits
+minimize the squared relative error. The output JSON holds every point and
+both fits; cost.py's constants are copied from it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+import timeit
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from paulidiag import cost, models  # noqa: E402
+from paulidiag.cost import KParams  # noqa: E402
+from paulidiag.operators import PauliSum, build_support_sets  # noqa: E402
+from paulidiag.pauli import PauliString  # noqa: E402
+
+# (n, n_diag, n_rot, model seed, kept share of the ansatz or None)
+INSTANCES = [
+    (6, 4, 3, 0, None), (6, 8, 5, 1, None), (8, 8, 4, 2, None), (8, 12, 6, 3, None),
+    (8, 6, 8, 12, None), (10, 12, 5, 2, None), (10, 20, 7, 4, None), (10, 12, 7, 10, 0.3),
+    (12, 16, 6, 5, None), (12, 20, 8, 6, None), (12, 20, 8, 11, 0.2), (14, 20, 7, 1, None),
+    (14, 30, 8, 7, None), (16, 40, 6, 9, None), (16, 20, 9, 8, None), (20, 20, 9, 1, None),
+]
+
+
+# ansaetze with large l (n, l central, k pairs, d, |H|, seed): d
+# X-type strings on qubits 0..l-1 (the l single-qubit X among them) and X
+# and Z on each of the k qubits after them; H's terms are X-type on the
+# first l qubits times any Pauli on the pair qubits (the span), each with
+# probability 1/2 a single Z on one of the first l qubits (another coset)
+LARGE_L = [
+    (10, 6, 0, 24, 60, 20), (12, 8, 0, 40, 120, 21), (14, 10, 0, 48, 200, 22),
+    (16, 8, 0, 32, 200, 23), (12, 10, 0, 16, 40, 24), (14, 7, 2, 40, 120, 25),
+    (16, 6, 3, 64, 160, 26),
+]
+
+
+def large_l_instance(n, l, k, d, n_h, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(1 << q, 0) for q in range(l, l + k)] + [(0, 1 << q) for q in range(l, l + k)]
+    x_masks = {1 << q for q in range(l)}
+    while len(x_masks) < d - 2 * k:
+        x_masks.add(int(rng.integers(1, 1 << l)))
+    strings = sorted(PauliString(n, x, z) for x, z in pairs + [(x, 0) for x in x_masks])
+    terms = {}
+    while len(terms) < n_h:
+        x = int(rng.integers(0, 1 << l)) | (int(rng.integers(0, 1 << k)) << l)
+        z = int(rng.integers(0, 1 << k)) << l
+        if rng.random() < 0.5:
+            z |= 1 << int(rng.integers(0, l))
+        terms[PauliString(n, x, z)] = rng.uniform(-1, 1)
+    r = rng.uniform(0.2, 1.0, len(strings))
+    return (PauliSum(n, terms.items()),
+            KParams(tuple(strings), r / np.linalg.norm(r), rng.uniform(0, 2 * np.pi, len(r))))
+
+
+def instance(n, n_diag, n_rot, seed, share):
+    h, u, _ = models.build_random_udu(n, n_diag, n_rot, seed=seed)
+    strings = sorted(models.expand_rotation_product(u).strings())
+    rng = np.random.default_rng(seed)
+    if share is not None:
+        keep = rng.choice(len(strings), size=max(1, int(share * len(strings))), replace=False)
+        strings = [strings[i] for i in np.sort(keep)]
+    r = rng.uniform(0.2, 1.0, len(strings))
+    return h, KParams(tuple(strings), r / np.linalg.norm(r), rng.uniform(0, 2 * np.pi, len(r)))
+
+
+def features(s) -> dict:
+    k = s.span_pairs
+    l, c, d = len(s.span_basis) - 2 * k, len(s.coset_rep), s.d
+    return {"n": s.n, "d": d, "H": len(s.h_strings), "k": k, "l": l, "C": c,
+            "block_work": c * 2**l * 8**k,
+            "hadamard_work": c * 2**k * 4**(k + l),
+            "table_work": d * (min(len(s.h_strings) * d, c * 2**(2 * k + l)) + d)}
+
+
+def measure(h, kp) -> dict:
+    first = []
+    for _ in range(7):
+        s = build_support_sets(h, kp.ansatz)
+        s.span_basis
+        t0 = time.perf_counter()
+        cost._evaluate_algebra(s, kp.r, kp.theta, True)
+        first.append(time.perf_counter() - t0)
+    s = build_support_sets(h, kp.ansatz)
+    t0 = time.perf_counter()
+    cost._evaluate_sparse(s, kp.r, kp.theta, True)
+    table_first = time.perf_counter() - t0
+
+    def per_call(fn):
+        once = min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=1, repeat=3))
+        number = max(1, int(0.02 / once))
+        return min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=number,
+                                 repeat=5)) / number
+
+    return {**features(s), "algebra_first_us": 1e6 * min(first),
+            "algebra_us": 1e6 * per_call(cost._evaluate_algebra),
+            "table_first_us": 1e6 * table_first,
+            "table_us": 1e6 * per_call(cost._evaluate_sparse)}
+
+
+def fit(t, *xs) -> list[float]:
+    """(a, b, ...) minimizing sum ((a + b x + ...) / t - 1)^2."""
+    t = np.asarray(t, float)
+    cols = [1 / t] + [np.asarray(x, float) / t for x in xs]
+    coef, *_ = np.linalg.lstsq(np.stack(cols, axis=1), np.ones_like(t), rcond=None)
+    return [float(v) for v in coef]
+
+
+def predict(coef, *xs) -> float:
+    return coef[0] + sum(b * x for b, x in zip(coef[1:], xs))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    points = []
+    for h, kp in ([instance(*spec) for spec in INSTANCES]
+                  + [large_l_instance(*spec) for spec in LARGE_L]):
+        point = measure(h, kp)
+        print(json.dumps(point), flush=True)
+        points.append(point)
+    alg = fit([p["algebra_first_us"] for p in points],
+              [p["block_work"] for p in points], [p["hadamard_work"] for p in points])
+    tab = fit([p["table_us"] for p in points], [p["table_work"] for p in points])
+    for p in points:
+        p["algebra_predicted"] = (predict(alg, p["block_work"], p["hadamard_work"])
+                                  < predict(tab, p["table_work"]))
+        p["algebra_measured"] = p["algebra_first_us"] < p["table_us"]
+    result = {"algebra_first_us": dict(zip(("a", "b", "c"), alg)),
+              "table_us": dict(zip(("a", "b"), tab)),
+              "points": points}
+    print(json.dumps({k: v for k, v in result.items() if k != "points"}))
+    if args.out is not None:
+        args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
