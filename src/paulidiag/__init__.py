@@ -7,7 +7,7 @@ trace records (`optimize`), model builders (`models`), and the dense
 verification oracle (`verify`).
 """
 
-from .cost import CostReport, KParams, eval_F, eval_f, eval_grad, eval_phi, k_as_sum
+from .cost import CostReport, KParams, eval_F, eval_grad
 from .models import (
     RotationProduct,
     build_example_hams,
@@ -26,7 +26,6 @@ from .operators import (
     load_hamiltonian,
     save_hamiltonian,
     sum_multiply,
-    trace_with,
 )
 from .optimize import (
     GD_DEFAULT_LR,
@@ -52,7 +51,6 @@ from .verify import (
     lie_closure_dim,
     pauli_decompose,
     projector_distances,
-    string_to_dense,
     to_dense,
 )
 
@@ -85,12 +83,9 @@ __all__ = [
     "diag_report",
     "estimate_alpha",
     "eval_F",
-    "eval_f",
     "eval_grad",
-    "eval_phi",
     "expand_rotation_product",
     "generating_set_check",
-    "k_as_sum",
     "kparams_to_dense",
     "lie_closure_dim",
     "load_hamiltonian",
@@ -102,10 +97,8 @@ __all__ = [
     "run_gd",
     "run_rcd",
     "save_hamiltonian",
-    "string_to_dense",
     "sum_multiply",
     "to_dense",
-    "trace_with",
     "unpack_keys",
     "warm_start_from_dense",
 ]

@@ -100,6 +100,15 @@ def _number(value, key: str, integer: bool = False, nonneg: bool = False):
     return int(value) if integer else float(value)
 
 
+def _make_dir(path: Path, key: str) -> None:
+    """Create the output directory path and its parents; a path that names
+    a file, or lies under one, is a ConfigError naming key."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot create directory {path}: {exc.strerror or exc}") from exc
+
+
 def _section(cfg, key: str) -> dict:
     """cfg[key], an object (empty when the key is absent)."""
     if not isinstance(cfg, dict):
@@ -238,7 +247,10 @@ def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
         except ValueError as exc:
             raise ConfigError(f"ansatz_source.prune_tol: {exc}") from exc
     if kind == "file":
-        kp = load_params(_require(source, "path", "ansatz_source"))
+        path = _require(source, "path", "ansatz_source")
+        if not isinstance(path, str):
+            raise ConfigError(f"ansatz_source.path: expected a path string, got {path!r}")
+        kp = load_params(path)
         if kp.n != h.n:
             raise ConfigError("params file has a different qubit count")
         return kp
@@ -304,8 +316,11 @@ def _opt_config(cfg: dict, seed_override) -> OptConfig:
         raise ConfigError(f"opt: {exc}") from exc
 
 
-def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
-    """One diagonalization run. Returns (exit code, summary line)."""
+def run_single(cfg: dict, out_dir: Path, seed_override=None,
+               dir_key: str = "--out-dir") -> tuple[int, str]:
+    """One diagonalization run, writing to out_dir; an error creating it
+    names dir_key, the option or config key out_dir came from. Returns
+    (exit code, summary line)."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected an object")
     h, u_expansion = build_model(_require(cfg, "model", "config"))
@@ -323,7 +338,7 @@ def run_single(cfg: dict, out_dir: Path, seed_override=None) -> tuple[int, str]:
                              integer=True, nonneg=True))
 
     support = build_support_sets(h, kp0.ansatz)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir, dir_key)
 
     run = run_gd if algorithm == "gd" else run_rcd
     trace = run(h, kp0, opt_cfg, support)
@@ -423,12 +438,14 @@ def cmd_diagonalize(args) -> int:
 
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config}: expected a JSON object")
+    dir_key = "--out-dir"
     if out_dir is None:
+        dir_key = "output.dir"
         out_dir = _section(raw, "output").get("dir", ".")
         if not isinstance(out_dir, str):
             raise ConfigError(f"output.dir: expected a path string, got {out_dir!r}")
         out_dir = Path(out_dir)
-    code, summary = run_single(raw, out_dir, args.seed_override)
+    code, summary = run_single(raw, out_dir, args.seed_override, dir_key)
     print(summary)
     return code
 
@@ -478,6 +495,13 @@ def cmd_liedim(args) -> int:
 _COST_FIELDS = ("iter", "F_total", "f_value", "penalty", "grad_norm")
 
 
+def _trace_number(rec: dict, key: str, where: str) -> float | None:
+    """rec[key] as a finite float, or None when it is null or absent: a
+    trace holds a non-finite value as null (TraceRecord.as_dict)."""
+    value = rec.get(key)
+    return None if value is None else _number(value, f"{where}: {key}")
+
+
 def cmd_trace_export(args) -> int:
     import csv
 
@@ -500,17 +524,13 @@ def cmd_trace_export(args) -> int:
         for key in _COST_FIELDS:
             if key not in rec:
                 raise ConfigError(f"{path}: line {i}: missing field {key!r}")
-        alpha = rec.get("alpha_estimate")
-        try:
-            alphas.append(math.nan if alpha is None else float(alpha))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{path}: line {i}: alpha_estimate: expected a number, got {alpha!r}"
-            ) from None
+            _trace_number(rec, key, f"{path}: line {i}")
+        alpha = _trace_number(rec, "alpha_estimate", f"{path}: line {i}")
+        alphas.append(math.nan if alpha is None else float(alpha))
         records.append(rec)
 
     out_dir = Path(args.out_dir) if args.out_dir else path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir, "--out-dir")
     stem = path.stem
 
     cost_path = out_dir / f"{stem}_cost.csv"

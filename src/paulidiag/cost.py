@@ -39,21 +39,26 @@ costs O(d (|hk| + d)) after the support tables are built, a block J of
 coordinates O(|J| (|hk| + d)). Both signs were validated against central
 finite differences; the theta sign is +4 for this operator order.
 
+F is evaluated on one of three paths. The table path is the one above.
+The other two are matrix engines that share one set of maps, built by
+operators._algebra_tables for a subgroup G of the Pauli group (operators'
+notes on the algebra give the representation, the grid slots and their
+phases): the forward map _blocks (K's coefficients to K's blocks, one
+Hadamard matmul and one gather) and its adjoint _partials (a matrix
+gradient to the d partials, one gather and one Hadamard matmul).
+
 When the qubit count is small and the ansatz is at least Hilbert-dimension
-sized, evaluation switches to direct 2^n x 2^n matrix algebra (same values,
-same gradients, far cheaper); see _dense_path_applies. That path works on the
-Pauli x/z grid in the strings' own bit order (qubit q is basis-index bit q),
-and _evaluator builds its tables on each call, with no cache. K is one
-Hadamard matmul of its (2^n, 2^n) coefficient grid plus one fixed gather,
-its d partials are the adjoint (one gather of the matrix gradient plus one
-Hadamard matmul), and K'HK, K'K and the matrix gradient take three more
+sized, evaluation switches to the dense path, direct 2^n x 2^n matrix
+algebra (same values, same gradients, far cheaper); see
+_dense_path_applies. Its maps are those of G = the whole group, whose one
+block is the 2^n x 2^n matrix; _evaluator builds them on each call, with
+no cache. Besides the maps, K'HK, K'K and the matrix gradient take three
 matmuls, so no step touches a d x 2^n table.
 
-The third route, the algebra path (_evaluate_algebra), works on the
-algebra that the span G of the ansatz strings spans: 2^l blocks of
-2^k x 2^k (operators' notes on the algebra give the representation, the
-grid slots and their phases). H = sum_c P_c A_c over the C cosets of G
-that H's terms lie in, so
+The algebra path (_evaluate_algebra) works on the algebra that the span G
+of the ansatz strings spans: 2^l blocks of 2^k x 2^k, with the maps held
+by SupportSets. H = sum_c P_c A_c over the C cosets of G that H's terms
+lie in, so
 
     K'HK = sum_c P_c K~_c' A_c K,    K~_c = P_c K P_c,
 
@@ -62,10 +67,8 @@ its blocks permuted. K'HK's coefficients on coset c are those of
 B_c = K~_c' A_c K, read back through the adjoint map; P_c P_g is
 off-diagonal iff x(P_c) ^ x(g) != 0, so f = 4^n sum |m_cg|^2 over those
 slots, and the penalty is the traceless part of K'K, formed on the blocks
-as on the dense path. The forward map (K's coefficients to blocks) is one
-Hadamard matmul and one gather, its adjoint one gather and one Hadamard
-matmul, as on the dense path; the C coset operators sit side by side, so
-each product is one matmul per block. The gradient is the adjoint: with Y_c
+as on the dense path. The C coset operators sit side by side, so each
+product is one matmul per block. The gradient is the adjoint: with Y_c
 the off-diagonal part of B_c,
 
     G = 2^(2n+1-m) sum_c A_c' K~_c Y_c + (2 / 2^m) K T    (m = k + l)
@@ -83,11 +86,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .operators import PauliSum, SupportSets
-from .pauli import PHASES, PauliString, pack_keys, string_masks
+from .operators import PauliSum, SupportSets, _whole_group_tables
+from .pauli import PHASES, PauliString
 
 # how far ||r|| may be from 1 for params to count as unit norm
 UNIT_NORM_TOL = 1e-8
@@ -172,11 +176,6 @@ def _grad_norm(grad_r: np.ndarray, grad_theta: np.ndarray) -> float:
         return float(np.sqrt(np.dot(grad_r, grad_r) + np.dot(grad_theta, grad_theta)))
 
 
-def k_as_sum(kp: KParams) -> PauliSum:
-    """K as an explicit PauliSum with coefficients r_j e^{i theta_j}."""
-    return PauliSum(kp.n, zip(kp.ansatz, kp.r * np.exp(1j * kp.theta)))
-
-
 def _check(h: PauliSum, kp: KParams, s: SupportSets) -> None:
     if kp.ansatz != s.ansatz:
         raise ValueError("KParams ansatz differs from the one the support sets were built for")
@@ -184,28 +183,12 @@ def _check(h: PauliSum, kp: KParams, s: SupportSets) -> None:
         raise ValueError("Hamiltonian differs from the one the support sets were built for")
 
 
-# --- dense matrix fast path ---------------------------------------------------
+# --- the matrix paths ---------------------------------------------------------
 #
 # For few qubits and an ansatz at least as large as the Hilbert dimension,
 # 2^n x 2^n matrix algebra beats the flat support tables by a wide margin.
-# Operators live on the Pauli x/z grid, with qubit q as basis-index bit q,
-# so a string's own masks (x, z) index it: it maps basis column c to row
-# c ^ x with weight i^{|x & z|} (-1)^{popcount(z & c)}. (verify.to_dense
-# numbers the basis the other way round, qubit 0 as the most significant
-# bit; F and its partials are traces, so the numbering does not change them.)
-# Scattering the phased coefficients of a sum onto a (2^n, 2^n) grid C[z, x]
-# and transforming its z axis with the Sylvester-Hadamard matrix
-# S[c, z] = (-1)^{popcount(c & z)} gives D = S C, and the operator is
-# A[row, col] = D[col, row ^ col], one fixed gather. A parameter derivative
-# is the adjoint: E[c, x] = G[c, c ^ x] is one fixed gather of the matrix
-# gradient G, and the partial in k_j is i^{|x_j & z_j|} (S E)[z_j, x_j].
-# K'HK and K'K come from one matmul, K' [HK | K], and G from one more.
-# _evaluator builds these tables on each call, once per optimizer run;
-# nothing caches them. They read only n, the ansatz, h_strings and h_coeffs
-# of SupportSets; its product tables are built on their first read, so a
-# dense-path run never builds them. verify.to_dense keeps its own
-# independent implementation of the column -> (row, weight) rule, so the
-# dense verification route stays a genuine cross-check.
+# The whole group's maps (operators._whole_group_tables) read no derived
+# field of SupportSets, so a dense-path run builds none of them.
 
 _DENSE_PATH_MAX_DIM = 16
 
@@ -214,66 +197,36 @@ def _dense_path_applies(n: int, d: int) -> bool:
     return (1 << n) <= _DENSE_PATH_MAX_DIM and d >= (1 << n)
 
 
-class _DenseWork:
-    """Dense tables for one (H, ansatz) pair: H as a matrix, the ansatz's
-    grid slots and phases, the Hadamard matrix, and the fixed flat indices of
-    the grid <-> matrix gathers and of the diagonals."""
-
-    __slots__ = ("dim", "h_mat", "hadamard", "k_slot", "k_phase",
-                 "_to_matrix", "_to_grid", "_diag_m", "_diag_t", "_scale")
-
-    def __init__(self, s: SupportSets):
-        n = s.n
-        dim = 1 << n
-        self.dim = dim
-        self.hadamard = functools.reduce(
-            np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n, np.ones((1, 1))
-        ).astype(complex)
-        rows = np.arange(dim)[:, None]
-        cols = np.arange(dim)[None, :]
-        # A[row, col] = D[col, row ^ col], and E[c, x] = G[c, c ^ x]
-        self._to_matrix = cols * dim + (rows ^ cols)
-        self._to_grid = rows * dim + (rows ^ cols)
-        # the two diagonals of the stacked (2 dim, dim) [K'HK; K'K], and the
-        # row scales that turn it into the right factor of G
-        self._diag_m = np.arange(dim) * (dim + 1)
-        self._diag_t = self._diag_m + dim * dim
-        self._scale = np.repeat([2.0 * dim, 2.0 / dim], dim)[:, None]
-        self.k_slot, self.k_phase = self._grid_slots(s.ansatz)
-        h_slot, h_phase = self._grid_slots(s.h_strings)
-        self.h_mat = self.matrix(h_slot, h_phase * s.h_coeffs)
-
-    def _grid_slots(self, strings):
-        x, z = string_masks(strings)
-        return z * self.dim + x, PHASES[np.bitwise_count(x & z) & 3]
-
-    def matrix(self, slot: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The dense matrix of the sum with values at grid slots (the
-        strings' phases included; slots are distinct)."""
-        grid = np.zeros((self.dim, self.dim), dtype=complex)
-        grid.ravel()[slot] = values
-        return (self.hadamard @ grid).take(self._to_matrix)
-
-    def k_partials(self, g_mat: np.ndarray) -> np.ndarray:
-        """tr(P_j G) for every ansatz string P_j: the adjoint of matrix()."""
-        e = g_mat.take(self._to_grid)
-        return (self.hadamard @ e).take(self.k_slot) * self.k_phase
+def _blocks(maps, kc: np.ndarray) -> np.ndarray:
+    """The forward map: the blocks of the operator with coefficients kc on
+    the ansatz strings, from maps' alg_* fields (SupportSets' or the whole
+    group's)."""
+    hadamard = maps.alg_hadamard
+    grid = np.zeros((len(hadamard), maps.alg_to_matrix.shape[-1]), dtype=complex)
+    grid.ravel()[maps.alg_k_slot] = kc * maps.alg_k_phase
+    return (hadamard @ grid).take(maps.alg_to_matrix)
 
 
-def _evaluate_dense(work: _DenseWork, r: np.ndarray, theta: np.ndarray, want_grad: bool):
-    dim = work.dim
+def _partials(maps, g: np.ndarray) -> np.ndarray:
+    """The adjoint of _blocks: 2^(m-n) tr(P_j G) for every ansatz string
+    P_j, G given by its blocks."""
+    e = g.take(maps.alg_to_grid)
+    return (maps.alg_hadamard @ e).take(maps.alg_k_slot) * maps.alg_k_phase
+
+
+def _evaluate_dense(maps, r: np.ndarray, theta: np.ndarray, want_grad: bool):
+    dim = len(maps.alg_hadamard)
     e = np.exp(1j * theta)
-    k = work.matrix(work.k_slot, (r * e) * work.k_phase)
-    w = np.concatenate((work.h_mat @ k, k), axis=1)  # [HK | K]
+    k = _blocks(maps, r * e)[0]
+    w = np.concatenate((maps.alg_h[0] @ k, k), axis=1)  # [HK | K]
     # [K'HK; K'K] stacked, then offdiag(K'HK) on top and the traceless part
     # of K'K below, formed entrywise so the near-identity case does not
     # cancel catastrophically
     b = (k.conj().T @ w).reshape(dim, 2, dim).transpose(1, 0, 2).reshape(2 * dim, dim)
-    flat = b.reshape(-1)
-    flat[work._diag_m] = 0.0
-    t_diag = flat[work._diag_t]
-    flat[work._diag_t] = t_diag - t_diag.sum() / dim
     m_off, t_less = b[:dim], b[dim:]
+    diag = b.reshape(2, -1)[:, ::dim + 1]  # the diagonals of both
+    diag[0] = 0.0
+    diag[1] -= diag[1].sum() / dim
     f = float(dim * np.vdot(m_off, m_off).real)
     penalty = float(np.vdot(t_less, t_less).real / dim)
     if not want_grad:
@@ -281,8 +234,9 @@ def _evaluate_dense(work: _DenseWork, r: np.ndarray, theta: np.ndarray, want_gra
 
     # dF = 2 Re tr(dK' G) with G = 2^{n+1} HK offdiag(K'HK) + (2/2^n) K T,
     # that is [HK | K] times the row-scaled stack
-    b *= work._scale
-    gvec = work.k_partials(w @ b) * e.conj()
+    m_off *= 2.0 * dim
+    t_less *= 2.0 / dim
+    gvec = _partials(maps, w @ b) * e.conj()
     grad_r = 2.0 * gvec.real
     grad_theta = 2.0 * r * gvec.imag
     return f, penalty, grad_r, grad_theta
@@ -341,9 +295,7 @@ def _evaluate_algebra(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_gra
     nb, w, _ = s.alg_to_matrix.shape
     dim = nb * w
     e = np.exp(1j * theta)
-    grid = np.zeros(dim * w, dtype=complex)
-    grid[s.alg_k_slot] = (r * e) * s.alg_k_phase
-    k = (hadamard @ grid.reshape(dim, w)).take(s.alg_to_matrix)
+    k = _blocks(s, r * e)
     kh = k.conj().swapaxes(-1, -2)
     # the blocks of K~_c' A_c K side by side, then their coefficients
     b = kh @ (s.alg_h @ k).take(s.alg_turn)
@@ -363,7 +315,7 @@ def _evaluate_algebra(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_gra
     z = (k @ (hadamard @ y).take(s.alg_to_blocks)).take(s.alg_back)
     g = s.alg_h.conj().swapaxes(-1, -2) @ z
     g += (2.0 / dim) * (k @ t)
-    gvec = (hadamard @ g.take(s.alg_to_grid)).take(s.alg_k_slot) * s.alg_k_phase * e.conj()
+    gvec = _partials(s, g) * e.conj()
     return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
 
 
@@ -384,8 +336,8 @@ def _algebra_path_applies(s: SupportSets) -> bool:
     _ALGEBRA_MAX_M, and the models predict its first evaluation, build
     included, cheaper than one table evaluation with the tables built.
     Then every run of evaluations is predicted cheaper on the algebra path,
-    however many it makes and whether or not a caller (sampled RCD,
-    eval_phi) has built the tables; where only later evaluations would
+    however many it makes and whether or not a caller (sampled RCD) has
+    built the tables; where only later evaluations would
     repay the build, the table path stays. The inputs are k, l and C of s's
     span (from the masks alone), d and |H|; C 2^(2k+l) bounds |hk|, since
     H's terms times the ansatz lie in the C cosets."""
@@ -417,7 +369,9 @@ def _evaluator(s: SupportSets):
     """The evaluation routine for s on its _path, called as
     fn(r, theta, want_grad) and returning (f, penalty, grad_r, grad_theta)."""
     path = _path(s)
-    return functools.partial(path, _DenseWork(s) if path is _evaluate_dense else s)
+    if path is _evaluate_dense:
+        s = SimpleNamespace(**_whole_group_tables(s))
+    return functools.partial(path, s)
 
 
 # an overflow reads inf or NaN, which every caller rejects or stops on, so
@@ -426,29 +380,6 @@ def _evaluator(s: SupportSets):
 def _evaluate(h: PauliSum, kp: KParams, s: SupportSets, want_grad: bool):
     _check(h, kp, s)
     return _evaluator(s)(kp.r, kp.theta, want_grad)
-
-
-def eval_f(h: PauliSum, kp: KParams, s: SupportSets) -> float:
-    """Off-diagonal cost sum_{P in g1} tr(K'HK P)^2."""
-    f, _, _, _ = _evaluate(h, kp, s, False)
-    return f
-
-
-def eval_phi(kp: KParams, p: PauliString, s: SupportSets) -> complex:
-    """Coefficient of p in K'K; ||r||^2 for the identity string. A
-    non-identity p is looked up in g2 by its packed key."""
-    if kp.ansatz != s.ansatz:
-        raise ValueError("KParams ansatz differs from the one the support sets were built for")
-    if p.n != kp.n:
-        raise ValueError(f"string on {p.n} qubits, ansatz on {kp.n}")
-    if p.is_identity:
-        return complex(np.dot(kp.r, kp.r))
-    key = pack_keys(p.x_mask, p.z_mask)
-    i = int(np.searchsorted(s.g2, key))
-    if i == len(s.g2) or s.g2[i] != key:
-        raise ValueError(f"{p.word} is not a product of two ansatz strings")
-    _, v, _, _ = _table_values(s, kp.r, kp.theta)
-    return complex(v[len(s.closure) + 1 + i])
 
 
 def eval_F(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:

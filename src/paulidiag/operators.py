@@ -12,8 +12,8 @@ algebra path's blocks and maps (see the notes on the algebra below), and
 the product tables, which cost._table_values is the one routine to
 evaluate. A run on cost's dense path, which reads only H and the ansatz,
 builds none of them, and one on the algebra path no product table. The
-product tables (built by the table path's first evaluation,
-IncrementalState or eval_phi) are:
+product tables (built by the table path's first evaluation or by
+IncrementalState) are:
 
 * g1: the off-diagonal strings that can appear in K'HK (ansatz closure),
 * g2: the non-identity products P_i P_j,
@@ -151,13 +151,6 @@ def conjugate(h: PauliSum, k: PauliSum) -> PauliSum:
     return sum_multiply(k.adjoint(), sum_multiply(h, k))
 
 
-def trace_with(a: PauliSum, p: PauliString) -> complex:
-    """tr(A P) = 2^n * coefficient of P in A."""
-    if a.n != p.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {p.n}")
-    return (2**a.n) * a.coefficient(p)
-
-
 # --- Hamiltonian text files -------------------------------------------------
 #
 # One term per line: "<real coefficient> <pauli word>". '#' starts a comment,
@@ -255,8 +248,8 @@ class SupportSets:
     groups, each built together on the first read of any of its fields and
     a plain instance attribute from then on: the nine product tables
     (_TABLES: the four string tables, the grids and slot_scale) by
-    _product_tables, for example on the first table-path evaluation,
-    IncrementalState or eval_phi; the four span fields (_SPAN) by
+    _product_tables, for example on the first table-path evaluation or
+    by IncrementalState; the four span fields (_SPAN) by
     _span_tables, on cost's first path choice past the dense path; and the
     algebra path's fields (_ALGEBRA) by _algebra_tables, on its first
     evaluation.
@@ -316,7 +309,8 @@ class SupportSets:
         elif name in _SPAN:
             tables = _span_tables(self.ansatz, self.h_strings)
         elif name in _ALGEBRA:
-            tables = _algebra_tables(self)
+            tables = _algebra_tables(self.ansatz, self.h_strings, self.h_coeffs, self.span_basis,
+                                     self.span_pairs, self.coset_rep, self.h_coset)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         vars(self).update(tables)
@@ -460,15 +454,25 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
 # matrices are 2^l blocks of 2^k x 2^k.
 #
 # The element whose basis coordinates are the bits of i (bit t for basis
-# element t, in span_basis order) has slot i of the dense path's grid
-# C[z, x] (2^m x 2^k: x is i's low k bits, z the rest), and the ordered
-# product of its basis strings is i^mu P_g. The forward map puts the
-# coefficient of P_g at its slot times i^-mu, multiplies the z axis by the
-# Sylvester-Hadamard matrix S of 2^m and gathers the blocks M[b, row, col] =
-# (S C)[b 2^k + col, row ^ col], as cost._DenseWork.matrix does. Its
-# adjoint gathers E[b 2^k + c, x] = M[b, c, c ^ x]; then tr(P_g X) =
-# 2^(n-m) i^-mu (S E)[slot], and the coefficient of P_g in X is
-# i^-mu (S E)[slot] / 2^m.
+# element t, in span_basis order) has slot i of the grid C[z, x] (2^m x
+# 2^k: x is i's low k bits, z the rest), and the ordered product of its
+# basis strings is i^mu P_g. The forward map puts the coefficient of P_g
+# at its slot times i^-mu, multiplies the z axis by the Sylvester-Hadamard
+# matrix S[c, z] = (-1)^|c & z| of 2^m and gathers the blocks
+# M[b, row, col] = (S C)[b 2^k + col, row ^ col]. Its adjoint gathers
+# E[b 2^k + c, x] = M[b, c, c ^ x]; then tr(P_g X) = 2^(n-m) i^-mu
+# (S E)[slot], and the coefficient of P_g in X is i^-mu (S E)[slot] / 2^m.
+#
+# cost's dense path is the case G = the whole group on n qubits in its
+# natural basis e_q = X_q, f_q = Z_q (k = n, l = 0) with one coset, that
+# of the identity (_whole_group_tables). The virtual qubits are then the
+# real ones, qubit q as basis-index bit q: P's slot is z 2^n + x, its phase
+# i^|x & z|, and the one block is P's matrix, which maps basis column c to
+# row c ^ x with weight i^|x & z| (-1)^|z & c|. verify.to_dense numbers
+# the basis the other way round (qubit 0 as the most significant bit) and
+# keeps its own implementation of this rule, so the dense verification
+# stays a cross-check; F and its partials are traces, which the numbering
+# does not change.
 #
 # H's term h_i lies in a coset of G with representative P_c: h_i = i^-t P_c
 # P_g for one g in G, i^t the phase of P_c P_g. So H = sum_c P_c A_c, A_c =
@@ -571,15 +575,18 @@ def _block_gathers(k: int, l: int, gamma: np.ndarray):
             scatter(stacked, side).reshape(nb, nc * w, w))
 
 
-def _algebra_tables(s: SupportSets) -> dict:
-    """The _ALGEBRA fields: the Hadamard matrix of 2^m, the block gathers
-    of K (alone) and of the C coset operators (side by side), H's block
-    operators A_c (stacked), the ansatz's grid slots and phases, and the
-    weights alg_offdiag of the coset coefficients (side by side): (-1)^mu
-    where P_c P_g is off-diagonal, x(P_c) ^ x(g) != 0, and 0 elsewhere."""
-    basis, k = s.span_basis, s.span_pairs
+def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -> dict:
+    """The _ALGEBRA fields for the group G with symplectic basis basis (as
+    packed keys, e_1..e_k, f_1..f_k, then the central elements), H's cosets
+    of G (coset_rep) and each term's coset (h_coset): the Hadamard matrix
+    of 2^m, the block gathers of K (alone) and of the C coset operators
+    (side by side), H's block operators A_c (stacked), the ansatz's grid
+    slots and phases, and the weights alg_offdiag of the coset coefficients
+    (side by side): (-1)^mu where P_c P_g is off-diagonal, x(P_c) ^ x(g) !=
+    0, and 0 elsewhere. SupportSets passes its span; _whole_group_tables
+    the whole Pauli group."""
     m = len(basis) - k
-    w, dim, nc = 1 << k, 1 << m, len(s.coset_rep)
+    w, dim, nc = 1 << k, 1 << m, len(coset_rep)
 
     # G's keys and the exponent mu of each slot, doubling over the basis
     g_keys = np.zeros(1, dtype=np.int64)
@@ -597,20 +604,20 @@ def _algebra_tables(s: SupportSets) -> dict:
     z = np.arange(dim)
     hadamard = (1.0 - 2.0 * (np.bitwise_count(z[:, None] & z) & 1)).astype(complex)
     to_matrix, to_grid, _, _ = _block_gathers(k, m - k, np.zeros(1, dtype=np.intp))
-    gamma = (_anticommute(s.coset_rep, basis[2 * k:]) << np.arange(m - k)).sum(axis=1)
+    gamma = (_anticommute(coset_rep, basis[2 * k:]) << np.arange(m - k)).sum(axis=1)
     to_blocks, to_coef, turn, back = _block_gathers(k, m - k, gamma)
 
-    reps = s.coset_rep[s.h_coset]
-    g = pack_keys(*string_masks(s.h_strings)) ^ reps
+    reps = coset_rep[h_coset]
+    g = pack_keys(*string_masks(h_strings)) ^ reps
     t, _, _ = multiply_masks(*unpack_keys(reps), *unpack_keys(g))
     g_slot = slots(g)
     grid = np.zeros((nc, dim * w), dtype=complex)
-    grid[s.h_coset, g_slot] = s.h_coeffs * PHASES[-t.astype(np.intp) & 3] * phase[g_slot]
+    grid[h_coset, g_slot] = h_coeffs * PHASES[-t.astype(np.intp) & 3] * phase[g_slot]
     a = (hadamard @ grid.reshape(nc, dim, w)).reshape(nc, -1).take(to_matrix, axis=-1)
 
-    a_slot = slots(pack_keys(*string_masks(s.ansatz)))
+    a_slot = slots(pack_keys(*string_masks(ansatz)))
     gx, _ = unpack_keys(g_keys)
-    rx, _ = unpack_keys(s.coset_rep)
+    rx, _ = unpack_keys(coset_rep)
     offdiag = np.where(rx[:, None] != gx, 1.0 - 2.0 * (mu & 1), 0.0)
     return {
         "alg_hadamard": hadamard,
@@ -625,3 +632,13 @@ def _algebra_tables(s: SupportSets) -> dict:
         "alg_turn": turn,
         "alg_back": back,
     }
+
+
+def _whole_group_tables(s: SupportSets) -> dict:
+    """_algebra_tables for the whole Pauli group on s.n qubits (cost's dense
+    path): basis X_0..X_(n-1), Z_0..Z_(n-1), and every H term in the coset
+    of the identity. s's own span is not read, so nothing is built on s."""
+    q = np.arange(s.n, dtype=np.int64)
+    return _algebra_tables(s.ansatz, s.h_strings, s.h_coeffs,
+                           np.concatenate((1 << (q + MAX_QUBITS), 1 << q)), s.n,
+                           np.zeros(1, dtype=np.int64), np.zeros(len(s.h_strings), dtype=np.intp))

@@ -28,10 +28,9 @@ step min(base, 1.2 F0 / ||g0||^2) from the start point's cost F0 and full
 gradient norm ||g0||, the base being GD_DEFAULT_LR (0.05) or RCD_DEFAULT_LR
 (0.1). The shared loop computes it at iteration 0 and nowhere else. GD and
 full-block RCD read F0 and ||g0|| off their own evaluation. Sampled RCD
-hands the loop a full hook that evaluates them on the path cost.eval_grad
-takes, so its step is eval_grad's at the start on every path: its caches
-on the table path (the start is evaluated once), GD's full evaluation on
-the dense and algebra paths.
+hands the loop a full hook, GD's full evaluation (_full_grad), so F0 and
+||g0|| are cost.eval_grad's on every path; on the table path the start is
+then evaluated twice, once for the hook and once for the caches.
 
 Every run returns its trace, and trace.stop_reason says how it ended:
 "converged" (F < stop_tol), "stationary" (gradient norm below grad_tol;
@@ -62,8 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import (
-    UNIT_NORM_TOL, KParams, _check, _evaluate_sparse, _evaluator, _grad_norm, _partial_rows,
-    _path, _table_values,
+    UNIT_NORM_TOL, KParams, _check, _evaluator, _grad_norm, _partial_rows, _table_values,
 )
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
@@ -92,10 +90,9 @@ class LRSchedule:
     def decay(cls, a0: float, rate: float) -> "LRSchedule":
         return cls(a0, rate)
 
-
-def lr_schedule_eval(schedule: LRSchedule, t: int) -> float:
-    # at rate 0 this is a / 1.0, which is a exactly
-    return schedule.a / (1.0 + schedule.rate * t)
+    def at(self, t: int) -> float:
+        """The step size a_t; at rate 0 this is a / 1.0, which is a exactly."""
+        return self.a / (1.0 + self.rate * t)
 
 
 @dataclass(frozen=True)
@@ -197,9 +194,6 @@ class OptTrace:
     def drift_max(self) -> float:
         return max(self.refresh_drifts, default=0.0)
 
-    def alpha_medians(self, window: int = 20) -> list[float]:
-        return rolling_median((rec.alpha_estimate for rec in self.records), window)
-
     def save_jsonl(self, path) -> None:
         # wall times are not deterministic, so they stay out of the file;
         # identical inputs then give byte-identical traces
@@ -239,8 +233,8 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
     """The loop GD and RCD share, on plain r and theta arrays.
 
     grad(r, theta) returns (f, penalty, grad_r, grad_theta, grad_norm).
-    full(r, theta), given when grad samples, returns the full evaluation's
-    (F, grad_norm); without it grad is the full evaluation. The loop calls
+    full(r, theta), given when grad samples, is the full evaluation, with
+    grad's signature; without it grad is the full evaluation. The loop calls
     it at iteration 0, for the automatic step from base (cfg.lr None) and
     the start's finiteness, and to confirm a sampled norm below grad_tol before
     a "stationary" stop (a sampled block can have zero partials away from
@@ -254,16 +248,16 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
     trace = OptTrace()
     r, theta = kp0.r, kp0.theta
     t0 = time.perf_counter()
-    f_value, penalty, gr, gt, gnorm = grad(r, theta)
-    total0, g0 = (f_value + penalty, gnorm) if full is None else full(r, theta)
-    lr = cfg.lr if cfg.lr is not None else _auto_lr(base, total0, g0)
+    start = f_value, penalty, gr, gt, gnorm = grad(r, theta)
+    f0, p0, _, _, g0 = start if full is None else full(r, theta)
+    lr = cfg.lr if cfg.lr is not None else _auto_lr(base, f0 + p0, g0)
     for t in range(cfg.max_iters + 1):
         total = f_value + penalty
         if not (math.isfinite(total) and math.isfinite(gnorm) and math.isfinite(g0)):
             stop = "non_finite"
         elif total < cfg.stop_tol:
             stop = "converged"
-        elif gnorm < cfg.grad_tol and (full is None or full(r, theta)[1] < cfg.grad_tol):
+        elif gnorm < cfg.grad_tol and (full is None or full(r, theta)[4] < cfg.grad_tol):
             stop = "stationary"
         elif t == cfg.max_iters:
             stop = "max_iters"
@@ -273,7 +267,7 @@ def _drive(kp0: KParams, cfg: OptConfig, base: LRSchedule, grad,
         if stop:
             nr = math.sqrt(r.dot(r))
         else:
-            a = lr_schedule_eval(lr, t)
+            a = lr.at(t)
             y_r = r - a * gr
             y_theta = theta - a * gt
             nr = math.sqrt(y_r.dot(y_r))
@@ -340,11 +334,6 @@ class IncrementalState:
         self.w, v, self.f_value, self.penalty = _table_values(self.s, self.r, self.theta)
         self.u = v * self.s.slot_scale
 
-    def full_grad_norm(self) -> float:
-        """The full gradient's norm at (r, theta), from every grid row."""
-        z = _partial_rows(self.s, self.theta, self.w, self.u, slice(None))
-        return _grad_norm(z.real, self.r * z.imag)
-
     def sparse_grad(self, coords: np.ndarray):
         """Exact partials for the distinct sampled coordinate indices (r_j
         for coords < d, theta_{j-d} otherwise), zeros elsewhere. Each sampled
@@ -379,9 +368,8 @@ def run_rcd(
     Each iteration samples block_size coordinates uniformly without
     replacement, steps them with exact partials from the coefficient caches,
     then renormalizes r. The loop reads F and the full gradient norm for the
-    automatic step, the start's finiteness and the stationary test on the
-    path cost.eval_grad takes (the caches on the table path, GD's full
-    evaluation elsewhere), so they equal eval_grad's, and adopts each step
+    automatic step, the start's finiteness and the stationary test off GD's
+    full evaluation, so they equal eval_grad's, and adopts each step
     through IncrementalState.apply_update. block_size = 2d always samples
     every coordinate, so that case takes GD's full-gradient
     step outright (bit-identical trajectory, no sampling, no caches)."""
@@ -400,15 +388,4 @@ def run_rcd(
         gr, gt, gnorm = state.sparse_grad(coords)
         return state.f_value, state.penalty, gr, gt, gnorm
 
-    if _path(s) is _evaluate_sparse:
-        # the caches hold the table path's full evaluation at the loop's point
-        def full(r, theta):
-            return state.f_value + state.penalty, state.full_grad_norm()
-    else:
-        evaluate = _full_grad(s)
-
-        def full(r, theta):
-            f_value, penalty, _, _, gnorm = evaluate(r, theta)
-            return f_value + penalty, gnorm
-
-    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, full, state.apply_update)
+    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, _full_grad(s), state.apply_update)

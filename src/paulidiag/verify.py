@@ -150,11 +150,6 @@ def _sum_blocks(a: PauliSum, sectors: _Sectors) -> np.ndarray:
                              sectors)
 
 
-def string_to_dense(p: PauliString) -> np.ndarray:
-    """2^n x 2^n complex matrix of a Pauli string (to_dense of the one-term sum)."""
-    return to_dense(PauliSum(p.n, [(p, 1.0)]))
-
-
 def to_dense(a: PauliSum) -> np.ndarray:
     """2^n x 2^n matrix of a: the one block of the full span."""
     return _sum_blocks(a, _full_sectors(a.n))[0]

@@ -1,8 +1,9 @@
 """Shared test helpers: a dense matrix oracle independent of the package.
 
-Everything here is built from literal 2x2 matrices and np.kron so that the
+The oracle is built from literal 2x2 matrices and np.kron so that the
 package's own dense conversion is one of the things under test, never the
-thing doing the testing.
+thing doing the testing. k_as_sum, trace_with and string_to_dense are
+reference routines the tests compare the evaluators with.
 """
 
 import numpy as np
@@ -31,6 +32,28 @@ def dense_terms(terms, n: int) -> np.ndarray:
     for word, c in items:
         m += c * dense_word(word)
     return m
+
+
+def k_as_sum(kp):
+    """K as an explicit PauliSum with coefficients r_j e^{i theta_j}."""
+    from paulidiag.operators import PauliSum
+
+    return PauliSum(kp.n, zip(kp.ansatz, kp.r * np.exp(1j * kp.theta)))
+
+
+def trace_with(a, p) -> complex:
+    """tr(A P) = 2^n * coefficient of P in A."""
+    if a.n != p.n:
+        raise ValueError(f"qubit counts differ: {a.n} vs {p.n}")
+    return (2**a.n) * a.coefficient(p)
+
+
+def string_to_dense(p) -> np.ndarray:
+    """2^n x 2^n complex matrix of a Pauli string (to_dense of the one-term sum)."""
+    from paulidiag.operators import PauliSum
+    from paulidiag.verify import to_dense
+
+    return to_dense(PauliSum(p.n, [(p, 1.0)]))
 
 
 @pytest.fixture

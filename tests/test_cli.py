@@ -455,6 +455,28 @@ class TestDiagonalize:
                 in capsys.readouterr().err)
         assert not (tmp_path / "trace.jsonl").exists()
 
+    @pytest.mark.parametrize("flag", [None, "--out-dir"])
+    def test_output_dir_that_names_a_file_is_exit_1(self, tmp_path, capsys, flag):
+        # output.dir names a file, or --out-dir a path under one
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        args = ["diagonalize", "--config",
+                write_json(tmp_path / "run.json", base_config(afile, max_iters=5))]
+        if flag:
+            args += [flag, str(afile / "sub")]
+        assert main(args) == 1
+        key = flag or "output.dir"
+        assert capsys.readouterr().err.startswith(f"error: {key}: cannot create directory ")
+
+    @pytest.mark.parametrize("value", [5, None, ["p.json"]])
+    def test_non_string_params_path_is_exit_1(self, tmp_path, capsys, value):
+        cfg = base_config(tmp_path / "out", max_iters=5)
+        cfg["ansatz_source"] = {"kind": "file", "path": value}
+        assert main(["diagonalize", "--config", write_json(tmp_path / "run.json", cfg)]) == 1
+        assert (f"error: ansatz_source.path: expected a path string, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_is_accepted_and_refresh_every_ignored(self, tmp_path, capsys):
         # a config written for the incremental RCD caches still runs
         cfg = base_config(tmp_path / "out", max_iters=5.0)
@@ -587,6 +609,20 @@ class TestSweep:
             " got -1" for i in (0, 1)
         ]
         assert not (tmp_path / "runs").exists()
+
+    def test_out_dir_that_names_a_file_is_a_config_error_for_every_run(self, tmp_path,
+                                                                        capsys):
+        cfg = base_config(tmp_path / "unused", max_iters=5)
+        del cfg["output"]
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        path = write_json(tmp_path / "sweep.json", [cfg, cfg])
+        assert main(["diagonalize", "--config", path, "--sweep", "--out-dir", str(afile)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        for i, line in enumerate(lines):
+            assert line.startswith(
+                f"run_{i:03d}: config error: --out-dir: cannot create directory ")
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the workers must inherit the patched run_single")
@@ -902,6 +938,46 @@ class TestTraceExport:
         assert main(["trace-export", str(trace)]) == 1
         assert f"line 2: alpha_estimate: expected a number, got {alpha!r}" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, value", [
+        ("F_total", "abc"), ("grad_norm", [1.0]), ("iter", True), ("penalty", False),
+        ("alpha_estimate", True), ("alpha_estimate", "1.5"),
+    ])
+    def test_non_numeric_or_boolean_value_writes_no_csv(self, tmp_path, capsys, key, value):
+        trace = tmp_path / "trace.jsonl"
+        bad = dict(json.loads(GOOD_RECORD), iter=1)
+        bad[key] = value
+        trace.write_text(GOOD_RECORD + "\n" + json.dumps(bad) + "\n")
+        assert main(["trace-export", str(trace), "--out-dir", str(tmp_path / "csv")]) == 1
+        assert f"line 2: {key}: expected a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "csv").exists()
+
+    @pytest.mark.parametrize("key", ["F_total", "alpha_estimate"])
+    def test_integer_beyond_the_float_range_writes_no_csv(self, tmp_path, capsys, key):
+        trace = tmp_path / "trace.jsonl"
+        rec = json.loads(GOOD_RECORD)
+        rec[key] = 10**400
+        trace.write_text(json.dumps(rec) + "\n")
+        assert main(["trace-export", str(trace), "--out-dir", str(tmp_path / "csv")]) == 1
+        assert f"line 1: {key}: expected a finite number, got 1000" in capsys.readouterr().err
+        assert not (tmp_path / "csv").exists()
+
+    def test_null_values_are_accepted(self, tmp_path):
+        # TraceRecord.as_dict writes non-finite values as null
+        trace = tmp_path / "trace.jsonl"
+        rec = dict(json.loads(GOOD_RECORD), F_total=None, alpha_estimate=None)
+        trace.write_text(json.dumps(rec) + "\n")
+        assert main(["trace-export", str(trace), "--out-dir", str(tmp_path / "csv")]) == 0
+        cost = (tmp_path / "csv" / "trace_cost.csv").read_text().splitlines()
+        assert cost[1] == "0,,1.0,0.0,2.0"
+
+    def test_out_dir_that_names_a_file_is_exit_1(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(GOOD_RECORD + "\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["trace-export", str(trace), "--out-dir", str(afile)]) == 1
+        assert capsys.readouterr().err.startswith("error: --out-dir: cannot create directory ")
 
     def test_missing_field_writes_no_csv(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import warnings
 
@@ -7,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulidiag.cost as cost_mod
-from paulidiag.cost import CostReport, KParams, eval_F, eval_f, eval_grad, eval_phi, k_as_sum
-from paulidiag.operators import _ALGEBRA, _TABLES, PauliSum, build_support_sets, sum_multiply
+from paulidiag.cost import CostReport, KParams, eval_F, eval_grad
+from paulidiag.operators import (_ALGEBRA, _SPAN, _TABLES, PauliSum, _whole_group_tables,
+                                 build_support_sets, sum_multiply)
 from paulidiag.optimize import OptConfig, run_gd, run_rcd
-from paulidiag.pauli import MAX_QUBITS, PauliString, parse, unpack_keys
-from paulidiag.verify import string_to_dense
+from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, parse, string_masks, unpack_keys
 
-from conftest import dense_terms, fd_gradient, key_strings, random_instance, workload_instance
+from conftest import (dense_terms, fd_gradient, k_as_sum, key_strings, random_instance,
+                      string_to_dense, workload_instance)
 
 
 def dense(a):
@@ -73,7 +75,7 @@ class TestValues:
         s = build_support_sets(h, ansatz)
         assert tuple(p.word for p in key_strings(1, s.g1)) == ("X", "Y")
         kp = KParams(ansatz, np.array([1.0, 0.0]), np.zeros(2))
-        assert eval_f(h, kp, s) == pytest.approx(4.0)
+        assert eval_F(h, kp, s).f_value == pytest.approx(4.0)
 
     def test_exact_diagonalizer_zero_cost(self):
         # K = (X+Z)/sqrt2 maps X to Z; unitary, so penalty vanishes too
@@ -85,23 +87,27 @@ class TestValues:
         assert rep.total == pytest.approx(0.0, abs=1e-14)
 
     def test_phi_identity_and_pairs(self):
+        # K'K = (a^2 + b^2) I + 2ab X: the penalty is phi_X^2, the identity's
+        # coefficient left out
         h = PauliSum.from_words({"Z": 1.0})
         ansatz = (parse("I"), parse("X"))
         s = build_support_sets(h, ansatz)
         a, b = 0.6, 0.8
         kp = KParams(ansatz, np.array([a, b]), np.zeros(2))
-        assert eval_phi(kp, PauliString.identity(1), s) == pytest.approx(a * a + b * b)
-        assert eval_phi(kp, parse("X"), s) == pytest.approx(2 * a * b)
-        with pytest.raises(ValueError, match="not a product"):
-            eval_phi(kp, parse("Y"), s)
+        assert tuple(p.word for p in key_strings(1, s.g2)) == ("X",)
+        assert eval_F(h, kp, s).penalty == pytest.approx((2 * a * b) ** 2)
 
     def test_phi_matches_kk_coefficient(self, rng):
+        # g2 holds every non-identity string of K'K, and the penalty is the
+        # sum of their squared (real) coefficients
         h, kp, s = random_instance(rng, 3, 6)
         k = k_as_sum(kp)
         kk = sum_multiply(k.adjoint(), k)
-        for p in key_strings(kp.n, s.g2):
-            assert eval_phi(kp, p, s) == pytest.approx(kk.coefficient(p), abs=1e-12)
-            assert abs(eval_phi(kp, p, s).imag) < 1e-12  # K'K is Hermitian
+        g2 = key_strings(kp.n, s.g2)
+        assert set(kk.strings()) - {PauliString.identity(kp.n)} <= set(g2)
+        phi = np.array([kk.coefficient(p) for p in g2])
+        assert np.abs(phi.imag).max() < 1e-12  # K'K is Hermitian
+        assert eval_F(h, kp, s).penalty == pytest.approx(np.sum(phi.real**2), rel=1e-12)
 
     def test_report_totals(self, rng):
         h, kp, s = random_instance(rng, 2, 4)
@@ -123,7 +129,7 @@ class TestValues:
         h, kp, s = random_instance(rng, 2, 3)
         other_h = PauliSum.from_words({"XX": 1.0})
         with pytest.raises(ValueError, match="Hamiltonian differs"):
-            eval_f(other_h, kp, s)
+            eval_F(other_h, kp, s)
         other_kp = KParams((parse("II"),), np.ones(1), np.zeros(1))
         with pytest.raises(ValueError, match="ansatz differs"):
             eval_F(h, other_kp, s)
@@ -204,7 +210,7 @@ class TestDensePath:
 
     def test_grid_path_matches_string_sum_reference(self, rng):
         def string_sum_reference(h, ansatz, r, theta):
-            # H and K summed from verify.string_to_dense, F from its
+            # H and K summed from string_to_dense, F from its
             # definition and dF = 2 Re tr(dK' G) read string by string
             dim = 2**h.n
             hd = sum(c * string_to_dense(q) for q, c in h.items())
@@ -232,13 +238,13 @@ class TestDensePath:
                                  for i, c in zip(hw, rng.uniform(-1, 1, m))])
                 s = build_support_sets(h, ansatz)
                 assert cost_mod._dense_path_applies(n, d)
-                work = cost_mod._DenseWork(s)
+                evaluate = cost_mod._evaluator(s)
+                assert evaluate.func is cost_mod._evaluate_dense
                 r = rng.uniform(0.2, 1.0, d)
                 r /= np.linalg.norm(r)
                 theta = rng.uniform(0.0, 2 * np.pi, d)
-                f, penalty, gr, gt = cost_mod._evaluate_dense(work, r, theta, True)
-                assert cost_mod._evaluate_dense(work, r, theta, False) == (
-                    f, penalty, None, None)
+                f, penalty, gr, gt = evaluate(r, theta, True)
+                assert evaluate(r, theta, False) == (f, penalty, None, None)
                 want = string_sum_reference(h, ansatz, r, theta)
                 scale = max(1.0, want[0] + want[1])
                 assert f == pytest.approx(want[0], rel=1e-12, abs=1e-13 * scale)
@@ -246,6 +252,38 @@ class TestDensePath:
                 gscale = max(1.0, np.abs(want[2]).max(), np.abs(want[3]).max())
                 assert np.abs(gr - want[2]).max() <= 1e-12 * gscale
                 assert np.abs(gt - want[3]).max() <= 1e-12 * gscale
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_whole_group_maps_are_the_dense_rule(self, rng, n):
+        # the whole group's maps are the closed-form dense rule, bit for bit:
+        # slot z 2^n + x, phase i^|x & z|, the Sylvester-Hadamard matrix S,
+        # and A[row, col] = D[col, row ^ col] for D = S C (its adjoint
+        # E[c, x] = G[c, c ^ x]); H's matrix is that of its coefficient grid
+        h, kp, s = random_instance(rng, n, int(rng.integers(2**n, 4**n + 1)))
+        maps = _whole_group_tables(s)
+        dim = 2**n
+        hadamard = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n,
+                                    np.ones((1, 1))).astype(complex)
+        rows, cols = np.arange(dim)[:, None], np.arange(dim)[None, :]
+        to_matrix = cols * dim + (rows ^ cols)
+
+        def slots(strings):
+            x, z = string_masks(strings)
+            return z * dim + x, PHASES[np.bitwise_count(x & z) & 3]
+
+        k_slot, k_phase = slots(s.ansatz)
+        h_slot, h_phase = slots(s.h_strings)
+        grid = np.zeros(dim * dim, dtype=complex)
+        grid[h_slot] = h_phase * s.h_coeffs
+        h_mat = (hadamard @ grid.reshape(dim, dim)).take(to_matrix)
+        assert np.array_equal(maps["alg_hadamard"], hadamard)
+        assert np.array_equal(maps["alg_to_matrix"], to_matrix[None])
+        assert np.array_equal(maps["alg_to_grid"], rows * dim + (rows ^ cols))
+        assert np.array_equal(maps["alg_k_slot"], k_slot)
+        assert np.array_equal(maps["alg_k_phase"], k_phase)
+        assert np.array_equal(maps["alg_h"], h_mat[None])
+        assert set(vars(s)) & (_TABLES | _SPAN | _ALGEBRA) == set()
 
 
 # --- the algebra path ---------------------------------------------------------

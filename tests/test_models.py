@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paulidiag.cost import eval_F, k_as_sum
+from paulidiag.cost import eval_F
 from paulidiag.models import (
     RotationProduct,
     build_example_hams,
@@ -18,7 +18,7 @@ from paulidiag.operators import PauliSum, build_support_sets
 from paulidiag.pauli import PauliString, commutes, parse
 from paulidiag.verify import DenseLimitError, diag_report, to_dense
 
-from conftest import dense_terms, dense_word
+from conftest import dense_terms, dense_word, k_as_sum
 
 
 def dense_rotation(rp: RotationProduct) -> np.ndarray:

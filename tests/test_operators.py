@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paulidiag import cost
-from paulidiag.cost import KParams, eval_F, eval_grad, eval_phi
+from paulidiag.cost import KParams, eval_F, eval_grad
 from paulidiag.operators import (
     HERMITIAN_TOL,
     PRUNE_TOL,
@@ -21,12 +21,11 @@ from paulidiag.operators import (
     load_hamiltonian,
     save_hamiltonian,
     sum_multiply,
-    trace_with,
 )
 from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
 from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, multiply, parse
 
-from conftest import dense_terms, dense_word, key_strings, random_instance
+from conftest import dense_terms, dense_word, key_strings, random_instance, trace_with
 
 
 def dense(a: PauliSum) -> np.ndarray:
@@ -206,9 +205,10 @@ class TestSupportSets:
         assert tuple(p.word for p in key_strings(1, s.g1)) == ("Y",)
         assert tuple(p.word for p in key_strings(1, s.g2)) == ("X",)
         assert set(p.word for p in key_strings(1, s.closure)) == {"Z", "Y"}
-        # phi_X = conj(k_I) k_X + conj(k_X) k_I: the pair grid's two off-diagonal entries
+        # phi_X = conj(k_I) k_X + conj(k_X) k_I: the pair grid's two
+        # off-diagonal entries; the penalty is phi_X^2
         kp = KParams(s.ansatz, np.array([0.6, 0.8]), np.array([0.3, -0.4]))
-        assert eval_phi(kp, parse("X"), s) == pytest.approx(2 * 0.6 * 0.8 * np.cos(0.7))
+        assert eval_F(h, kp, s).penalty == pytest.approx((2 * 0.6 * 0.8 * np.cos(0.7)) ** 2)
 
     def test_full_basis_xxz2(self):
         h = PauliSum.from_words({"XX": 1.0, "YY": 1.0, "ZZ": 1.0})
@@ -576,11 +576,10 @@ class TestLazyTables:
         run_rcd(h, kp, OptConfig(max_iters=3, block_size=2 * kp.d), s)
         assert built(s) == set()
 
-    def test_first_read_through_eval_phi_builds_all(self):
-        # eval_phi reads g2 first
+    def test_first_read_of_g2_builds_all(self):
         h, kp = dense_instance()
         s = build_support_sets(h, kp.ansatz)
-        eval_phi(kp, parse("XY"), s)
+        s.g2
         assert built(s) == _TABLES
         ref, _, _ = reference_tables(h, kp.ansatz)
         assert_fields_equal(s, {name: ref[name] for name in _TABLES})

@@ -17,7 +17,6 @@ from paulidiag.optimize import (
     RADIAL_COLLAPSE_TOL,
     TraceRecord,
     estimate_alpha,
-    lr_schedule_eval,
     rolling_median,
     run_gd,
     run_rcd,
@@ -42,13 +41,13 @@ def one_qubit_instance(r0=None, theta0=None):
 class TestSchedules:
     def test_constant(self):
         sch = LRSchedule.constant(0.05)
-        assert lr_schedule_eval(sch, 0) == 0.05
-        assert lr_schedule_eval(sch, 999) == 0.05
+        assert sch.at(0) == 0.05
+        assert sch.at(999) == 0.05
 
     def test_decay(self):
         sch = LRSchedule.decay(0.5, 0.1)
-        assert lr_schedule_eval(sch, 0) == 0.5
-        assert lr_schedule_eval(sch, 10) == pytest.approx(0.5 / 2.0)
+        assert sch.at(0) == 0.5
+        assert sch.at(10) == pytest.approx(0.5 / 2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,9 +190,10 @@ class TestRunRCD:
         with pytest.raises(ValueError, match="block_size"):
             run_rcd(h, kp, OptConfig(max_iters=5, block_size=5), s)
 
-    def test_sampled_rcd_evaluates_its_start_once(self, rng, monkeypatch):
-        # the automatic step reads F0 and ||g0|| off the start's caches, so
-        # each iterate's tables are evaluated once
+    def test_sampled_rcd_evaluates_its_start_twice(self, rng, monkeypatch):
+        # the automatic step reads F0 and ||g0|| off GD's full evaluation,
+        # which builds no caches: the start's tables are evaluated twice, once
+        # for it and once for the caches, and each later iterate's once
         h, kp, s = random_instance(rng, 3, 6)
         cfg = OptConfig(max_iters=2, block_size=3, seed=4, stop_tol=0.0)
         start = eval_grad(h, kp, s)
@@ -209,7 +209,7 @@ class TestRunRCD:
         monkeypatch.setattr(cost, "_table_values", counted)
         monkeypatch.setattr(optimize, "_table_values", counted)
         got = run_rcd(h, kp, cfg, s)
-        assert len(got.records) == 3 and len(calls) == 3
+        assert len(got.records) == 3 and len(calls) == 4
         # the step equals the one from a separate full evaluation, bit for bit
         assert [rec.as_dict() for rec in got.records] == [rec.as_dict() for rec in want.records]
 
@@ -342,7 +342,7 @@ class TestRunRCD:
         full = eval_grad(h, kp, s)
         np.testing.assert_allclose(gr, full.grad_r, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(gt, full.grad_theta, rtol=1e-10, atol=1e-12)
-        assert state.full_grad_norm() == pytest.approx(full.grad_norm, rel=1e-10)
+        assert gnorm == pytest.approx(full.grad_norm, rel=1e-10)
 
 
     @pytest.mark.parametrize("name, path", [
@@ -408,7 +408,7 @@ def reference_gd(h, kp0, cfg, s):
         if rep.total < cfg.stop_tol or rep.grad_norm < cfg.grad_tol or t == cfg.max_iters:
             record(x.r_norm)
             break
-        a = lr_schedule_eval(cfg.lr, t)
+        a = cfg.lr.at(t)
         y_r = x.r - a * rep.grad_r
         y_theta = x.theta - a * rep.grad_theta
         nr = float(np.linalg.norm(y_r))
@@ -490,8 +490,7 @@ class TestNonFinite:
         kp = cli.build_initial_params({"ansatz_source": {"kind": "full_basis"}}, h, None)
         cfg = OptConfig(max_iters=5, lr=lr, block_size=4, stop_tol=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            state = IncrementalState(build_support_sets(h, kp.ansatz), kp.r, kp.theta)
-            assert state.full_grad_norm() == math.inf
+            assert eval_grad(h, kp, build_support_sets(h, kp.ansatz)).grad_norm == math.inf
             trace = run_rcd(h, kp, cfg)
         assert trace.stop_reason == "non_finite"
         assert [rec.iteration for rec in trace.records] == [0]
@@ -553,8 +552,7 @@ class TestStationary:
     def test_sampled_zero_block_is_confirmed_on_the_full_gradient(self):
         h = PauliSum.from_words({"X": 1.0, "Z": 0.5})
         s = build_support_sets(h, self.ANSATZ)
-        state = IncrementalState(s, self.START.r, self.START.theta)
-        assert state.full_grad_norm() == 16.0
+        assert eval_grad(h, self.START, s).grad_norm == 16.0
         # seed 0 samples theta_1 (coordinate 3) first, whose partial is 0
         assert np.random.default_rng(0).choice(4, size=1, replace=False).tolist() == [3]
         cfg = OptConfig(max_iters=5, block_size=1, seed=0, stop_tol=0.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paulidiag.cli import load_params, main, save_params
-from paulidiag.cost import KParams, eval_F, k_as_sum
+from paulidiag.cost import KParams, eval_F
 from paulidiag.models import build_random_udu, expand_rotation_product
 from paulidiag.operators import PauliSum, build_support_sets, load_hamiltonian, save_hamiltonian
 from paulidiag.pauli import PauliString, commutes, multiply, parse
@@ -23,11 +23,10 @@ from paulidiag.verify import (
     lie_closure_dim,
     pauli_decompose,
     projector_distances,
-    string_to_dense,
     to_dense,
 )
 
-from conftest import dense_terms, dense_word, random_instance
+from conftest import dense_terms, dense_word, random_instance, string_to_dense
 
 
 class TestToDense:
