@@ -260,6 +260,10 @@ def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
 def _perturbed(kp: KParams, perturb: float, seed: int) -> KParams:
     if perturb == 0.0:
         return kp.normalized()
+    # the draws span high - low = 2 perturb, which rng.uniform needs finite
+    if perturb > sys.float_info.max / 2:
+        raise ConfigError(f"init.perturb: expected at most {sys.float_info.max / 2!r}, "
+                          f"got {perturb!r}")
     rng = np.random.default_rng(seed)
     # a saved params file may hold negative r: each keeps its sign
     mag = np.abs(np.abs(kp.r) + rng.uniform(-perturb, perturb, kp.d))
@@ -525,6 +529,8 @@ def cmd_trace_export(args) -> int:
             if key not in rec:
                 raise ConfigError(f"{path}: line {i}: missing field {key!r}")
             _trace_number(rec, key, f"{path}: line {i}")
+        # TraceRecord.as_dict writes iter as a non-negative integer, never null
+        _number(rec["iter"], f"{path}: line {i}: iter", integer=True, nonneg=True)
         alpha = _trace_number(rec, "alpha_estimate", f"{path}: line {i}")
         alphas.append(math.nan if alpha is None else float(alpha))
         records.append(rec)

@@ -40,8 +40,9 @@ coordinates O(|J| (|hk| + d)). Both signs were validated against central
 finite differences; the theta sign is +4 for this operator order.
 
 F is evaluated on one of three paths. The table path is the one above.
-The other two are matrix engines that share one set of maps, built by
-operators._algebra_tables for a subgroup G of the Pauli group (operators'
+The other two are matrix engines that read one set of maps, SupportSets'
+alg_* fields, built once by operators._algebra_tables for the subgroup G
+of the Pauli group that SupportSets' span fields describe (operators'
 notes on the algebra give the representation, the grid slots and their
 phases): the forward map _blocks (K's coefficients to K's blocks, one
 Hadamard matmul and one gather) and its adjoint _partials (a matrix
@@ -50,10 +51,11 @@ gradient to the d partials, one gather and one Hadamard matmul).
 When the qubit count is small and the ansatz is at least Hilbert-dimension
 sized, evaluation switches to the dense path, direct 2^n x 2^n matrix
 algebra (same values, same gradients, far cheaper); see
-_dense_path_applies. Its maps are those of G = the whole group, whose one
-block is the 2^n x 2^n matrix; _evaluator builds them on each call, with
-no cache. Besides the maps, K'HK, K'K and the matrix gradient take three
-matmuls, so no step touches a d x 2^n table.
+operators._dense_path_applies. Where that rule holds, SupportSets' span
+is G = the whole group, whose one block is the 2^n x 2^n matrix, so the
+dense path's maps are built on its first evaluation and kept. Besides the
+maps, K'HK, K'K and the matrix gradient take three matmuls, so no step
+touches a d x 2^n table.
 
 The algebra path (_evaluate_algebra) works on the algebra that the span G
 of the ansatz strings spans: 2^l blocks of 2^k x 2^k, with the maps held
@@ -84,13 +86,11 @@ path.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .operators import PauliSum, SupportSets, _whole_group_tables
+from .operators import PauliSum, SupportSets, _dense_path_applies
 from .pauli import PHASES, PauliString
 
 # how far ||r|| may be from 1 for params to count as unit norm
@@ -185,40 +185,31 @@ def _check(h: PauliSum, kp: KParams, s: SupportSets) -> None:
 
 # --- the matrix paths ---------------------------------------------------------
 #
-# For few qubits and an ansatz at least as large as the Hilbert dimension,
-# 2^n x 2^n matrix algebra beats the flat support tables by a wide margin.
-# The whole group's maps (operators._whole_group_tables) read no derived
-# field of SupportSets, so a dense-path run builds none of them.
-
-_DENSE_PATH_MAX_DIM = 16
+# Both read SupportSets' alg_* fields, the maps of its span G, built once;
+# where the dense rule holds, G is the whole group (one 2^n x 2^n block).
 
 
-def _dense_path_applies(n: int, d: int) -> bool:
-    return (1 << n) <= _DENSE_PATH_MAX_DIM and d >= (1 << n)
-
-
-def _blocks(maps, kc: np.ndarray) -> np.ndarray:
+def _blocks(s: SupportSets, kc: np.ndarray) -> np.ndarray:
     """The forward map: the blocks of the operator with coefficients kc on
-    the ansatz strings, from maps' alg_* fields (SupportSets' or the whole
-    group's)."""
-    hadamard = maps.alg_hadamard
-    grid = np.zeros((len(hadamard), maps.alg_to_matrix.shape[-1]), dtype=complex)
-    grid.ravel()[maps.alg_k_slot] = kc * maps.alg_k_phase
-    return (hadamard @ grid).take(maps.alg_to_matrix)
+    the ansatz strings."""
+    hadamard = s.alg_hadamard
+    grid = np.zeros((len(hadamard), s.alg_to_matrix.shape[-1]), dtype=complex)
+    grid.ravel()[s.alg_k_slot] = kc * s.alg_k_phase
+    return (hadamard @ grid).take(s.alg_to_matrix)
 
 
-def _partials(maps, g: np.ndarray) -> np.ndarray:
+def _partials(s: SupportSets, g: np.ndarray) -> np.ndarray:
     """The adjoint of _blocks: 2^(m-n) tr(P_j G) for every ansatz string
     P_j, G given by its blocks."""
-    e = g.take(maps.alg_to_grid)
-    return (maps.alg_hadamard @ e).take(maps.alg_k_slot) * maps.alg_k_phase
+    e = g.take(s.alg_to_grid)
+    return (s.alg_hadamard @ e).take(s.alg_k_slot) * s.alg_k_phase
 
 
-def _evaluate_dense(maps, r: np.ndarray, theta: np.ndarray, want_grad: bool):
-    dim = len(maps.alg_hadamard)
+def _evaluate_dense(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
+    dim = len(s.alg_hadamard)
     e = np.exp(1j * theta)
-    k = _blocks(maps, r * e)[0]
-    w = np.concatenate((maps.alg_h[0] @ k, k), axis=1)  # [HK | K]
+    k = _blocks(s, r * e)[0]
+    w = np.concatenate((s.alg_h[0] @ k, k), axis=1)  # [HK | K]
     # [K'HK; K'K] stacked, then offdiag(K'HK) on top and the traceless part
     # of K'K below, formed entrywise so the near-identity case does not
     # cancel catastrophically
@@ -236,7 +227,7 @@ def _evaluate_dense(maps, r: np.ndarray, theta: np.ndarray, want_grad: bool):
     # that is [HK | K] times the row-scaled stack
     m_off *= 2.0 * dim
     t_less *= 2.0 / dim
-    gvec = _partials(maps, w @ b) * e.conj()
+    gvec = _partials(s, w @ b) * e.conj()
     grad_r = 2.0 * gvec.real
     grad_theta = 2.0 * r * gvec.imag
     return f, penalty, grad_r, grad_theta
@@ -354,10 +345,11 @@ def _algebra_path_applies(s: SupportSets) -> bool:
 
 
 def _path(s: SupportSets):
-    """The path s is evaluated on: _evaluate_dense when the dense path
-    applies, else _evaluate_algebra when the algebra path applies, else
-    _evaluate_sparse (the support tables). Choosing builds no product
-    table."""
+    """The routine s is evaluated on, called as fn(s, r, theta, want_grad)
+    and returning (f, penalty, grad_r, grad_theta): _evaluate_dense when the
+    dense path applies, else _evaluate_algebra when the algebra path
+    applies, else _evaluate_sparse (the support tables). Choosing builds no
+    product table."""
     if _dense_path_applies(s.n, s.d):
         return _evaluate_dense
     if _algebra_path_applies(s):
@@ -365,21 +357,12 @@ def _path(s: SupportSets):
     return _evaluate_sparse
 
 
-def _evaluator(s: SupportSets):
-    """The evaluation routine for s on its _path, called as
-    fn(r, theta, want_grad) and returning (f, penalty, grad_r, grad_theta)."""
-    path = _path(s)
-    if path is _evaluate_dense:
-        s = SimpleNamespace(**_whole_group_tables(s))
-    return functools.partial(path, s)
-
-
 # an overflow reads inf or NaN, which every caller rejects or stops on, so
 # numpy's warnings about it would only be noise (as in _grad_norm)
 @np.errstate(over="ignore", invalid="ignore")
 def _evaluate(h: PauliSum, kp: KParams, s: SupportSets, want_grad: bool):
     _check(h, kp, s)
-    return _evaluator(s)(kp.r, kp.theta, want_grad)
+    return _path(s)(s, kp.r, kp.theta, want_grad)
 
 
 def eval_F(h: PauliSum, kp: KParams, s: SupportSets) -> CostReport:

@@ -6,12 +6,12 @@ unnormalized convention tr(A P) = 2^n c_P.
 build_support_sets checks a Hamiltonian H and an ansatz list (P_1..P_d)
 and returns their SupportSets, which hold everything the cost evaluator
 needs. Its derived fields come in three groups, each built on the first
-read of any of its fields and never by a read of another group's: the span
-of the ansatz (the inputs of cost's path rule, from the masks alone), the
-algebra path's blocks and maps (see the notes on the algebra below), and
-the product tables, which cost._table_values is the one routine to
-evaluate. A run on cost's dense path, which reads only H and the ansatz,
-builds none of them, and one on the algebra path no product table. The
+read of any of its fields (the maps' build reads the span): the span
+of the ansatz (the inputs of cost's path rule, from the masks alone; the
+whole group where cost's dense rule holds), the blocks and maps of the
+two matrix paths, dense and algebra (see the notes on the algebra below),
+and the product tables, which cost._table_values is the one routine to
+evaluate. A run on either matrix path builds no product table. The
 product tables (built by the table path's first evaluation or by
 IncrementalState) are:
 
@@ -243,16 +243,16 @@ class SupportSets:
     0 on the diagonal closure strings and the identity). All of this
     arithmetic is cost._table_values'; the class holds the tables only.
 
-    build_support_sets sets n, ansatz, h_ref, h_strings and h_coeffs, which
-    is all the dense path of cost reads. The derived fields come in three
-    groups, each built together on the first read of any of its fields and
-    a plain instance attribute from then on: the nine product tables
-    (_TABLES: the four string tables, the grids and slot_scale) by
-    _product_tables, for example on the first table-path evaluation or
-    by IncrementalState; the four span fields (_SPAN) by
-    _span_tables, on cost's first path choice past the dense path; and the
-    algebra path's fields (_ALGEBRA) by _algebra_tables, on its first
-    evaluation.
+    build_support_sets sets n, ansatz, h_ref, h_strings and h_coeffs. The
+    derived fields come in three groups, each built together on the first
+    read of any of its fields and a plain instance attribute from then on:
+    the nine product tables (_TABLES: the four string tables, the grids and
+    slot_scale) by _product_tables, for example on the first table-path
+    evaluation or by IncrementalState; the four span fields (_SPAN) by
+    _span_tables, on cost's first path choice past the dense path or on
+    the first read of an algebra field; and the maps both matrix paths
+    read (_ALGEBRA) by _algebra_tables, on the first dense-path or
+    algebra-path evaluation.
     """
 
     n: int
@@ -307,7 +307,7 @@ class SupportSets:
         if name in _TABLES:
             tables = _product_tables(self.n, self.ansatz, self.h_strings)
         elif name in _SPAN:
-            tables = _span_tables(self.ansatz, self.h_strings)
+            tables = _span_tables(self.n, self.ansatz, self.h_strings)
         elif name in _ALGEBRA:
             tables = _algebra_tables(self.ansatz, self.h_strings, self.h_coeffs, self.span_basis,
                                      self.span_pairs, self.coset_rep, self.h_coset)
@@ -463,9 +463,10 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
 # E[b 2^k + c, x] = M[b, c, c ^ x]; then tr(P_g X) = 2^(n-m) i^-mu
 # (S E)[slot], and the coefficient of P_g in X is i^-mu (S E)[slot] / 2^m.
 #
-# cost's dense path is the case G = the whole group on n qubits in its
-# natural basis e_q = X_q, f_q = Z_q (k = n, l = 0) with one coset, that
-# of the identity (_whole_group_tables). The virtual qubits are then the
+# Where the dense rule holds (_dense_path_applies), the span is not
+# searched: G is the whole group on n qubits in its natural basis
+# e_q = X_q, f_q = Z_q (k = n, l = 0) with one coset, that of the identity,
+# and cost's dense path reads these maps. The virtual qubits are then the
 # real ones, qubit q as basis-index bit q: P's slot is z 2^n + x, its phase
 # i^|x & z|, and the one block is P's matrix, which maps basis column c to
 # row c ^ x with weight i^|x & z| (-1)^|z & c|. verify.to_dense numbers
@@ -504,12 +505,28 @@ def _reduce(keys: np.ndarray, echelon) -> np.ndarray:
     return keys
 
 
-def _span_tables(ansatz, h_strings) -> dict:
-    """The four _SPAN fields, from the masks alone: an echelon basis of the
-    ansatz keys' span (one vector op over the keys per basis element),
-    symplectic Gram-Schmidt on it (O(r^2) integer ops, r <= 2n), and H's
-    keys reduced modulo the span, each coset's representative then moved
-    within the coset to commute with every pair element."""
+# For few qubits and an ansatz at least as large as the Hilbert dimension,
+# 2^n x 2^n matrix algebra beats the flat support tables by a wide margin.
+_DENSE_PATH_MAX_DIM = 16
+
+
+def _dense_path_applies(n: int, d: int) -> bool:
+    return (1 << n) <= _DENSE_PATH_MAX_DIM and d >= (1 << n)
+
+
+def _span_tables(n: int, ansatz, h_strings) -> dict:
+    """The four _SPAN fields, from the masks alone: where the dense rule
+    holds, the whole group in its natural basis X_0..X_(n-1), Z_0..Z_(n-1)
+    with one coset; elsewhere an echelon basis of the ansatz keys' span (one
+    vector op over the keys per basis element), symplectic Gram-Schmidt on
+    it (O(r^2) integer ops, r <= 2n), and H's keys reduced modulo the span,
+    each coset's representative then moved within the coset to commute with
+    every pair element."""
+    if _dense_path_applies(n, len(ansatz)):
+        q = np.arange(n, dtype=np.int64)
+        return {"span_basis": 1 << np.concatenate((q + MAX_QUBITS, q)), "span_pairs": n,
+                "coset_rep": np.zeros(1, dtype=np.int64),
+                "h_coset": np.zeros(len(h_strings), dtype=np.intp)}
     keys = pack_keys(*string_masks(ansatz))
     echelon = []
     keys = keys[keys != 0]
@@ -583,8 +600,8 @@ def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -
     (side by side), H's block operators A_c (stacked), the ansatz's grid
     slots and phases, and the weights alg_offdiag of the coset coefficients
     (side by side): (-1)^mu where P_c P_g is off-diagonal, x(P_c) ^ x(g) !=
-    0, and 0 elsewhere. SupportSets passes its span; _whole_group_tables
-    the whole Pauli group."""
+    0, and 0 elsewhere. SupportSets passes its span (the whole Pauli group
+    where the dense rule holds)."""
     m = len(basis) - k
     w, dim, nc = 1 << k, 1 << m, len(coset_rep)
 
@@ -633,12 +650,3 @@ def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -
         "alg_back": back,
     }
 
-
-def _whole_group_tables(s: SupportSets) -> dict:
-    """_algebra_tables for the whole Pauli group on s.n qubits (cost's dense
-    path): basis X_0..X_(n-1), Z_0..Z_(n-1), and every H term in the coset
-    of the identity. s's own span is not read, so nothing is built on s."""
-    q = np.arange(s.n, dtype=np.int64)
-    return _algebra_tables(s.ansatz, s.h_strings, s.h_coeffs,
-                           np.concatenate((1 << (q + MAX_QUBITS), 1 << q)), s.n,
-                           np.zeros(1, dtype=np.int64), np.zeros(len(s.h_strings), dtype=np.intp))

@@ -6,7 +6,7 @@ records and the final params. Inside it r and theta are plain arrays: the
 ansatz/Hamiltonian check runs once at entry and KParams is built once, for
 final_params. Only the step differs. GD uses the full exact
 gradient recomputed from scratch every iteration (dense, algebra or table
-path, chosen once at entry by cost._evaluator). RCD samples S of the 2d
+path, chosen once at entry by cost._path). RCD samples S of the 2d
 coordinates uniformly without replacement and computes only those partials,
 whatever path a full evaluation would take, from cached tables (the rows
 W of the K'[HK | K] grid and the slot-weighted real coefficients of K'HK and
@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import (
-    UNIT_NORM_TOL, KParams, _check, _evaluator, _grad_norm, _partial_rows, _table_values,
+    UNIT_NORM_TOL, KParams, _check, _grad_norm, _partial_rows, _path, _table_values,
 )
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
@@ -219,10 +219,10 @@ def _support_for(h: PauliSum, kp0: KParams, support: SupportSets | None) -> Supp
 
 def _full_grad(s: SupportSets):
     """GD's step: the exact full gradient at (r, theta), with its norm."""
-    evaluate = _evaluator(s)
+    evaluate = _path(s)
 
     def grad(r, theta):
-        f, penalty, gr, gt = evaluate(r, theta, True)
+        f, penalty, gr, gt = evaluate(s, r, theta, True)
         return f, penalty, gr, gt, _grad_norm(gr, gt)
 
     return grad

@@ -423,6 +423,11 @@ class TestDiagonalize:
         ("opt", "seed", -1, "opt.seed: expected a non-negative integer, got -1"),
         ("init", "seed", -3, "init.seed: expected a non-negative integer, got -3"),
         ("init", "perturb", -0.1, "init.perturb: expected a non-negative number, got -0.1"),
+        # a draw's range, twice the spread, overflowed in rng.uniform
+        ("init", "perturb", 1e308,
+         "init.perturb: expected at most 8.988465674311579e+307, got 1e+308"),
+        ("init", "perturb", 9e307,
+         "init.perturb: expected at most 8.988465674311579e+307, got 9e+307"),
         ("opt", "max_iters", 5.7, "opt.max_iters: expected an integer, got 5.7"),
         ("opt", "max_iters", float("inf"), "opt.max_iters: expected a finite number"),
         ("opt", "stop_tol", float("nan"), "opt.stop_tol: expected a finite number, got nan"),
@@ -950,6 +955,21 @@ class TestTraceExport:
         trace.write_text(GOOD_RECORD + "\n" + json.dumps(bad) + "\n")
         assert main(["trace-export", str(trace), "--out-dir", str(tmp_path / "csv")]) == 1
         assert f"line 2: {key}: expected a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "csv").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        (None, "expected a number, got None"),
+        (-4, "expected a non-negative integer, got -4"),
+        (1.5, "expected an integer, got 1.5"),
+    ])
+    def test_bad_iter_writes_no_csv(self, tmp_path, capsys, value, message):
+        # TraceRecord.as_dict writes iter as a non-negative integer; the other
+        # cost fields may be null
+        trace = tmp_path / "trace.jsonl"
+        bad = dict(json.loads(GOOD_RECORD), iter=value)
+        trace.write_text(GOOD_RECORD + "\n" + json.dumps(bad) + "\n")
+        assert main(["trace-export", str(trace), "--out-dir", str(tmp_path / "csv")]) == 1
+        assert f"line 2: iter: {message}" in capsys.readouterr().err
         assert not (tmp_path / "csv").exists()
 
     @pytest.mark.parametrize("key", ["F_total", "alpha_estimate"])

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulidiag.cost as cost_mod
+from paulidiag import operators
 from paulidiag.cost import CostReport, KParams, eval_F, eval_grad
-from paulidiag.operators import (_ALGEBRA, _SPAN, _TABLES, PauliSum, _whole_group_tables,
-                                 build_support_sets, sum_multiply)
+from paulidiag.operators import (_ALGEBRA, _SPAN, _TABLES, PauliSum, build_support_sets,
+                                 sum_multiply)
 from paulidiag.optimize import OptConfig, run_gd, run_rcd
 from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, parse, string_masks, unpack_keys
 
@@ -238,13 +239,13 @@ class TestDensePath:
                                  for i, c in zip(hw, rng.uniform(-1, 1, m))])
                 s = build_support_sets(h, ansatz)
                 assert cost_mod._dense_path_applies(n, d)
-                evaluate = cost_mod._evaluator(s)
-                assert evaluate.func is cost_mod._evaluate_dense
+                evaluate = cost_mod._path(s)
+                assert evaluate is cost_mod._evaluate_dense
                 r = rng.uniform(0.2, 1.0, d)
                 r /= np.linalg.norm(r)
                 theta = rng.uniform(0.0, 2 * np.pi, d)
-                f, penalty, gr, gt = evaluate(r, theta, True)
-                assert evaluate(r, theta, False) == (f, penalty, None, None)
+                f, penalty, gr, gt = evaluate(s, r, theta, True)
+                assert evaluate(s, r, theta, False) == (f, penalty, None, None)
                 want = string_sum_reference(h, ansatz, r, theta)
                 scale = max(1.0, want[0] + want[1])
                 assert f == pytest.approx(want[0], rel=1e-12, abs=1e-13 * scale)
@@ -261,7 +262,8 @@ class TestDensePath:
         # and A[row, col] = D[col, row ^ col] for D = S C (its adjoint
         # E[c, x] = G[c, c ^ x]); H's matrix is that of its coefficient grid
         h, kp, s = random_instance(rng, n, int(rng.integers(2**n, 4**n + 1)))
-        maps = _whole_group_tables(s)
+        assert cost_mod._path(s) is cost_mod._evaluate_dense
+        assert set(vars(s)) & (_TABLES | _SPAN | _ALGEBRA) == set()
         dim = 2**n
         hadamard = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n,
                                     np.ones((1, 1))).astype(complex)
@@ -277,13 +279,34 @@ class TestDensePath:
         grid = np.zeros(dim * dim, dtype=complex)
         grid[h_slot] = h_phase * s.h_coeffs
         h_mat = (hadamard @ grid.reshape(dim, dim)).take(to_matrix)
-        assert np.array_equal(maps["alg_hadamard"], hadamard)
-        assert np.array_equal(maps["alg_to_matrix"], to_matrix[None])
-        assert np.array_equal(maps["alg_to_grid"], rows * dim + (rows ^ cols))
-        assert np.array_equal(maps["alg_k_slot"], k_slot)
-        assert np.array_equal(maps["alg_k_phase"], k_phase)
-        assert np.array_equal(maps["alg_h"], h_mat[None])
-        assert set(vars(s)) & (_TABLES | _SPAN | _ALGEBRA) == set()
+        assert np.array_equal(s.alg_hadamard, hadamard)
+        assert np.array_equal(s.alg_to_matrix, to_matrix[None])
+        assert np.array_equal(s.alg_to_grid, rows * dim + (rows ^ cols))
+        assert np.array_equal(s.alg_k_slot, k_slot)
+        assert np.array_equal(s.alg_k_phase, k_phase)
+        assert np.array_equal(s.alg_h, h_mat[None])
+        assert set(vars(s)) & (_TABLES | _SPAN | _ALGEBRA) == _SPAN | _ALGEBRA
+
+    def test_maps_are_built_once_per_support_sets(self, rng, monkeypatch):
+        # the dense path reads s's alg_* fields, built on the first
+        # evaluation and kept: one build serves every evaluation and run on
+        # s, and only the sampled RCD run builds the product tables (its
+        # caches)
+        h, kp, s = random_instance(rng, 3, 20)
+        assert cost_mod._path(s) is cost_mod._evaluate_dense
+        calls = []
+        build = operators._algebra_tables
+        monkeypatch.setattr(operators, "_algebra_tables",
+                            lambda *args: calls.append(args) or build(*args))
+        eval_F(h, kp, s)
+        for _ in range(3):
+            eval_grad(h, kp, s)
+        run_gd(h, kp, OptConfig(max_iters=3), s)
+        run_rcd(h, kp, OptConfig(max_iters=3, block_size=2 * kp.d), s)
+        assert built_tables(s) == set()
+        run_rcd(h, kp, OptConfig(max_iters=3, block_size=4, seed=0), s)
+        assert built_tables(s) == _TABLES
+        assert len(calls) == 1
 
 
 # --- the algebra path ---------------------------------------------------------
@@ -415,7 +438,7 @@ class TestAlgebraPath:
         h, kp = workload_instance(name)
         h = h * 1e300
         s = build_support_sets(h, kp.ansatz)
-        assert cost_mod._evaluator(s).func is getattr(cost_mod, path)
+        assert cost_mod._path(s) is getattr(cost_mod, path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = eval_grad(h, kp, s)
