@@ -22,7 +22,6 @@ from .operators import (
     PauliSum,
     SupportSets,
     build_support_sets,
-    conjugate,
     load_hamiltonian,
     save_hamiltonian,
     sum_multiply,
@@ -78,7 +77,6 @@ __all__ = [
     "build_support_sets",
     "build_xxz",
     "commutes",
-    "conjugate",
     "conjugate_by_rotation",
     "diag_report",
     "estimate_alpha",

@@ -219,15 +219,14 @@ def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
     if kind == "udu_support":
         if u_expansion is None:
             raise ConfigError(
-                "ansatz_source udu_support requires a model with a known "
+                "ansatz_source: udu_support requires a model with a known "
                 "unitary (random_udu or example_hams)"
             )
         return params_from_expansion(u_expansion)
     if kind == "full_basis":
         if h.n > FULL_BASIS_MAX_QUBITS:
-            raise ConfigError(
-                f"full_basis allowed only for n <= {FULL_BASIS_MAX_QUBITS}"
-            )
+            raise ConfigError(f"ansatz_source: full_basis allowed only for n <= "
+                              f"{FULL_BASIS_MAX_QUBITS}, the model has {h.n} qubits")
         strings = tuple(sorted(
             PauliString(h.n, x, z)
             for x in range(1 << h.n) for z in range(1 << h.n)
@@ -238,7 +237,7 @@ def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
     if kind == "warm_start":
         ref_h, _ = build_model(_require(source, "reference", "ansatz_source"))
         if ref_h.n != h.n:
-            raise ConfigError("warm_start reference has a different qubit count")
+            raise ConfigError(f"ansatz_source.reference: {ref_h.n} qubits, the model has {h.n}")
         prune_tol = _number(source.get("prune_tol", 1e-12), "ansatz_source.prune_tol")
         try:
             return warm_start_from_dense(ref_h, prune_tol=prune_tol)
@@ -252,7 +251,8 @@ def build_initial_params(cfg: dict, h: PauliSum, u_expansion) -> KParams:
             raise ConfigError(f"ansatz_source.path: expected a path string, got {path!r}")
         kp = load_params(path)
         if kp.n != h.n:
-            raise ConfigError("params file has a different qubit count")
+            raise ConfigError(f"ansatz_source.path: {path} holds {kp.n} qubits, "
+                              f"the model has {h.n}")
         return kp
     raise ConfigError(f"ansatz_source: unknown kind {kind!r}")
 
@@ -462,7 +462,7 @@ def cmd_verify(args) -> int:
     kp = load_params(args.params)
     if kp.n != h.n:
         raise ConfigError(
-            f"qubit count mismatch: hamiltonian has {h.n}, params have {kp.n}"
+            f"{args.params}: qubit count mismatch: params have {kp.n}, hamiltonian has {h.n}"
         )
     if abs(kp.r_norm - 1.0) > UNIT_NORM_TOL:
         print(

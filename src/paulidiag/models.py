@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -223,6 +224,9 @@ def _prefix_to_sum(n: int, gates: Sequence) -> PauliSum:
             angle, p = gate[1], gate[2]
             if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
                 raise ValueError(f"gate {list(gate)!r}: angle {angle!r} is not a number")
+            # abs(), not math.isfinite: an integer beyond the float range overflows it
+            if not abs(angle) <= sys.float_info.max:
+                raise ValueError(f"gate {list(gate)!r}: angle {angle!r} is not a finite number")
             if isinstance(p, str):
                 try:
                     p = parse(p, n)
@@ -263,7 +267,9 @@ def build_example_hams(
         raise ValueError(f"c must have {n + 1} entries, got shape {c_vec.shape}")
     if d_vec.shape != (n,):
         raise ValueError(f"d must have {n} entries, got shape {d_vec.shape}")
-    if abs(float(c_vec @ c_vec) - 1.0) > 1e-12:
+    with np.errstate(over="ignore"):  # an entry beyond 1e154 squares to inf
+        square_sum = float(c_vec @ c_vec)
+    if abs(square_sum - 1.0) > 1e-12:
         raise ValueError("entries of c must have unit square sum")
     if np.any(c_vec == 0.0):
         raise ValueError("every entry of c must be nonzero")
@@ -294,6 +300,9 @@ def build_example_hams(
         n, {PauliString.from_ops(n, {q: "Y"}): dv for q, dv in enumerate(d_vec)}
     )
     h = sum_multiply(sum_multiply(u, d_sum), u.adjoint())
+    # H is Hermitian by construction: the imaginary parts of its coefficients
+    # are rounding, which grows with d past HERMITIAN_TOL
+    h = PauliSum(n, {p: c.real for p, c in h.items()})
     return h, u, d_sum
 
 

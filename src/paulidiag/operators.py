@@ -27,8 +27,7 @@ phases are one broadcast of pauli.multiply_masks, and the string tables
 (pauli.pack_keys; pauli.unpack_keys decodes them), a product's key being
 the XOR of its factors'. Key order is PauliString order, so every table is
 independent of how the products are computed, and the diagonal strings
-sort first, which makes g1 the closure's suffix. The closure is sorted from
-the smaller of two grids with the same key set (see _product_tables).
+sort first, which makes g1 the closure's suffix.
 """
 
 from __future__ import annotations
@@ -146,11 +145,6 @@ def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum(a.n, acc)
 
 
-def conjugate(h: PauliSum, k: PauliSum) -> PauliSum:
-    """k_adjoint * h * k."""
-    return sum_multiply(k.adjoint(), sum_multiply(h, k))
-
-
 # --- Hamiltonian text files -------------------------------------------------
 #
 # One term per line: "<real coefficient> <pauli word>". '#' starts a comment,
@@ -216,13 +210,11 @@ class SupportSets:
     closure holds the strings of K'HK, the conjugation closure
     {strip(P_a Q_i P_b)}; the coefficient of any string outside it is
     identically zero in K'HK, whatever the parameters. It is the key set
-    of P_a * hk_s over the d x |hk| grid (N keys) and equally of the pair
-    products P_a P_b times the H terms Q_i (M = |pairs| |H| keys); the
-    build sorts the smaller, min(M, N) <= d |hk| keys. g1 holds its
-    off-diagonal strings, and g2 the non-identity pair products P_i P_j, the
-    strings phi_P is defined on. Every string table is sorted (PauliString
-    order); the diagonal strings sort first, so g1 is the closure's suffix,
-    the index range [len(closure) - len(g1), len(closure)).
+    of P_a * hk_s over the d x |hk| grid. g1 holds its off-diagonal
+    strings, and g2 the non-identity pair products P_i P_j, the strings
+    phi_P is defined on. Every string table is sorted (PauliString order);
+    the diagonal strings sort first, so g1 is the closure's suffix, the
+    index range [len(closure) - len(g1), len(closure)).
 
     The tables are two row-major product grids, each a flat phase table plus
     a flat target-slot array:
@@ -372,13 +364,9 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
     product's key is the XOR of its factors' keys. The index tables are
     intp, which take and bincount read without a copy.
 
-    P_a h_i P_b has the key (a ^ b) ^ h_i, so the closure is the key set of
-    two grids: ansatz x HK, a ^ hk_s (N = d |hk| keys), and pairs x H,
-    (a ^ b) ^ h_i (M = |pairs| |H| keys). One unique sorts the smaller
-    grid, so it never holds more than d |hk| keys. The slot of khk entry
-    (a, s) < |hk| is then one gather from its inverse: entry (a, s) itself
-    on the ansatz side, entry (pair (a, b_s), term i_s) on the pairs side,
-    for one (i_s, b_s) with h_i P_b = hk_s."""
+    The closure is the key set of the ansatz x HK grid, a ^ hk_s (d |hk|
+    keys), and the inverse of its one unique is the slot of khk entry
+    (a, s) < |hk|."""
     d = len(ansatz)
     hx, hz = string_masks(h_strings, np.int32)
     ax, az = string_masks(ansatz, np.int32)
@@ -393,21 +381,13 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
     pair_keys, pair_tgt = np.unique((a_keys[:, None] ^ a_keys).ravel(), return_inverse=True)
     pair_tgt = pair_tgt.reshape(d, d)
 
-    # closure = strings of K'HK, sorted from the smaller grid; at[a, s] is
-    # the flat grid index of khk entry (a, s)
-    if len(pair_keys) * len(h_keys) < d * len(hk_keys):
-        # every (i, b) with h_i P_b = hk_s gives the same key; keep one
-        term = np.empty(len(hk_keys), dtype=np.intp)
-        term[hk_tgt] = np.arange(hk_tgt.size)
-        i_s, b_s = np.divmod(term, d)
-        rows, cols, at = pair_keys, h_keys, pair_tgt[:, b_s] * len(h_keys) + i_s
-    else:
-        rows, cols, at = a_keys, hk_keys, np.arange(d * len(hk_keys)).reshape(d, -1)
-    closure_keys, closure_tgt = np.unique((rows[:, None] ^ cols).ravel(), return_inverse=True)
+    # closure = strings of K'HK, the key set of the ansatz x HK grid
+    closure_keys, closure_tgt = np.unique((a_keys[:, None] ^ hk_keys).ravel(),
+                                          return_inverse=True)
 
     width = len(hk_keys) + d
     khk_tgt = np.empty((d, width), dtype=np.intp)
-    khk_tgt[:, : len(hk_keys)] = closure_tgt[at]
+    khk_tgt[:, : len(hk_keys)] = closure_tgt.reshape(d, -1)
     khk_tgt[:, len(hk_keys):] = len(closure_keys) + pair_tgt
 
     # the K'[HK | K] grid's phases; entry (a, s) is P_a * Y_s, Y = hk_strings

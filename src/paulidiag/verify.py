@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cost import UNIT_NORM_TOL, KParams, eval_F
-from .operators import PauliSum, build_support_sets
+from .operators import HERMITIAN_TOL, PauliSum, build_support_sets
 from .pauli import PHASES, PauliString, pack_keys, string_masks, unpack_keys
 
 DENSE_MAX_QUBITS = 12
@@ -36,6 +36,13 @@ def _check_dense_n(n: int) -> None:
         raise DenseLimitError(
             f"dense path supports at most {DENSE_MAX_QUBITS} qubits, got {n}"
         )
+
+
+def _check_finite(mat: np.ndarray, name: str) -> None:
+    bad = np.argwhere(~np.isfinite(mat))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"{name}[{i}, {j}] must be finite, got {mat[i, j]}")
 
 
 def _reverse_masks(masks: np.ndarray, n: int) -> np.ndarray:
@@ -174,13 +181,17 @@ def pauli_decompose(mat: np.ndarray, n: int, prune_tol: float = 0.0) -> PauliSum
 
     k_P = tr(mat P) / 2^n, computed for all 4^n strings in O(4^n n) via a
     Walsh-Hadamard transform over the diagonal masks of each permutation
-    stripe. Coefficients below prune_tol are dropped.
+    stripe. Coefficients below prune_tol are dropped. A non-finite entry or
+    a NaN prune_tol raises ValueError.
     """
     _check_dense_n(n)
+    if math.isnan(prune_tol):
+        raise ValueError("prune_tol must not be NaN")
     dim = 1 << n
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for n={n}")
+    _check_finite(mat, "mat")
     cols = np.arange(dim)
     masks = _reverse_masks(cols, n)
     floor = max(prune_tol, 1e-15 * max(1.0, float(np.abs(mat).max())))
@@ -396,13 +407,24 @@ def projector_distances(
     tol_degen, default 1e-8 * ||h||_2); each cluster of multiplicity m
     claims the m eigenvalues of h_tilde closest to the cluster mean. An
     ambiguous claim (a boundary tie, or two clusters claiming the same
-    eigenvalue) raises ValueError.
+    eigenvalue) raises ValueError, as does an h_tilde that is not a finite
+    2^n x 2^n matrix, Hermitian within HERMITIAN_TOL times its largest
+    entry, or a tol_degen that is not a finite number >= 0.
     """
     if h.n > 10:
         raise DenseLimitError("projector distances support at most 10 qubits")
+    dim = 1 << h.n
+    h_tilde = np.asarray(h_tilde, dtype=complex)
+    if h_tilde.shape != (dim, dim):
+        raise ValueError(f"h_tilde must be a {dim}x{dim} matrix, got shape {h_tilde.shape}")
+    _check_finite(h_tilde, "h_tilde")
+    # eigh reads one triangle only, so an asymmetry would go unseen
+    if np.abs(h_tilde - h_tilde.conj().T).max() > HERMITIAN_TOL * np.abs(h_tilde).max():
+        raise ValueError("h_tilde is not Hermitian")
+    if tol_degen is not None and not 0.0 <= tol_degen < math.inf:
+        raise ValueError(f"tol_degen must be a finite number >= 0, got {tol_degen}")
     hd = to_dense(h)
     evals, evecs = np.linalg.eigh(hd)
-    h_tilde = np.asarray(h_tilde, dtype=complex)
     t_evals, t_evecs = np.linalg.eigh(h_tilde)
 
     norm2 = float(np.max(np.abs(evals))) if len(evals) else 0.0

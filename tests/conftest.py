@@ -2,8 +2,9 @@
 
 The oracle is built from literal 2x2 matrices and np.kron so that the
 package's own dense conversion is one of the things under test, never the
-thing doing the testing. k_as_sum, trace_with and string_to_dense are
-reference routines the tests compare the evaluators with.
+thing doing the testing. k_as_sum, conjugate, trace_with and
+string_to_dense are reference routines the tests compare the evaluators
+with.
 """
 
 import numpy as np
@@ -39,6 +40,13 @@ def k_as_sum(kp):
     from paulidiag.operators import PauliSum
 
     return PauliSum(kp.n, zip(kp.ansatz, kp.r * np.exp(1j * kp.theta)))
+
+
+def conjugate(h, k):
+    """k_adjoint * h * k."""
+    from paulidiag.operators import sum_multiply
+
+    return sum_multiply(k.adjoint(), sum_multiply(h, k))
 
 
 def trace_with(a, p) -> complex:

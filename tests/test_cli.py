@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from paulidiag import cli, cost, optimize, verify
-from paulidiag.cli import main
+from paulidiag.cli import main, save_params
 from paulidiag.cost import KParams, eval_F
 from paulidiag.models import build_xxz
 from paulidiag.operators import build_support_sets, save_hamiltonian
@@ -257,6 +257,15 @@ class TestDiagonalize:
         path = write_json(tmp_path / "run.json", cfg)
         assert main(["diagonalize", "--config", path]) == 1
         assert "full_basis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,kind", [(3, "udu_support"), (6, "full_basis")])
+    def test_ansatz_source_error_names_the_key(self, tmp_path, capsys, n, kind):
+        cfg = base_config(tmp_path / "out")
+        cfg["model"]["n"] = n
+        cfg["ansatz_source"] = {"kind": kind}
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ansatz_source: {kind} ")
 
     def test_udu_support_exact_start_converges_immediately(self, tmp_path, capsys):
         cfg = {
@@ -511,6 +520,33 @@ class TestDiagonalize:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_warm_start_reference_qubit_mismatch_names_the_key(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["ansatz_source"]["reference"]["n"] = 4
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert ("error: ansatz_source.reference: 4 qubits, the model has 3"
+                in capsys.readouterr().err)
+
+    def test_params_file_qubit_mismatch_names_the_key(self, tmp_path, capsys):
+        start = tmp_path / "start.json"
+        save_params(start, KParams((parse("XX"),), np.ones(1), np.zeros(1)))
+        cfg = base_config(tmp_path / "out")
+        cfg["ansatz_source"] = {"kind": "file", "path": str(start)}
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 1
+        assert (f"error: ansatz_source.path: {start} holds 2 qubits, the model has 3"
+                in capsys.readouterr().err)
+
+    def test_example_with_large_d_runs(self, tmp_path, capsys):
+        # an unhandled "Hamiltonian is not Hermitian" ValueError escaped main
+        cfg = {"model": {"family": "example_hams", "n": 4, "theta": 1.0,
+                         "c": [5 ** -0.5] * 5, "d": [1e6, 1.0, 1.0, 1.0]},
+               "algorithm": "gd", "ansatz_source": {"kind": "udu_support"},
+               "opt": {"max_iters": 0}, "output": {"dir": str(tmp_path / "out")}}
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 0
+
     def test_all_zero_model_is_exit_1(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
         cfg["model"].update(j=0, delta=0)
@@ -694,6 +730,13 @@ class TestVerify:
         assert main(["verify", str(ham4), str(out / "params.json")]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_qubit_mismatch_names_the_params_file(self, finished_run, tmp_path, capsys):
+        out, _ = finished_run
+        ham4 = tmp_path / "h4.txt"
+        save_hamiltonian(ham4, build_xxz(4, 1.0, 1.0))
+        assert main(["verify", str(ham4), str(out / "params.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'params.json'}: ")
+
     def test_missing_hamiltonian_is_exit_1(self, finished_run, tmp_path):
         out, _ = finished_run
         assert main(["verify", str(tmp_path / "gone.txt"),
@@ -851,6 +894,20 @@ class TestLiedim:
         err = capsys.readouterr().err
         assert err.startswith("error: model: ")
         assert "control and target" in err
+
+    @pytest.mark.parametrize("angle", [10**400, float("nan"), float("inf")],
+                             ids=["huge_int", "nan", "inf"])
+    def test_prefix_rotation_angle_must_be_finite(self, tmp_path, capsys, angle):
+        # 10**400 raised OverflowError with a traceback from math.cos; NaN
+        # and inf failed on a non-finite coefficient or a math domain error
+        gate = ["rot", angle, "XII"]
+        cfg = {"model": {"family": "example_hams", "n": 3, "theta": 0.7,
+                         "c": [0.5, 0.5, 0.5, 0.5], "d": [1.0, 1.0, 1.0],
+                         "prefix": [gate]}}
+        path = write_json(tmp_path / "m.json", cfg)
+        assert main(["liedim", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: model: gate {gate!r}: angle {angle!r} is not a finite number\n")
 
     @pytest.mark.parametrize("gate, reason", [
         (["s", True], "qubit True is not an integer"),

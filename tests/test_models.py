@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,29 @@ class TestExampleHams:
             build_example_hams(3, 0.7, args["c"], bad_d)
         with pytest.raises(ValueError, match="entries"):
             build_example_hams(3, 0.7, args["c"][:3], args["d"])
+
+
+    def test_large_d_stays_hermitian(self):
+        # the exact expansion's imaginary rounding grows with d: at 1e6 it
+        # passed HERMITIAN_TOL and build_support_sets rejected the model
+        args = valid_example_args()
+        d = args["d"].copy()
+        d[0] = 1e6
+        h, u, d_sum = build_example_hams(3, 0.7, args["c"], d)
+        assert h.is_hermitian()
+        build_support_sets(h, tuple(u.strings()))
+        ud = to_dense(u)
+        np.testing.assert_allclose(to_dense(h), ud @ to_dense(d_sum) @ ud.conj().T,
+                                   atol=1e-9 * 1e6)
+
+    def test_overflowing_square_sum_is_rejected_without_warning(self):
+        args = valid_example_args()
+        c = args["c"].copy()
+        c[0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unit square sum"):
+                build_example_hams(3, 0.7, c, args["d"])
 
 
 class TestWarmStart:

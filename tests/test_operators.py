@@ -17,7 +17,6 @@ from paulidiag.operators import (
     _SPAN,
     _TABLES,
     build_support_sets,
-    conjugate,
     load_hamiltonian,
     save_hamiltonian,
     sum_multiply,
@@ -25,7 +24,8 @@ from paulidiag.operators import (
 from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
 from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, multiply, parse
 
-from conftest import dense_terms, dense_word, key_strings, random_instance, trace_with
+from conftest import (conjugate, dense_terms, dense_word, key_strings, random_instance,
+                      trace_with)
 
 
 def dense(a: PauliSum) -> np.ndarray:
@@ -475,31 +475,27 @@ def strings_of(words) -> tuple[PauliString, ...]:
 class TestMaskArrayBuild:
     """build_support_sets against the loop reference, field by field."""
 
-    # the closure is sorted from the pairs x H grid (M = |pairs| |H| keys)
-    # when M < N = d |hk|, else from the ansatz x HK grid; each comment
-    # names the side its instance takes
     @pytest.mark.parametrize("h_words,ansatz_words", [
-        # n = 1, one ansatz string: g2 empty, a one-entry pair grid.
-        # M = N = 1: ansatz side
+        # n = 1, one ansatz string: g2 empty, a one-entry pair grid
         ({"Z": 1.0}, ("X",)),
-        # M = 8 < N = 16: pairs side
+        # the full basis on one qubit: every product collides, |closure| = d
         ({"Z": 1.0, "X": 0.3}, ("I", "X", "Y", "Z")),
         # identity term in H, identity in the ansatz, colliding pair
-        # products (XI*IX = II*XX = IX*XI = XX). M = 24 < N = 65: pairs side
+        # products (XI*IX = II*XX = IX*XI = XX)
         ({"II": 0.7, "ZZ": -1.0, "XY": 0.25}, ("II", "IX", "XI", "XX", "YZ")),
         # diagonal-only H and ansatz: no g1, every khk entry lands on a
-        # diagonal string. M = N = 4: ansatz side
+        # diagonal string
         ({"ZI": 1.0, "IZ": 0.5}, ("II", "ZZ")),
-        # dense H (all 16 strings) with three ansatz strings: four pair
-        # products times 16 terms, M = 64 > N = 3 * 16 = 48: ansatz side
+        # dense H (all 16 strings) with three ansatz strings: HK is the
+        # whole group, so every ansatz row of the closure grid is a
+        # permutation of it
         ({"".join(w): 0.1 * (i + 1) - 0.75
           for i, w in enumerate(itertools.product("IXYZ", repeat=2))}, ("XI", "IZ", "YY")),
         # the Z group as ansatz: its pair products are the group, so the
-        # closure is HK itself (12 strings). M = 4 * 3 = 12 < N = 48: pairs side
+        # closure is HK itself (12 strings)
         ({"XX": 1.0, "XI": 0.5, "IY": -0.3}, ("II", "ZI", "IZ", "ZZ")),
         # the X group against H = YI, YX, ZI: each of the four HK slots is
-        # reached from three (i, b), with phases 1, i and -i among them.
-        # M = 4 * 3 = 12 < N = 16: pairs side
+        # reached from three (i, b), with phases 1, i and -i among them
         ({"YI": 1.0, "YX": -0.5, "ZI": 0.3}, ("II", "XI", "IX", "XX")),
     ])
     def test_handpicked_instances(self, rng, h_words, ansatz_words):

@@ -2,13 +2,15 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from paulidiag.cli import load_params, main, save_params
 from paulidiag.cost import KParams, eval_F
-from paulidiag.models import build_random_udu, expand_rotation_product
+from paulidiag.models import (build_random_udu, build_xxz, expand_rotation_product,
+                              warm_start_from_dense)
 from paulidiag.operators import PauliSum, build_support_sets, load_hamiltonian, save_hamiltonian
 from paulidiag.pauli import PauliString, commutes, multiply, parse
 import paulidiag.verify as verify_mod
@@ -120,6 +122,26 @@ class TestPauliDecompose:
     def test_shape_check(self):
         with pytest.raises(ValueError, match="4x4"):
             pauli_decompose(np.eye(8), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry(self, bad):
+        # a NaN entry was dropped by the prune test and an infinite one
+        # gave an empty sum after two RuntimeWarnings
+        mat = np.eye(4, dtype=complex)
+        mat[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"mat\[1, 2\] must be finite"):
+                pauli_decompose(mat, 2)
+
+    def test_nan_prune_tol(self):
+        with pytest.raises(ValueError, match="prune_tol must not be NaN"):
+            pauli_decompose(np.eye(4), 2, prune_tol=np.nan)
+
+    def test_warm_start_names_a_nan_prune_tol(self):
+        # the empty expansion was blamed on pruning
+        with pytest.raises(ValueError, match="prune_tol must not be NaN"):
+            warm_start_from_dense(build_xxz(2, 1.0, 0.5), prune_tol=np.nan)
 
 
 def reference_report(h, kp, f_value, penalty):
@@ -533,6 +555,39 @@ class TestProjectorDistances:
     def test_dense_limit(self):
         with pytest.raises(DenseLimitError):
             projector_distances(PauliSum.identity(11), np.eye(2))
+
+    def test_non_hermitian_h_tilde(self):
+        # eigh reads only the lower triangle, so an upper-triangle change
+        # went unseen and every distance read 0; rounding passes
+        h = build_xxz(2, 1.0, 0.5)
+        ht = to_dense(h)
+        ht[0, 1] += 1e-15
+        assert len(projector_distances(h, ht)) == 3
+        ht[0, 1] += 1.0
+        with pytest.raises(ValueError, match="h_tilde is not Hermitian"):
+            projector_distances(h, ht)
+
+    def test_h_tilde_shape(self):
+        h = build_xxz(2, 1.0, 0.5)
+        for bad in (np.eye(3), np.eye(4)[:, :3], np.ones(4)):
+            with pytest.raises(ValueError, match="h_tilde must be a 4x4 matrix"):
+                projector_distances(h, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_h_tilde(self, bad):
+        h = build_xxz(2, 1.0, 0.5)
+        ht = to_dense(h)
+        ht[2, 2] = bad
+        with pytest.raises(ValueError, match=r"h_tilde\[2, 2\] must be finite"):
+            projector_distances(h, ht)
+
+    def test_tol_degen_range(self):
+        # a NaN tolerance merged every eigenvalue into one cluster
+        h = PauliSum.from_words({"ZZ": 1.0})
+        assert len(projector_distances(h, to_dense(h), tol_degen=0.0)) == 2
+        for bad in (np.nan, np.inf, -1e-3):
+            with pytest.raises(ValueError, match="tol_degen must be a finite number >= 0"):
+                projector_distances(h, to_dense(h), tol_degen=bad)
 
 
 def pairwise_closure(generators, cap):
