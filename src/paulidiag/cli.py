@@ -192,6 +192,16 @@ def load_params(path) -> KParams:
     for word in raw["ansatz"]:
         if not isinstance(word, str):
             raise ConfigError(f"{path}: ansatz entry {word!r} is not a Pauli word")
+    for key in ("r", "theta"):
+        if not isinstance(raw[key], list):
+            raise ConfigError(f"{path}: {key}: expected a list of numbers")
+        for i, value in enumerate(raw[key]):
+            # NaN and infinities pass here and are named below; an integer
+            # beyond the float range would raise OverflowError in np.array
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{path}: {key}[{i}]: expected a number, got {value!r}")
+            if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{path}: {key}[{i}]: expected a finite number, got {value!r}")
     try:
         ansatz = tuple(parse(w, n) for w in raw["ansatz"])
         kp = KParams(ansatz, np.array(raw["r"], dtype=float),

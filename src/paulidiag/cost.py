@@ -79,9 +79,15 @@ on the blocks, and tr(P_j G) for every ansatz string is one adjoint map
 of G. One evaluation costs O(C 2^l 8^k) in block products and
 O(C 2^k 4^m) in Hadamard matmuls, whose matrix of 2^m is built whole,
 against the table path's O(d (|hk| + d)). _path takes the dense path where
-it applies, then the algebra path where _algebra_path_applies (m at most
-_ALGEBRA_MAX_M, and a fitted time model of both terms), else the table
-path.
+it applies, then the algebra path where _algebra_path_applies, else the
+table path. That rule needs k < n and m at most _ALGEBRA_MAX_M, and four
+fitted time models: the algebra path's first evaluation, its build
+included, predicted no slower than the table path's first evaluation, the
+product-table build included, and its steady per-call evaluation no slower
+than the table path's. Together these say the build and N evaluations are
+no slower on the algebra path for every N >= 1, so the rule needs no run
+length, and eval_grad, GD and sampled RCD all read the one routine _path
+returns.
 """
 
 from __future__ import annotations
@@ -310,38 +316,46 @@ def _evaluate_algebra(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_gra
     return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
 
 
-# The algebra path's rule, two time models in microseconds fitted by
-# tools/path_model.py (BENCH_21_pathfit.json; one BLAS thread): the first
-# evaluation on the algebra path, its build included, against one table-path
-# evaluation with the tables already built. The algebra side has two terms,
-# the block products and the Hadamard matmuls on the (2^m, C 2^k) grids.
-_ALGEBRA_FIRST_US = (800.0, 0.0066, 0.00091)  # a + b C 2^l 8^k + c C 2^k 4^m
-_TABLE_US = (59.0, 0.0075)  # a + b d (min(|H| d, C 2^(2k+l)) + d)
+# The algebra path's rule: four time models in microseconds fitted by
+# tools/path_model.py (BENCH_26_pathfit.json; one BLAS thread), each path's
+# first evaluation with the gradient, its build included, then its steady
+# per-call evaluation. The algebra side has two terms, the block products
+# and the Hadamard matmuls on the (2^m, C 2^k) grids.
+_ALGEBRA_US = ((471.0, 0.0064, 0.0013),  # a + b C 2^l 8^k + c C 2^k 4^m
+               (54.0, 0.0019, 0.00058))
+_TABLE_US = ((149.0, 0.047),  # a + b d (min(|H| d, C 2^(2k+l)) + d)
+             (34.0, 0.0066))
 # the Hadamard matrix of 2^m is built whole: m <= 10 keeps it at 16 MB, and
 # the fit has points up to m = 10
 _ALGEBRA_MAX_M = 10
 
 
-def _algebra_path_applies(s: SupportSets) -> bool:
-    """Whether s takes the algebra path: k < n, m = k + l at most
-    _ALGEBRA_MAX_M, and the models predict its first evaluation, build
-    included, cheaper than one table evaluation with the tables built.
-    Then every run of evaluations is predicted cheaper on the algebra path,
-    however many it makes and whether or not a caller (sampled RCD) has
-    built the tables; where only later evaluations would
-    repay the build, the table path stays. The inputs are k, l and C of s's
-    span (from the masks alone), d and |H|; C 2^(2k+l) bounds |hk|, since
-    H's terms times the ansatz lie in the C cosets."""
+def _predicted_us(s: SupportSets):
+    """The rule's four predictions in microseconds, ((algebra first, algebra
+    steady), (table first, table steady)), from k, l and C of s's span (from
+    the masks alone), d and |H|; C 2^(2k+l) bounds |hk|, since H's terms
+    times the ansatz lie in the C cosets."""
     k = s.span_pairs
     m = len(s.span_basis) - k
     l, c = m - k, len(s.coset_rep)
-    if k >= s.n or m > _ALGEBRA_MAX_M:
+    blocks, hadamard = c << (l + 3 * k), c << (k + 2 * m)
+    table = s.d * (min(len(s.h_strings) * s.d, c << (2 * k + l)) + s.d)
+    return ([a + b * blocks + b_h * hadamard for a, b, b_h in _ALGEBRA_US],
+            [a + b * table for a, b in _TABLE_US])
+
+
+def _algebra_path_applies(s: SupportSets) -> bool:
+    """Whether s takes the algebra path: k < n, m = k + l at most
+    _ALGEBRA_MAX_M, and the models predict both its first evaluation, build
+    included, no slower than the table path's first evaluation, table build
+    included, and its steady per-call evaluation no slower than the table
+    path's. The pair holds iff the build and N evaluations are predicted no
+    slower on the algebra path for every N >= 1, so the rule needs no run
+    length: GD, sampled RCD and single evaluations all read one routine."""
+    if s.span_pairs >= s.n or len(s.span_basis) - s.span_pairs > _ALGEBRA_MAX_M:
         return False
-    a, b, b_h = _ALGEBRA_FIRST_US
-    a_t, b_t = _TABLE_US
-    hk_bound = min(len(s.h_strings) * s.d, c << (2 * k + l))
-    algebra = a + b * (c << (l + 3 * k)) + b_h * (c << (k + 2 * m))
-    return algebra < a_t + b_t * s.d * (hk_bound + s.d)
+    algebra, table = _predicted_us(s)
+    return all(x <= y for x, y in zip(algebra, table))
 
 
 def _path(s: SupportSets):

@@ -7,14 +7,18 @@ ansatz/Hamiltonian check runs once at entry and KParams is built once, for
 final_params. Only the step differs. GD uses the full exact
 gradient recomputed from scratch every iteration (dense, algebra or table
 path, chosen once at entry by cost._path). RCD samples S of the 2d
-coordinates uniformly without replacement and computes only those partials,
-whatever path a full evaluation would take, from cached tables (the rows
-W of the K'[HK | K] grid and the slot-weighted real coefficients of K'HK and
-K'K) and the same fused partial rows as GD's table path, on the rows of the
-sampled ansatz indices only: O(|S| (|hk| + d)) instead of O(d (|hk| + d)).
-After every step the caches are rebuilt from scratch at the new params, so
-they never drift; OptTrace.refresh_drifts stays empty and drift_max reads
-0.0.
+coordinates uniformly without replacement and steps only those, on the path
+a full evaluation takes. On the dense and algebra paths (the matrix
+engines) a sampled step is one evaluation with the gradient by the routine
+cost._path returns, at the loop's params, with the partials outside S
+zeroed: GD's cost per step, with no caches and no product tables. On the
+table path the sampled partials come from cached tables (the rows W of the
+K'[HK | K] grid and the slot-weighted real coefficients of K'HK and K'K)
+and the same fused partial rows as a full table evaluation, on the rows of
+the sampled ansatz indices only: O(|S| (|hk| + d)) instead of
+O(d (|hk| + d)). After every step the caches are rebuilt from scratch at
+the new params, so they never drift; OptTrace.refresh_drifts stays empty
+and drift_max reads 0.0.
 
 With S = 2d the sampled set is always the full coordinate set, so one RCD
 iteration reproduces one GD iteration (same step, seed-independent); run_rcd
@@ -29,8 +33,9 @@ gradient norm ||g0||, the base being GD_DEFAULT_LR (0.05) or RCD_DEFAULT_LR
 (0.1). The shared loop computes it at iteration 0 and nowhere else. GD and
 full-block RCD read F0 and ||g0|| off their own evaluation. Sampled RCD
 hands the loop a full hook, GD's full evaluation (_full_grad), so F0 and
-||g0|| are cost.eval_grad's on every path; on the table path the start is
-then evaluated twice, once for the hook and once for the caches.
+||g0|| are cost.eval_grad's on every path; the start is then evaluated
+twice, once for the hook and once for the first sampled step (on the table
+path, for the caches).
 
 Every run returns its trace, and trace.stop_reason says how it ended:
 "converged" (F < stop_tol), "stationary" (gradient norm below grad_tol;
@@ -48,7 +53,8 @@ full norm; at S = 2d they equal the full quantities.
 alpha_estimate is log(||g||^2/4) / log F, the local Lojasiewicz exponent read
 off with mu = 1; it is NaN when F is 0 or 1 or the gradient vanishes.
 wall_time is stamped after the evaluation, the stop tests and y_t, before
-the update: it leaves out the renormalization and RCD's cache rebuild.
+the update: it leaves out the renormalization and, on the table path,
+RCD's cache rebuild.
 """
 
 from __future__ import annotations
@@ -61,7 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import (
-    UNIT_NORM_TOL, KParams, _check, _grad_norm, _partial_rows, _path, _table_values,
+    UNIT_NORM_TOL, KParams, _check, _evaluate_sparse, _grad_norm, _partial_rows, _path,
+    _table_values,
 )
 from .cost import eval_grad  # noqa: F401  (bench/pipeline.py traces optimize.eval_grad)
 from .operators import PauliSum, SupportSets, build_support_sets
@@ -310,7 +317,33 @@ def run_gd(
     return _drive(kp0, cfg, GD_DEFAULT_LR, _full_grad(s))
 
 
-# --- coefficient caches for RCD ---------------------------------------------
+# --- sampled steps for RCD ---------------------------------------------------
+
+
+def _kept(d: int, coords: np.ndarray, part: np.ndarray):
+    """(grad_r, grad_theta, norm): the partials part at the distinct
+    coordinate indices coords (r_j for coords < d, theta_(j-d) otherwise),
+    zeros elsewhere, and the norm of part."""
+    out = np.zeros(2 * d)
+    out[coords] = part
+    return out[:d], out[d:], math.sqrt(part.dot(part))
+
+
+def _sampled_step(s: SupportSets, evaluate):
+    """A sampled step on a matrix engine: step(r, theta, coords) is one
+    evaluation with the gradient by evaluate (cost._evaluate_dense or
+    _evaluate_algebra) at (r, theta), returning (f, penalty, grad_r,
+    grad_theta, norm) with only the partials at coords kept. It needs no
+    caches and no product table."""
+
+    def step(r, theta, coords):
+        f, penalty, gr, gt = evaluate(s, r, theta, True)
+        return (f, penalty, *_kept(s.d, coords, np.concatenate((gr, gt))[coords]))
+
+    return step
+
+
+# the table path's coefficient caches
 
 
 class IncrementalState:
@@ -343,10 +376,7 @@ class IncrementalState:
         coords = np.asarray(coords)
         J = coords % d
         z = _partial_rows(self.s, self.theta, self.w, self.u, J)
-        part = np.where(coords < d, z.real, self.r[J] * z.imag)
-        out = np.zeros(2 * d)
-        out[coords] = part
-        return out[:d], out[d:], math.sqrt(part.dot(part))
+        return _kept(d, coords, np.where(coords < d, z.real, self.r[J] * z.imag))
 
     def apply_update(self, y_r: np.ndarray, y_theta: np.ndarray,
                      nr: float) -> tuple[np.ndarray, np.ndarray]:
@@ -366,26 +396,39 @@ def run_rcd(
     """Randomized coordinate descent over the 2d coordinates (r, theta).
 
     Each iteration samples block_size coordinates uniformly without
-    replacement, steps them with exact partials from the coefficient caches,
-    then renormalizes r. The loop reads F and the full gradient norm for the
-    automatic step, the start's finiteness and the stationary test off GD's
-    full evaluation, so they equal eval_grad's, and adopts each step
-    through IncrementalState.apply_update. block_size = 2d always samples
-    every coordinate, so that case takes GD's full-gradient
-    step outright (bit-identical trajectory, no sampling, no caches)."""
+    replacement, steps them with their exact partials, then renormalizes r.
+    Where cost._path(s) is a matrix engine (dense or algebra path), a
+    sampled step is one evaluation with the gradient by that routine at the
+    loop's (r, theta), its partials outside the sample zeroed
+    (_sampled_step). On the table path the partials come from the
+    coefficient caches (IncrementalState.sparse_grad), and each step is
+    adopted through IncrementalState.apply_update. The loop reads F and the
+    full gradient norm for the automatic step, the start's finiteness and
+    the stationary test off GD's full evaluation, so they equal eval_grad's.
+    block_size = 2d always samples every coordinate, so that case takes
+    GD's full-gradient step outright (bit-identical trajectory, no
+    sampling, no caches)."""
     s = _support_for(h, kp0, support)
     d = s.d
     if cfg.block_size > 2 * d:
         raise ValueError(f"block_size {cfg.block_size} exceeds 2d = {2 * d}")
+    full = _full_grad(s)
     if cfg.block_size == 2 * d:
-        return _drive(kp0, cfg, RCD_DEFAULT_LR, _full_grad(s))
-    state = IncrementalState(s, kp0.r, kp0.theta)
+        return _drive(kp0, cfg, RCD_DEFAULT_LR, full)
+    evaluate = _path(s)
+    if evaluate is _evaluate_sparse:
+        state = IncrementalState(s, kp0.r, kp0.theta)
+
+        def step(r, theta, coords):
+            # the caches hold the loop's (r, theta); the arguments are not read
+            return (state.f_value, state.penalty, *state.sparse_grad(coords))
+
+        advance = state.apply_update
+    else:
+        step, advance = _sampled_step(s, evaluate), None
     rng = np.random.default_rng(cfg.seed)
 
     def sampled_grad(r, theta):
-        # the caches hold the loop's (r, theta); the arguments are not read
-        coords = rng.choice(2 * d, size=cfg.block_size, replace=False)
-        gr, gt, gnorm = state.sparse_grad(coords)
-        return state.f_value, state.penalty, gr, gt, gnorm
+        return step(r, theta, rng.choice(2 * d, size=cfg.block_size, replace=False))
 
-    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, _full_grad(s), state.apply_update)
+    return _drive(kp0, cfg, RCD_DEFAULT_LR, sampled_grad, full, advance)

@@ -800,6 +800,21 @@ class TestParamsFile:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "diagonalize"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("r", [{"a": 1}, 0.5], "r[0]: expected a number, got {'a': 1}"),
+        ("theta", [0.3, "0.1"], "theta[1]: expected a number, got '0.1'"),
+        ("theta", [0.3, None], "theta[1]: expected a number, got None"),
+        ("r", [0.6, True], "r[1]: expected a number, got True"),
+        ("r", [10**400, 0.8], "r[0]: expected a finite number, got 1000"),
+        ("theta", 0.3, "theta: expected a list of numbers"),
+    ])
+    def test_non_numeric_entry_is_named(self, tmp_path, capsys, command, key, value, message):
+        code, params = self.run(command, tmp_path, dict(self.START, **{key: value}))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {params}: {message}")
+        assert not (tmp_path / "out").exists()
+
 
 class TestPerturbed:
     """init.perturb moves each amplitude's magnitude and keeps its sign."""

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulidiag.cost as cost_mod
-from paulidiag import operators
+from paulidiag import operators, optimize
 from paulidiag.cost import CostReport, KParams, eval_F, eval_grad
 from paulidiag.operators import (_ALGEBRA, _SPAN, _TABLES, PauliSum, build_support_sets,
                                  sum_multiply)
-from paulidiag.optimize import OptConfig, run_gd, run_rcd
+from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
 from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, parse, string_masks, unpack_keys
 
 from conftest import (dense_terms, fd_gradient, k_as_sum, key_strings, random_instance,
@@ -290,8 +290,8 @@ class TestDensePath:
     def test_maps_are_built_once_per_support_sets(self, rng, monkeypatch):
         # the dense path reads s's alg_* fields, built on the first
         # evaluation and kept: one build serves every evaluation and run on
-        # s, and only the sampled RCD run builds the product tables (its
-        # caches)
+        # s, the sampled RCD run's steps included, and none builds the
+        # product tables
         h, kp, s = random_instance(rng, 3, 20)
         assert cost_mod._path(s) is cost_mod._evaluate_dense
         calls = []
@@ -303,9 +303,8 @@ class TestDensePath:
             eval_grad(h, kp, s)
         run_gd(h, kp, OptConfig(max_iters=3), s)
         run_rcd(h, kp, OptConfig(max_iters=3, block_size=2 * kp.d), s)
-        assert built_tables(s) == set()
         run_rcd(h, kp, OptConfig(max_iters=3, block_size=4, seed=0), s)
-        assert built_tables(s) == _TABLES
+        assert built_tables(s) == set()
         assert len(calls) == 1
 
 
@@ -381,20 +380,27 @@ def check13_instance():
     return h, tuple(sorted(parse(words[i]) for i in aw))
 
 
-def commuting_instance(n, l, d, n_h, seed):
-    """d X-type strings on qubits 0..l-1 (the l single-qubit X among them:
-    k = 0, l central elements) and n_h X-type terms on those qubits, a
-    share of them times one Z (other cosets): the shape of
-    tools/path_model.py's LARGE_L instances with k = 0."""
+def large_l_instance(n, l, k, d, n_h, seed):
+    """H and the ansatz of tools/path_model.py's LARGE_L point (n, l, k, d,
+    n_h, seed), built as it builds them: d strings, X and Z on each of the
+    k qubits after the first l (k pairs) and X-type strings on qubits
+    0..l-1, the l single-qubit X among them (l central elements); n_h terms,
+    X-type on the first l qubits times any Pauli on the pair qubits, a
+    share of them times one Z on the first l qubits (other cosets)."""
     rng = np.random.default_rng(seed)
+    pairs = [(1 << q, 0) for q in range(l, l + k)] + [(0, 1 << q) for q in range(l, l + k)]
     x_masks = {1 << q for q in range(l)}
-    while len(x_masks) < d:
+    while len(x_masks) < d - 2 * k:
         x_masks.add(int(rng.integers(1, 1 << l)))
+    strings = sorted(PauliString(n, x, z) for x, z in pairs + [(x, 0) for x in x_masks])
     terms = {}
     while len(terms) < n_h:
-        z = 1 << int(rng.integers(0, l)) if rng.random() < 0.5 else 0
-        terms[PauliString(n, int(rng.integers(0, 1 << l)), z)] = rng.uniform(-1, 1)
-    return PauliSum(n, terms.items()), tuple(sorted(PauliString(n, x, 0) for x in x_masks))
+        x = int(rng.integers(0, 1 << l)) | (int(rng.integers(0, 1 << k)) << l)
+        z = int(rng.integers(0, 1 << k)) << l
+        if rng.random() < 0.5:
+            z |= 1 << int(rng.integers(0, l))
+        terms[PauliString(n, x, z)] = rng.uniform(-1, 1)
+    return PauliSum(n, terms.items()), tuple(strings)
 
 
 class TestAlgebraPath:
@@ -430,7 +436,7 @@ class TestAlgebraPath:
 
     @pytest.mark.parametrize("name, path, block", [
         ("udu14_gd", "_evaluate_algebra", None),
-        ("udu10_rcd", "_evaluate_sparse", 4),
+        ("udu10_rcd", "_evaluate_algebra", 4),
     ])
     def test_huge_coefficients_stop_without_warnings(self, name, path, block):
         # each path overflows to inf and NaN, and a run stops on it; numpy's
@@ -450,10 +456,76 @@ class TestAlgebraPath:
         assert caught == []
 
 
+def assert_sampled_step_agrees(s, kp, evaluate, coords):
+    """A sampled step by evaluate: F and penalty within 1e-12 (relative) of
+    the table path's caches, the partials at coords within 1e-12 of the
+    largest full partial, zeros elsewhere, and the norm of the kept ones."""
+    f, penalty, gr, gt, norm = optimize._sampled_step(s, evaluate)(kp.r, kp.theta, coords)
+    state = IncrementalState(s, kp.r, kp.theta)
+    want_gr, want_gt, want_norm = state.sparse_grad(coords)
+    scale = state.f_value + state.penalty
+    assert f == pytest.approx(state.f_value, rel=1e-12, abs=1e-12 * scale)
+    assert penalty == pytest.approx(state.penalty, rel=1e-12, abs=1e-12 * scale)
+    _, _, full_gr, full_gt = cost_mod._evaluate_sparse(s, kp.r, kp.theta, True)
+    gscale = max(np.abs(full_gr).max(), np.abs(full_gt).max())
+    got, want = np.concatenate((gr, gt)), np.concatenate((want_gr, want_gt))
+    assert np.abs(got - want).max() <= 1e-12 * gscale
+    assert not np.delete(got, coords).any()
+    assert norm == pytest.approx(want_norm, rel=1e-12, abs=1e-12 * gscale)
+
+
+def sampled_coords(data, d):
+    return np.array(data.draw(st.lists(st.integers(0, 2 * d - 1), min_size=1,
+                                       max_size=2 * d, unique=True)))
+
+
+class TestSampledSteps:
+    """Sampled RCD on a matrix engine: one evaluation with the gradient at
+    the loop's point, the sampled partials kept."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(span_instances(subgroup=True), st.data())
+    def test_algebra_step_matches_table_caches(self, instance, data):
+        h, kp, s = instance
+        assert_sampled_step_agrees(s, kp, cost_mod._evaluate_algebra, sampled_coords(data, kp.d))
+
+    def test_dense_step_matches_table_caches(self, rng):
+        h, kp, s = random_instance(rng, 3, 20)
+        assert cost_mod._path(s) is cost_mod._evaluate_dense
+        for width in (1, 4, 2 * kp.d - 1):
+            coords = rng.choice(2 * kp.d, size=width, replace=False)
+            assert_sampled_step_agrees(s, kp, cost_mod._evaluate_dense, coords)
+
+    def test_sampled_run_on_the_algebra_path_builds_no_table(self):
+        h, kp = workload_instance("udu10_rcd")
+        s = build_support_sets(h, kp.ansatz)
+        assert cost_mod._path(s) is cost_mod._evaluate_algebra
+        trace = run_rcd(h, kp, OptConfig(max_iters=3, block_size=4, seed=0), s)
+        assert len(trace.records) == 4
+        assert built_tables(s) == set()
+        assert _ALGEBRA <= set(vars(s))
+
+
 class TestPathRule:
+    @pytest.mark.parametrize("first, steady, algebra", [
+        ((1.0, 2.0), (1.0, 2.0), True),  # both faster
+        ((2.0, 2.0), (2.0, 2.0), True),  # both ties: no slower is enough
+        ((3.0, 2.0), (1.0, 2.0), False),  # the first evaluation slower
+        ((1.0, 2.0), (3.0, 2.0), False),  # the steady evaluation slower
+        ((3.0, 2.0), (3.0, 2.0), False),  # both slower
+    ])
+    def test_rule_needs_both_evaluations_no_slower(self, monkeypatch, first, steady, algebra):
+        # (algebra, table) predictions for the first and the steady
+        # evaluation, as constant models
+        h, kp = workload_instance("udu10_rcd")
+        s = build_support_sets(h, kp.ansatz)
+        monkeypatch.setattr(cost_mod, "_ALGEBRA_US", ((first[0], 0.0, 0.0), (steady[0], 0.0, 0.0)))
+        monkeypatch.setattr(cost_mod, "_TABLE_US", ((first[1], 0.0), (steady[1], 0.0)))
+        assert cost_mod._algebra_path_applies(s) is algebra
+
     @pytest.mark.parametrize("name, path", [
         ("xxz4_dense", "_evaluate_dense"),
-        ("udu10_rcd", "_evaluate_sparse"),
+        ("udu10_rcd", "_evaluate_algebra"),
         ("udu14_gd", "_evaluate_algebra"),
     ])
     def test_workload_paths(self, name, path):
@@ -487,14 +559,26 @@ class TestPathRule:
 
     def test_hadamard_matmuls_count_in_the_rule(self):
         # k = 0, l = 10, C = 11: the block products are small (C 2^l 8^k =
-        # 11264), the Hadamard matmuls are not (C 2^k 4^m = 11.5e6); at the
-        # fit point of this shape (BENCH_21_pathfit.json) the algebra path's
-        # first evaluation took 27 ms against 2.3 ms for a table evaluation
-        h, ansatz = commuting_instance(14, 10, 48, 200, 22)
+        # 11264), the Hadamard matmuls are not (C 2^k 4^m = 11.5e6); at this
+        # fit point (BENCH_26_pathfit.json) an algebra evaluation took
+        # 10.9 ms a call against 1.9 ms for a table evaluation
+        h, ansatz = large_l_instance(14, 10, 0, 48, 200, 22)
         s = build_support_sets(h, ansatz)
         assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (0, 10, 11)
         assert cost_mod._path(s) is cost_mod._evaluate_sparse
         assert built_tables(s) == set()
+
+    def test_a_slower_steady_evaluation_keeps_the_table_path(self):
+        # k = 3, l = 6, C = 7: the first evaluation, build included, is
+        # predicted cheaper on the algebra path (and at this fit point took
+        # 13.8 ms against 29.5 ms), every later one dearer (6.4 ms a call
+        # against 3.9 ms), so a long run would lose on the algebra path
+        h, ansatz = large_l_instance(16, 6, 3, 64, 160, 26)
+        s = build_support_sets(h, ansatz)
+        assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (3, 12, 7)
+        (first, steady), (table_first, table_steady) = cost_mod._predicted_us(s)
+        assert first <= table_first and steady > table_steady
+        assert cost_mod._path(s) is cost_mod._evaluate_sparse
 
     def test_gd_on_the_algebra_path_builds_no_table(self):
         h, kp = workload_instance("udu14_gd")

@@ -347,7 +347,7 @@ class TestRunRCD:
 
     @pytest.mark.parametrize("name, path", [
         ("xxz4_dense", "_evaluate_dense"),
-        ("udu10_rcd", "_evaluate_sparse"),
+        ("udu10_rcd", "_evaluate_algebra"),
         ("udu14_gd", "_evaluate_algebra"),
     ])
     def test_sampled_automatic_step_is_eval_grads_on_every_path(self, name, path):

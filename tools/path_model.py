@@ -3,25 +3,30 @@
     python3 tools/path_model.py [--out FILE]
 
 The rule (cost._algebra_path_applies) takes the algebra path only where
-m = k + l is at most cost._ALGEBRA_MAX_M and its first evaluation, the
-algebra build included, is predicted cheaper than one table-path evaluation
-with the product tables already built. The models are linear in
-microseconds:
+m = k + l is at most cost._ALGEBRA_MAX_M and two predictions hold: its
+first evaluation, the algebra build included, is no slower than the table
+path's first evaluation, the product-table build included, and its steady
+per-call evaluation is no slower than the table path's. The four models are
+linear in microseconds:
 
-    algebra first evaluation  ~ a + b * C 2^l 8^k + c * C 2^k 4^m
-    table evaluation          ~ a' + b' * d (min(|H| d, C 2^(2k+l)) + d)
+    algebra first or steady evaluation  ~ a + b * C 2^l 8^k + c * C 2^k 4^m
+    table first or steady evaluation    ~ a' + b' * d (min(|H| d, C 2^(2k+l)) + d)
 
 k, l and C are the pairs, central elements and H cosets of the ansatz's
 span (operators._span_tables). The algebra side's two terms are the block
 products (2^l blocks of 2^k x 2^k per coset) and the Hadamard matmuls on
 the (2^m, C 2^k) grids. Each point is a random_udu instance with its known
 diagonalizer's strings as ansatz (a subgroup), or a random subset of them,
-or an instance with large l (LARGE_L), at one BLAS thread. The algebra side
-is the minimum over fresh SupportSets of the first evaluation with the
-gradient, the span already read; the table side the minimum per call over
-repeated calls. Both fits
-minimize the squared relative error. The output JSON holds every point and
-both fits; cost.py's constants are copied from it.
+or an instance with large l (LARGE_L), at one BLAS thread. A first
+evaluation is the minimum over fresh SupportSets of the first evaluation
+with the gradient, the span already read; a steady one the minimum per call
+over repeated calls. Every fit minimizes the squared relative error.
+
+One line is printed per point with its measured times, then the four fits
+with their largest relative error, then one line per point with the path
+the fitted rule predicts and the path the measured times give (the algebra
+path iff both its measured evaluations are no slower). The output JSON
+holds every point and the fits; cost.py's constants are copied from it.
 """
 
 from __future__ import annotations
@@ -105,18 +110,18 @@ def features(s) -> dict:
             "table_work": d * (min(len(s.h_strings) * d, c * 2**(2 * k + l)) + d)}
 
 
-def measure(h, kp) -> dict:
-    first = []
-    for _ in range(7):
-        s = build_support_sets(h, kp.ansatz)
-        s.span_basis
-        t0 = time.perf_counter()
-        cost._evaluate_algebra(s, kp.r, kp.theta, True)
-        first.append(time.perf_counter() - t0)
+def measure(h, kp, reps=7) -> dict:
+    def first(fn):
+        times = []
+        for _ in range(reps):
+            s = build_support_sets(h, kp.ansatz)
+            s.span_basis
+            t0 = time.perf_counter()
+            fn(s, kp.r, kp.theta, True)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
     s = build_support_sets(h, kp.ansatz)
-    t0 = time.perf_counter()
-    cost._evaluate_sparse(s, kp.r, kp.theta, True)
-    table_first = time.perf_counter() - t0
 
     def per_call(fn):
         once = min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=1, repeat=3))
@@ -124,9 +129,10 @@ def measure(h, kp) -> dict:
         return min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=number,
                                  repeat=5)) / number
 
-    return {**features(s), "algebra_first_us": 1e6 * min(first),
+    return {**features(s),
+            "algebra_first_us": 1e6 * first(cost._evaluate_algebra),
             "algebra_us": 1e6 * per_call(cost._evaluate_algebra),
-            "table_first_us": 1e6 * table_first,
+            "table_first_us": 1e6 * first(cost._evaluate_sparse),
             "table_us": 1e6 * per_call(cost._evaluate_sparse)}
 
 
@@ -142,6 +148,15 @@ def predict(coef, *xs) -> float:
     return coef[0] + sum(b * x for b, x in zip(coef[1:], xs))
 
 
+# (time field, feature fields) of each model, in cost.py's order
+MODELS = {
+    "algebra_first_us": ("block_work", "hadamard_work"),
+    "algebra_us": ("block_work", "hadamard_work"),
+    "table_first_us": ("table_work",),
+    "table_us": ("table_work",),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path)
@@ -152,19 +167,24 @@ def main(argv=None) -> int:
         point = measure(h, kp)
         print(json.dumps(point), flush=True)
         points.append(point)
-    alg = fit([p["algebra_first_us"] for p in points],
-              [p["block_work"] for p in points], [p["hadamard_work"] for p in points])
-    tab = fit([p["table_us"] for p in points], [p["table_work"] for p in points])
+    fits = {}
+    for name, xs in MODELS.items():
+        coef = fit([p[name] for p in points], *([p[x] for p in points] for x in xs))
+        for p in points:
+            p[name.replace("_us", "_predicted_us")] = predict(coef, *(p[x] for x in xs))
+        error = max(abs(p[name.replace("_us", "_predicted_us")] / p[name] - 1) for p in points)
+        fits[name] = {"coef": coef, "max_rel_error": error}
     for p in points:
-        p["algebra_predicted"] = (predict(alg, p["block_work"], p["hadamard_work"])
-                                  < predict(tab, p["table_work"]))
-        p["algebra_measured"] = p["algebra_first_us"] < p["table_us"]
-    result = {"algebra_first_us": dict(zip(("a", "b", "c"), alg)),
-              "table_us": dict(zip(("a", "b"), tab)),
-              "points": points}
-    print(json.dumps({k: v for k, v in result.items() if k != "points"}))
+        p["algebra_predicted"] = (p["algebra_first_predicted_us"] <= p["table_first_predicted_us"]
+                                  and p["algebra_predicted_us"] <= p["table_predicted_us"])
+        p["algebra_measured"] = (p["algebra_first_us"] <= p["table_first_us"]
+                                 and p["algebra_us"] <= p["table_us"])
+    print(json.dumps(fits))
+    for p in points:
+        print(json.dumps({key: p[key] for key in ("n", "d", "k", "l", "C", "algebra_predicted",
+                                                  "algebra_measured")}))
     if args.out is not None:
-        args.out.write_text(json.dumps(result, indent=1) + "\n")
+        args.out.write_text(json.dumps({"fits": fits, "points": points}, indent=1) + "\n")
     return 0
 
 
