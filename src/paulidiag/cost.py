@@ -48,14 +48,11 @@ phases): the forward map _blocks (K's coefficients to K's blocks, one
 Hadamard matmul and one gather) and its adjoint _partials (a matrix
 gradient to the d partials, one gather and one Hadamard matmul).
 
-When the qubit count is small and the ansatz is at least Hilbert-dimension
-sized, evaluation switches to the dense path, direct 2^n x 2^n matrix
-algebra (same values, same gradients, far cheaper); see
-operators._dense_path_applies. Where that rule holds, SupportSets' span
-is G = the whole group, whose one block is the 2^n x 2^n matrix, so the
-dense path's maps are built on its first evaluation and kept. Besides the
-maps, K'HK, K'K and the matrix gradient take three matmuls, so no step
-touches a d x 2^n table.
+The span picks the engine. Where the ansatz spans the whole group (k = n),
+the dense path (_evaluate_dense) does direct 2^n x 2^n matrix algebra:
+G's one block is the 2^n x 2^n matrix, and besides the maps, K'HK, K'K and
+the matrix gradient take three matmuls, so no step touches a d x 2^n
+table.
 
 The algebra path (_evaluate_algebra) works on the algebra that the span G
 of the ansatz strings spans: 2^l blocks of 2^k x 2^k, with the maps held
@@ -78,16 +75,16 @@ the off-diagonal part of B_c,
 on the blocks, and tr(P_j G) for every ansatz string is one adjoint map
 of G. One evaluation costs O(C 2^l 8^k) in block products and
 O(C 2^k 4^m) in Hadamard matmuls, whose matrix of 2^m is built whole,
-against the table path's O(d (|hk| + d)). _path takes the dense path where
-it applies, then the algebra path where _algebra_path_applies, else the
-table path. That rule needs k < n and m at most _ALGEBRA_MAX_M, and four
-fitted time models: the algebra path's first evaluation, its build
-included, predicted no slower than the table path's first evaluation, the
-product-table build included, and its steady per-call evaluation no slower
-than the table path's. Together these say the build and N evaluations are
-no slower on the algebra path for every N >= 1, so the rule needs no run
-length, and eval_grad, GD and sampled RCD all read the one routine _path
-returns.
+against the table path's O(d (|hk| + d)); the dense path is its case
+k = n, l = 0, C = 1. _path takes a matrix path where _matrix_path_applies,
+the dense one where k = n and the algebra one elsewhere, else the table
+path. That rule needs m at most _ALGEBRA_MAX_M, and four fitted time
+models: the matrix path's first evaluation, its build included, predicted
+no slower than the table path's first evaluation, the product-table build
+included, and its steady per-call evaluation no slower than the table
+path's. Together these say the build and N evaluations are no slower on
+the matrix path for every N >= 1, so the rule needs no run length, and
+eval_grad, GD and sampled RCD all read the one routine _path returns.
 """
 
 from __future__ import annotations
@@ -96,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PauliSum, SupportSets, _dense_path_applies
+from .operators import PauliSum, SupportSets
 from .pauli import PHASES, PauliString
 
 # how far ||r|| may be from 1 for params to count as unit norm
@@ -192,7 +189,7 @@ def _check(h: PauliSum, kp: KParams, s: SupportSets) -> None:
 # --- the matrix paths ---------------------------------------------------------
 #
 # Both read SupportSets' alg_* fields, the maps of its span G, built once;
-# where the dense rule holds, G is the whole group (one 2^n x 2^n block).
+# the dense path's G is the whole group (one 2^n x 2^n block).
 
 
 def _blocks(s: SupportSets, kc: np.ndarray) -> np.ndarray:
@@ -316,11 +313,13 @@ def _evaluate_algebra(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_gra
     return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
 
 
-# The algebra path's rule: four time models in microseconds fitted by
-# tools/path_model.py (BENCH_26_pathfit.json; one BLAS thread), each path's
+# The path rule: four time models in microseconds fitted by
+# tools/path_model.py (BENCH_26_pathfit.json; one BLAS thread), each side's
 # first evaluation with the gradient, its build included, then its steady
-# per-call evaluation. The algebra side has two terms, the block products
-# and the Hadamard matmuls on the (2^m, C 2^k) grids.
+# per-call evaluation. The matrix side has two terms, the block products
+# and the Hadamard matmuls on the (2^m, C 2^k) grids; its fit points all
+# have k < n, and it predicts the dense path as the case k = n
+# (BENCH_27_pathfit.json's held-out rows).
 _ALGEBRA_US = ((471.0, 0.0064, 0.0013),  # a + b C 2^l 8^k + c C 2^k 4^m
                (54.0, 0.0019, 0.00058))
 _TABLE_US = ((149.0, 0.047),  # a + b d (min(|H| d, C 2^(2k+l)) + d)
@@ -331,7 +330,7 @@ _ALGEBRA_MAX_M = 10
 
 
 def _predicted_us(s: SupportSets):
-    """The rule's four predictions in microseconds, ((algebra first, algebra
+    """The rule's four predictions in microseconds, ((matrix first, matrix
     steady), (table first, table steady)), from k, l and C of s's span (from
     the masks alone), d and |H|; C 2^(2k+l) bounds |hk|, since H's terms
     times the ansatz lie in the C cosets."""
@@ -344,15 +343,15 @@ def _predicted_us(s: SupportSets):
             [a + b * table for a, b in _TABLE_US])
 
 
-def _algebra_path_applies(s: SupportSets) -> bool:
-    """Whether s takes the algebra path: k < n, m = k + l at most
-    _ALGEBRA_MAX_M, and the models predict both its first evaluation, build
-    included, no slower than the table path's first evaluation, table build
-    included, and its steady per-call evaluation no slower than the table
-    path's. The pair holds iff the build and N evaluations are predicted no
-    slower on the algebra path for every N >= 1, so the rule needs no run
-    length: GD, sampled RCD and single evaluations all read one routine."""
-    if s.span_pairs >= s.n or len(s.span_basis) - s.span_pairs > _ALGEBRA_MAX_M:
+def _matrix_path_applies(s: SupportSets) -> bool:
+    """Whether s takes a matrix path: m = k + l at most _ALGEBRA_MAX_M, and
+    the models predict both its first evaluation, build included, no slower
+    than the table path's first evaluation, table build included, and its
+    steady per-call evaluation no slower than the table path's. The pair
+    holds iff the build and N evaluations are predicted no slower on the
+    matrix path for every N >= 1, so the rule needs no run length: GD,
+    sampled RCD and single evaluations all read one routine."""
+    if len(s.span_basis) - s.span_pairs > _ALGEBRA_MAX_M:
         return False
     algebra, table = _predicted_us(s)
     return all(x <= y for x, y in zip(algebra, table))
@@ -360,15 +359,13 @@ def _algebra_path_applies(s: SupportSets) -> bool:
 
 def _path(s: SupportSets):
     """The routine s is evaluated on, called as fn(s, r, theta, want_grad)
-    and returning (f, penalty, grad_r, grad_theta): _evaluate_dense when the
-    dense path applies, else _evaluate_algebra when the algebra path
-    applies, else _evaluate_sparse (the support tables). Choosing builds no
-    product table."""
-    if _dense_path_applies(s.n, s.d):
-        return _evaluate_dense
-    if _algebra_path_applies(s):
-        return _evaluate_algebra
-    return _evaluate_sparse
+    and returning (f, penalty, grad_r, grad_theta): _evaluate_sparse (the
+    support tables) where the models reject the matrix paths, else
+    _evaluate_dense when the span is the whole group (k = n), else
+    _evaluate_algebra. Choosing builds no product table."""
+    if not _matrix_path_applies(s):
+        return _evaluate_sparse
+    return _evaluate_dense if s.span_pairs == s.n else _evaluate_algebra
 
 
 # an overflow reads inf or NaN, which every caller rejects or stops on, so

@@ -8,12 +8,12 @@ and returns their SupportSets, which hold everything the cost evaluator
 needs. Its derived fields come in three groups, each built on the first
 read of any of its fields (the maps' build reads the span): the span
 of the ansatz (the inputs of cost's path rule, from the masks alone; the
-whole group where cost's dense rule holds), the blocks and maps of the
-two matrix paths, dense and algebra (see the notes on the algebra below),
-and the product tables, which cost._table_values is the one routine to
-evaluate. A run on either matrix path builds no product table. The
-product tables (built by the table path's first evaluation or by
-IncrementalState) are:
+whole group in its natural basis where the ansatz spans it), the blocks
+and maps of the two matrix paths, dense (the whole group) and algebra (a
+smaller span; see the notes on the algebra below), and the product
+tables, which cost._table_values is the one routine to evaluate. A run on
+either matrix path builds no product table. The product tables (built by
+the table path's first evaluation or by IncrementalState) are:
 
 * g1: the off-diagonal strings that can appear in K'HK (ansatz closure),
 * g2: the non-identity products P_i P_j,
@@ -241,10 +241,9 @@ class SupportSets:
     the nine product tables (_TABLES: the four string tables, the grids and
     slot_scale) by _product_tables, for example on the first table-path
     evaluation or by IncrementalState; the four span fields (_SPAN) by
-    _span_tables, on cost's first path choice past the dense path or on
-    the first read of an algebra field; and the maps both matrix paths
-    read (_ALGEBRA) by _algebra_tables, on the first dense-path or
-    algebra-path evaluation.
+    _span_tables, on cost's first path choice or on the first read of an
+    algebra field; and the maps both matrix paths read (_ALGEBRA) by
+    _algebra_tables, on the first dense-path or algebra-path evaluation.
     """
 
     n: int
@@ -443,13 +442,13 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
 # E[b 2^k + c, x] = M[b, c, c ^ x]; then tr(P_g X) = 2^(n-m) i^-mu
 # (S E)[slot], and the coefficient of P_g in X is i^-mu (S E)[slot] / 2^m.
 #
-# Where the dense rule holds (_dense_path_applies), the span is not
-# searched: G is the whole group on n qubits in its natural basis
-# e_q = X_q, f_q = Z_q (k = n, l = 0) with one coset, that of the identity,
-# and cost's dense path reads these maps. The virtual qubits are then the
-# real ones, qubit q as basis-index bit q: P's slot is z 2^n + x, its phase
-# i^|x & z|, and the one block is P's matrix, which maps basis column c to
-# row c ^ x with weight i^|x & z| (-1)^|z & c|. verify.to_dense numbers
+# Where the ansatz spans the whole group on n qubits (2n echelon elements),
+# Gram-Schmidt is skipped: G takes its natural basis e_q = X_q, f_q = Z_q
+# (k = n, l = 0) with one coset, that of the identity, and cost's dense
+# path reads these maps. The virtual qubits are then the real ones, qubit
+# q as basis-index bit q: P's slot is z 2^n + x, its phase i^|x & z|, and
+# the one block is P's matrix, which maps basis column c to row c ^ x
+# with weight i^|x & z| (-1)^|z & c|. verify.to_dense numbers
 # the basis the other way round (qubit 0 as the most significant bit) and
 # keeps its own implementation of this rule, so the dense verification
 # stays a cross-check; F and its partials are traces, which the numbering
@@ -485,28 +484,14 @@ def _reduce(keys: np.ndarray, echelon) -> np.ndarray:
     return keys
 
 
-# For few qubits and an ansatz at least as large as the Hilbert dimension,
-# 2^n x 2^n matrix algebra beats the flat support tables by a wide margin.
-_DENSE_PATH_MAX_DIM = 16
-
-
-def _dense_path_applies(n: int, d: int) -> bool:
-    return (1 << n) <= _DENSE_PATH_MAX_DIM and d >= (1 << n)
-
-
 def _span_tables(n: int, ansatz, h_strings) -> dict:
-    """The four _SPAN fields, from the masks alone: where the dense rule
-    holds, the whole group in its natural basis X_0..X_(n-1), Z_0..Z_(n-1)
-    with one coset; elsewhere an echelon basis of the ansatz keys' span (one
-    vector op over the keys per basis element), symplectic Gram-Schmidt on
-    it (O(r^2) integer ops, r <= 2n), and H's keys reduced modulo the span,
-    each coset's representative then moved within the coset to commute with
-    every pair element."""
-    if _dense_path_applies(n, len(ansatz)):
-        q = np.arange(n, dtype=np.int64)
-        return {"span_basis": 1 << np.concatenate((q + MAX_QUBITS, q)), "span_pairs": n,
-                "coset_rep": np.zeros(1, dtype=np.int64),
-                "h_coset": np.zeros(len(h_strings), dtype=np.intp)}
+    """The four _SPAN fields, from the masks alone: an echelon basis of the
+    ansatz keys' span (one vector op over the keys per basis element); for
+    the whole group (2n basis elements) its natural basis X_0..X_(n-1),
+    Z_0..Z_(n-1) with one coset; elsewhere symplectic Gram-Schmidt on the
+    echelon basis (O(r^2) integer ops, r < 2n), and H's keys reduced modulo
+    the span, each coset's representative then moved within the coset to
+    commute with every pair element."""
     keys = pack_keys(*string_masks(ansatz))
     echelon = []
     keys = keys[keys != 0]
@@ -515,6 +500,11 @@ def _span_tables(n: int, ansatz, h_strings) -> dict:
         echelon.append(top)
         keys = _reduce(keys, [top])
         keys = keys[keys != 0]
+    if len(echelon) == 2 * n:
+        q = np.arange(n, dtype=np.int64)
+        return {"span_basis": 1 << np.concatenate((q + MAX_QUBITS, q)), "span_pairs": n,
+                "coset_rep": np.zeros(1, dtype=np.int64),
+                "h_coset": np.zeros(len(h_strings), dtype=np.intp)}
 
     pairs, central, rest = [], [], list(echelon)
     while rest:
@@ -580,8 +570,8 @@ def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -
     (side by side), H's block operators A_c (stacked), the ansatz's grid
     slots and phases, and the weights alg_offdiag of the coset coefficients
     (side by side): (-1)^mu where P_c P_g is off-diagonal, x(P_c) ^ x(g) !=
-    0, and 0 elsewhere. SupportSets passes its span (the whole Pauli group
-    where the dense rule holds)."""
+    0, and 0 elsewhere. SupportSets passes its span, the whole Pauli group
+    in its natural basis for the dense path."""
     m = len(basis) - k
     w, dim, nc = 1 << k, 1 << m, len(coset_rep)
 

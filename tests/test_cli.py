@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from paulidiag import cli, cost, optimize, verify
+from paulidiag import cli, cost, operators, optimize, verify
 from paulidiag.cli import main, save_params
 from paulidiag.cost import KParams, eval_F
 from paulidiag.models import build_xxz
@@ -546,6 +546,21 @@ class TestDiagonalize:
                "opt": {"max_iters": 0}, "output": {"dir": str(tmp_path / "out")}}
         path = write_json(tmp_path / "run.json", cfg)
         assert main(["diagonalize", "--config", path]) == 0
+
+    def test_full_basis_at_five_qubits_builds_no_product_table(self, tmp_path, monkeypatch):
+        # d = 1024 strings span the whole group: the run takes the dense
+        # engine, whose 32 x 32 matrices replace a 1024-row product table
+        def refuse(*args):
+            raise AssertionError("product tables built")
+
+        monkeypatch.setattr(operators, "_product_tables", refuse)
+        cfg = {"model": {"family": "xxz", "n": 5, "j": 1.0, "delta": 0.5},
+               "algorithm": "gd", "ansatz_source": {"kind": "full_basis"},
+               "opt": {"max_iters": 5}, "output": {"dir": str(tmp_path / "out")}}
+        path = write_json(tmp_path / "run.json", cfg)
+        assert main(["diagonalize", "--config", path]) == 0
+        lines = (tmp_path / "out" / "trace.jsonl").read_text().splitlines()
+        assert len(lines) == 6
 
     def test_all_zero_model_is_exit_1(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")

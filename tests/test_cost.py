@@ -186,28 +186,64 @@ class TestGradients:
         assert rep.grad_norm == pytest.approx(manual)
 
 
-class TestDensePath:
-    def test_gate(self):
-        assert cost_mod._dense_path_applies(4, 256)
-        assert cost_mod._dense_path_applies(2, 4)
-        assert not cost_mod._dense_path_applies(4, 15)  # ansatz too small
-        assert not cost_mod._dense_path_applies(5, 1024)  # too many qubits
+def full_span_instance(rng, n, d, m=None):
+    """(h, kp, s) whose ansatz spans the whole Pauli group: X_q and Z_q on
+    every qubit, then d - 2n further random strings."""
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+    gens = {"I" * q + a + "I" * (n - q - 1) for q in range(n) for a in "XZ"}
+    rest = rng.permutation([w for w in words if w not in gens])[:d - 2 * n]
+    ansatz = tuple(sorted(parse(w) for w in [*gens, *rest]))
+    m = min(2 * n + 1, 4**n) if m is None else m
+    hw = rng.choice(4**n, size=m, replace=False)
+    h = PauliSum(n, [(parse(words[i]), c) for i, c in zip(hw, rng.uniform(-1, 1, m))])
+    r = rng.uniform(0.2, 1.0, d)
+    kp = KParams(ansatz, r / np.linalg.norm(r), rng.uniform(0.0, 2 * np.pi, d))
+    s = build_support_sets(h, ansatz)
+    assert s.span_pairs == n
+    return h, kp, s
 
-    def test_matches_support_path(self, rng, monkeypatch):
-        # same instance evaluated through both routes must agree to roundoff
-        for n, d in ((2, 4), (2, 8), (3, 8), (3, 20), (4, 16), (4, 40)):
+
+def assert_dense_matches_tables(s, kp):
+    """The dense engine's F, penalty and partials within 1e-12 (relative)
+    of the table path's."""
+    f, penalty, gr, gt = cost_mod._evaluate_dense(s, kp.r, kp.theta, True)
+    want_f, want_p, want_gr, want_gt = cost_mod._evaluate_sparse(s, kp.r, kp.theta, True)
+    scale = max(1.0, want_f + want_p)
+    assert f == pytest.approx(want_f, rel=1e-12, abs=1e-13 * scale)
+    assert penalty == pytest.approx(want_p, rel=1e-12, abs=1e-13 * scale)
+    gscale = max(1.0, np.abs(want_gr).max(), np.abs(want_gt).max())
+    assert np.abs(gr - want_gr).max() < 1e-12 * gscale
+    assert np.abs(gt - want_gt).max() < 1e-12 * gscale
+
+
+@st.composite
+def full_span_instances(draw):
+    """(h, kp, s) on 5 or 6 qubits whose ansatz spans the whole group, d
+    from 2^n to 4^n / 4, with 1 to 2n + 1 Hamiltonian terms."""
+    n = draw(st.integers(5, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2**n, 4**n // 4))
+    return full_span_instance(rng, n, d, m=draw(st.integers(1, 2 * n + 1)))
+
+
+class TestDensePath:
+    def test_matches_support_path(self, rng):
+        # instances the rule sends to the dense engine agree with the tables
+        # to roundoff
+        for n, d in ((3, 64), (4, 40), (4, 128), (5, 128)):
             h, kp, s = random_instance(rng, n, d)
-            assert cost_mod._dense_path_applies(n, d)
-            fast = eval_grad(h, kp, s)
-            with monkeypatch.context() as m:
-                m.setattr(cost_mod, "_dense_path_applies", lambda n_, d_: False)
-                slow = eval_grad(h, kp, s)
-            scale = max(1.0, slow.total)
-            assert fast.f_value == pytest.approx(slow.f_value, rel=1e-12, abs=1e-13 * scale)
-            assert fast.penalty == pytest.approx(slow.penalty, rel=1e-12, abs=1e-13 * scale)
-            gscale = max(1.0, np.abs(slow.grad_r).max(), np.abs(slow.grad_theta).max())
-            assert np.abs(fast.grad_r - slow.grad_r).max() < 1e-12 * gscale
-            assert np.abs(fast.grad_theta - slow.grad_theta).max() < 1e-12 * gscale
+            assert cost_mod._path(s) is cost_mod._evaluate_dense
+            assert_dense_matches_tables(s, kp)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(full_span_instances())
+    def test_full_span_takes_the_dense_engine_where_the_models_allow(self, instance):
+        h, kp, s = instance
+        algebra, table = cost_mod._predicted_us(s)
+        allowed = all(x <= y for x, y in zip(algebra, table))
+        want = cost_mod._evaluate_dense if allowed else cost_mod._evaluate_sparse
+        assert cost_mod._path(s) is want
+        assert_dense_matches_tables(s, kp)
 
     def test_grid_path_matches_string_sum_reference(self, rng):
         def string_sum_reference(h, ansatz, r, theta):
@@ -228,25 +264,15 @@ class TestDensePath:
             gvec = np.array([np.trace(m @ g) for m in strings]) * np.exp(-1j * theta)
             return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
 
+        # the engine on every whole-group ansatz, whichever path the rule
+        # takes there
         for n in (1, 2, 3, 4):
-            words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
-            for d in (2**n, int(rng.integers(2**n, 4**n + 1)), 4**n):
-                picks = rng.choice(np.arange(1, 4**n), size=d - 1, replace=False)
-                ansatz = tuple(sorted(parse(words[i]) for i in [0, *picks]))
-                m = min(2 * n + 1, 4**n)
-                hw = rng.choice(4**n, size=m, replace=False)
-                h = PauliSum(n, [(parse(words[i]), c)
-                                 for i, c in zip(hw, rng.uniform(-1, 1, m))])
-                s = build_support_sets(h, ansatz)
-                assert cost_mod._dense_path_applies(n, d)
-                evaluate = cost_mod._path(s)
-                assert evaluate is cost_mod._evaluate_dense
-                r = rng.uniform(0.2, 1.0, d)
-                r /= np.linalg.norm(r)
-                theta = rng.uniform(0.0, 2 * np.pi, d)
-                f, penalty, gr, gt = evaluate(s, r, theta, True)
-                assert evaluate(s, r, theta, False) == (f, penalty, None, None)
-                want = string_sum_reference(h, ansatz, r, theta)
+            for d in (2 * n, int(rng.integers(2 * n, 4**n + 1)), 4**n):
+                h, kp, s = full_span_instance(rng, n, d)
+                r, theta = kp.r, kp.theta
+                f, penalty, gr, gt = cost_mod._evaluate_dense(s, r, theta, True)
+                assert cost_mod._evaluate_dense(s, r, theta, False) == (f, penalty, None, None)
+                want = string_sum_reference(h, kp.ansatz, r, theta)
                 scale = max(1.0, want[0] + want[1])
                 assert f == pytest.approx(want[0], rel=1e-12, abs=1e-13 * scale)
                 assert penalty == pytest.approx(want[1], rel=1e-12, abs=1e-13 * scale)
@@ -260,10 +286,11 @@ class TestDensePath:
         # the whole group's maps are the closed-form dense rule, bit for bit:
         # slot z 2^n + x, phase i^|x & z|, the Sylvester-Hadamard matrix S,
         # and A[row, col] = D[col, row ^ col] for D = S C (its adjoint
-        # E[c, x] = G[c, c ^ x]); H's matrix is that of its coefficient grid
-        h, kp, s = random_instance(rng, n, int(rng.integers(2**n, 4**n + 1)))
-        assert cost_mod._path(s) is cost_mod._evaluate_dense
-        assert set(vars(s)) & (_TABLES | _SPAN | _ALGEBRA) == set()
+        # E[c, x] = G[c, c ^ x]); H's matrix is that of its coefficient grid.
+        # The span is read first (the path rule's inputs), the maps on their
+        # own first read
+        h, kp, s = full_span_instance(rng, n, int(rng.integers(2 * n, 4**n + 1)))
+        assert set(vars(s)) & (_TABLES | _SPAN | _ALGEBRA) == _SPAN
         dim = 2**n
         hadamard = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n,
                                     np.ones((1, 1))).astype(complex)
@@ -292,7 +319,7 @@ class TestDensePath:
         # evaluation and kept: one build serves every evaluation and run on
         # s, the sampled RCD run's steps included, and none builds the
         # product tables
-        h, kp, s = random_instance(rng, 3, 20)
+        h, kp, s = random_instance(rng, 4, 40)
         assert cost_mod._path(s) is cost_mod._evaluate_dense
         calls = []
         build = operators._algebra_tables
@@ -490,7 +517,7 @@ class TestSampledSteps:
         assert_sampled_step_agrees(s, kp, cost_mod._evaluate_algebra, sampled_coords(data, kp.d))
 
     def test_dense_step_matches_table_caches(self, rng):
-        h, kp, s = random_instance(rng, 3, 20)
+        h, kp, s = random_instance(rng, 4, 40)
         assert cost_mod._path(s) is cost_mod._evaluate_dense
         for width in (1, 4, 2 * kp.d - 1):
             coords = rng.choice(2 * kp.d, size=width, replace=False)
@@ -521,7 +548,7 @@ class TestPathRule:
         s = build_support_sets(h, kp.ansatz)
         monkeypatch.setattr(cost_mod, "_ALGEBRA_US", ((first[0], 0.0, 0.0), (steady[0], 0.0, 0.0)))
         monkeypatch.setattr(cost_mod, "_TABLE_US", ((first[1], 0.0), (steady[1], 0.0)))
-        assert cost_mod._algebra_path_applies(s) is algebra
+        assert cost_mod._matrix_path_applies(s) is algebra
 
     @pytest.mark.parametrize("name, path", [
         ("xxz4_dense", "_evaluate_dense"),
@@ -535,7 +562,9 @@ class TestPathRule:
         assert built_tables(s) == set()
 
     def test_full_span_takes_the_table_path(self):
-        # k = n: the one block is the whole 64 x 64 space
+        # k = n, so the matrix side is the dense engine on 64 x 64 matrices;
+        # the models keep the tables, measured faster here
+        # (BENCH_27_pathfit.json's held-out (6, 64) row)
         h, ansatz = check13_instance()
         s = build_support_sets(h, ansatz)
         assert (s.span_pairs, len(s.span_basis)) == (6, 12)

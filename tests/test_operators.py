@@ -540,13 +540,13 @@ class TestMaskArrayBuild:
 
 
 def dense_instance():
-    """A 2-qubit H with the full basis as ansatz: 2^n = 4 <= d = 16, so
-    cost takes the dense path."""
-    h = PauliSum.from_words({"XX": 1.0, "YY": 1.0, "ZZ": 0.7, "ZI": 0.3})
-    ansatz = tuple(parse("".join(w)) for w in itertools.product("IXYZ", repeat=2))
+    """A 3-qubit H with the full basis as ansatz (d = 64): the models send
+    it to the dense engine."""
+    h = PauliSum.from_words({"XXI": 1.0, "YYI": 1.0, "IZZ": 0.7, "ZII": 0.3})
+    ansatz = tuple(parse("".join(w)) for w in itertools.product("IXYZ", repeat=3))
     r = np.linspace(1.0, 2.0, len(ansatz))
     kp = KParams(ansatz, r / np.linalg.norm(r), np.linspace(0.0, 1.0, len(ansatz)))
-    assert cost._dense_path_applies(h.n, kp.d)
+    assert cost._path(build_support_sets(h, ansatz)) is cost._evaluate_dense
     return h, kp
 
 
@@ -599,7 +599,7 @@ class TestLazyTables:
         # the string tables are packed keys: neither the build nor a
         # table-path run forms a PauliString
         h, kp, _ = random_instance(rng, 3, 6)
-        assert not cost._dense_path_applies(h.n, kp.d)
+        assert cost._path(build_support_sets(h, kp.ansatz)) is cost._evaluate_sparse
         made = []
         check = PauliString.__post_init__
         monkeypatch.setattr(PauliString, "__post_init__",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -417,16 +418,32 @@ def reference_gd(h, kp0, cfg, s):
     return records, x
 
 
+def subgroup_instance(rng):
+    """A 4-qubit H of 9 random terms, the ansatz every string on qubits
+    0..2 (k = 3 < n): the models send it to the algebra engine."""
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=4)]
+    hw = rng.choice(len(words), size=9, replace=False)
+    h = PauliSum(4, [(parse(words[i]), c) for i, c in zip(hw, rng.uniform(-1, 1, 9))])
+    ansatz = tuple(sorted(parse(w) for w in words if w[3] == "I"))
+    r = rng.uniform(0.2, 1.0, len(ansatz))
+    kp = KParams(ansatz, r / np.linalg.norm(r), rng.uniform(0.0, 2 * np.pi, len(ansatz)))
+    return h, kp, build_support_sets(h, ansatz)
+
+
 class TestSharedLoop:
-    @pytest.mark.parametrize("n, d", [(2, 8), (3, 5)])  # dense path, table path
-    def test_trajectory_matches_per_step_loop(self, rng, n, d):
-        h, kp, s = random_instance(rng, n, d)
-        assert cost._dense_path_applies(n, d) == (n == 2)
+    @pytest.mark.parametrize("path, instance", [
+        ("_evaluate_dense", lambda rng: random_instance(rng, 4, 40)),
+        ("_evaluate_algebra", subgroup_instance),
+        ("_evaluate_sparse", lambda rng: random_instance(rng, 3, 5)),
+    ], ids=["dense", "algebra", "table"])
+    def test_trajectory_matches_per_step_loop(self, rng, path, instance):
+        h, kp, s = instance(rng)
+        assert cost._path(s) is getattr(cost, path)
         a = 0.04 / max(1.0, eval_F(h, kp, s).total)
         cfg = OptConfig(max_iters=60, lr=LRSchedule.constant(a), stop_tol=0.0)
         want, x = reference_gd(h, kp, cfg, s)
         for trace in (run_gd(h, kp, cfg, s),
-                      run_rcd(h, kp, replace(cfg, block_size=2 * d), s)):
+                      run_rcd(h, kp, replace(cfg, block_size=2 * kp.d), s)):
             assert len(trace.records) == len(want) == 61
             for got, ref in zip(trace.records, want):
                 assert got.as_dict() == ref.as_dict()

@@ -1,37 +1,43 @@
-"""Measure the two sides of cost's algebra-path rule and fit its time models.
+"""Measure the two sides of cost's path rule and fit its time models.
 
     python3 tools/path_model.py [--out FILE]
 
-The rule (cost._algebra_path_applies) takes the algebra path only where
+The rule (cost._matrix_path_applies) takes a matrix engine only where
 m = k + l is at most cost._ALGEBRA_MAX_M and two predictions hold: its
-first evaluation, the algebra build included, is no slower than the table
+first evaluation, the maps' build included, is no slower than the table
 path's first evaluation, the product-table build included, and its steady
-per-call evaluation is no slower than the table path's. The four models are
-linear in microseconds:
+per-call evaluation is no slower than the table path's. The engine is the
+dense one where the span is the whole group (k = n), the algebra one
+elsewhere (cost._path). The four models are linear in microseconds:
 
-    algebra first or steady evaluation  ~ a + b * C 2^l 8^k + c * C 2^k 4^m
-    table first or steady evaluation    ~ a' + b' * d (min(|H| d, C 2^(2k+l)) + d)
+    matrix first or steady evaluation  ~ a + b * C 2^l 8^k + c * C 2^k 4^m
+    table first or steady evaluation   ~ a' + b' * d (min(|H| d, C 2^(2k+l)) + d)
 
 k, l and C are the pairs, central elements and H cosets of the ansatz's
-span (operators._span_tables). The algebra side's two terms are the block
+span (operators._span_tables). The matrix side's two terms are the block
 products (2^l blocks of 2^k x 2^k per coset) and the Hadamard matmuls on
-the (2^m, C 2^k) grids. Each point is a random_udu instance with its known
-diagonalizer's strings as ansatz (a subgroup), or a random subset of them,
-or an instance with large l (LARGE_L), at one BLAS thread. A first
-evaluation is the minimum over fresh SupportSets of the first evaluation
-with the gradient, the span already read; a steady one the minimum per call
-over repeated calls. Every fit minimizes the squared relative error.
+the (2^m, C 2^k) grids. Each fit point is a random_udu instance with its
+known diagonalizer's strings as ansatz (a subgroup), or a random subset of
+them, or an instance with large l (LARGE_L), at one BLAS thread. The
+held-out points (FULL_SPAN) are random strings spanning the whole group
+with a random H, check 13's kind; they are measured and predicted but not
+fit. A first evaluation is the minimum over fresh SupportSets of the first
+evaluation with the gradient, the span already read; a steady one the
+minimum per call over repeated calls, each on the engine cost._path would
+use on the matrix side. Every fit minimizes the squared relative error.
 
 One line is printed per point with its measured times, then the four fits
-with their largest relative error, then one line per point with the path
-the fitted rule predicts and the path the measured times give (the algebra
-path iff both its measured evaluations are no slower). The output JSON
+with their largest relative error, then one line per point with the
+matrix engine, whether the fitted models predict the matrix side, whether
+the measured times give it (both its measured evaluations no slower), and
+the routine cost._path picks with the committed constants. The output JSON
 holds every point and the fits; cost.py's constants are copied from it.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -48,7 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from paulidiag import cost, models  # noqa: E402
 from paulidiag.cost import KParams  # noqa: E402
 from paulidiag.operators import PauliSum, build_support_sets  # noqa: E402
-from paulidiag.pauli import PauliString  # noqa: E402
+from paulidiag.pauli import PauliString, parse  # noqa: E402
 
 # (n, n_diag, n_rot, model seed, kept share of the ansatz or None)
 INSTANCES = [
@@ -69,6 +75,24 @@ LARGE_L = [
     (16, 8, 0, 32, 200, 23), (12, 10, 0, 16, 40, 24), (14, 7, 2, 40, 120, 25),
     (16, 6, 3, 64, 160, 26),
 ]
+
+
+# held-out ansaetze spanning the whole group (n, d, seed): d random strings
+# (all 4^n where d = 4^n), H of 2n + 1 random non-identity terms
+FULL_SPAN = [
+    (4, 16, 30), (4, 64, 31), (5, 32, 32), (5, 128, 33), (5, 1024, 34), (6, 64, 35),
+    (6, 256, 36), (7, 256, 37), (8, 512, 38),
+]
+
+
+def full_span_instance(n, d, seed):
+    rng = np.random.default_rng(seed)
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+    hw = rng.choice(len(words) - 1, size=2 * n + 1, replace=False) + 1
+    h = PauliSum(n, [(parse(words[i]), c) for i, c in zip(hw, rng.uniform(-1, 1, 2 * n + 1))])
+    strings = sorted(parse(words[i]) for i in rng.choice(len(words), size=d, replace=False))
+    r = rng.uniform(0.2, 1.0, d)
+    return h, KParams(tuple(strings), r / np.linalg.norm(r), rng.uniform(0, 2 * np.pi, d))
 
 
 def large_l_instance(n, l, k, d, n_h, seed):
@@ -111,6 +135,9 @@ def features(s) -> dict:
 
 
 def measure(h, kp, reps=7) -> dict:
+    s = build_support_sets(h, kp.ansatz)
+    matrix = cost._evaluate_dense if s.span_pairs == s.n else cost._evaluate_algebra
+
     def first(fn):
         times = []
         for _ in range(reps):
@@ -121,17 +148,15 @@ def measure(h, kp, reps=7) -> dict:
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    s = build_support_sets(h, kp.ansatz)
-
     def per_call(fn):
         once = min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=1, repeat=3))
         number = max(1, int(0.02 / once))
         return min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=number,
                                  repeat=5)) / number
 
-    return {**features(s),
-            "algebra_first_us": 1e6 * first(cost._evaluate_algebra),
-            "algebra_us": 1e6 * per_call(cost._evaluate_algebra),
+    return {**features(s), "engine": matrix.__name__, "rule": cost._path(s).__name__,
+            "matrix_first_us": 1e6 * first(matrix),
+            "matrix_us": 1e6 * per_call(matrix),
             "table_first_us": 1e6 * first(cost._evaluate_sparse),
             "table_us": 1e6 * per_call(cost._evaluate_sparse)}
 
@@ -150,8 +175,8 @@ def predict(coef, *xs) -> float:
 
 # (time field, feature fields) of each model, in cost.py's order
 MODELS = {
-    "algebra_first_us": ("block_work", "hadamard_work"),
-    "algebra_us": ("block_work", "hadamard_work"),
+    "matrix_first_us": ("block_work", "hadamard_work"),
+    "matrix_us": ("block_work", "hadamard_work"),
     "table_first_us": ("table_work",),
     "table_us": ("table_work",),
 }
@@ -161,30 +186,34 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    points = []
-    for h, kp in ([instance(*spec) for spec in INSTANCES]
-                  + [large_l_instance(*spec) for spec in LARGE_L]):
-        point = measure(h, kp)
-        print(json.dumps(point), flush=True)
-        points.append(point)
+    points, held_out = [], []
+    for group, specs in ((points, [instance(*spec) for spec in INSTANCES]
+                          + [large_l_instance(*spec) for spec in LARGE_L]),
+                         (held_out, [full_span_instance(*spec) for spec in FULL_SPAN])):
+        for h, kp in specs:
+            point = measure(h, kp)
+            print(json.dumps(point), flush=True)
+            group.append(point)
     fits = {}
     for name, xs in MODELS.items():
         coef = fit([p[name] for p in points], *([p[x] for p in points] for x in xs))
-        for p in points:
+        for p in points + held_out:
             p[name.replace("_us", "_predicted_us")] = predict(coef, *(p[x] for x in xs))
         error = max(abs(p[name.replace("_us", "_predicted_us")] / p[name] - 1) for p in points)
         fits[name] = {"coef": coef, "max_rel_error": error}
-    for p in points:
-        p["algebra_predicted"] = (p["algebra_first_predicted_us"] <= p["table_first_predicted_us"]
-                                  and p["algebra_predicted_us"] <= p["table_predicted_us"])
-        p["algebra_measured"] = (p["algebra_first_us"] <= p["table_first_us"]
-                                 and p["algebra_us"] <= p["table_us"])
+    for p in points + held_out:
+        p["matrix_predicted"] = (p["matrix_first_predicted_us"] <= p["table_first_predicted_us"]
+                                 and p["matrix_predicted_us"] <= p["table_predicted_us"])
+        p["matrix_measured"] = (p["matrix_first_us"] <= p["table_first_us"]
+                                and p["matrix_us"] <= p["table_us"])
     print(json.dumps(fits))
-    for p in points:
-        print(json.dumps({key: p[key] for key in ("n", "d", "k", "l", "C", "algebra_predicted",
-                                                  "algebra_measured")}))
+    for p in points + held_out:
+        print(json.dumps({key: p[key] for key in ("n", "d", "k", "l", "C", "engine",
+                                                  "matrix_predicted", "matrix_measured",
+                                                  "rule")}))
     if args.out is not None:
-        args.out.write_text(json.dumps({"fits": fits, "points": points}, indent=1) + "\n")
+        args.out.write_text(json.dumps({"fits": fits, "points": points, "held_out": held_out},
+                                       indent=1) + "\n")
     return 0
 
 
