@@ -78,13 +78,11 @@ O(C 2^k 4^m) in Hadamard matmuls, whose matrix of 2^m is built whole,
 against the table path's O(d (|hk| + d)); the dense path is its case
 k = n, l = 0, C = 1. _path takes a matrix path where _matrix_path_applies,
 the dense one where k = n and the algebra one elsewhere, else the table
-path. That rule needs m at most _ALGEBRA_MAX_M, and four fitted time
-models: the matrix path's first evaluation, its build included, predicted
-no slower than the table path's first evaluation, the product-table build
-included, and its steady per-call evaluation no slower than the table
-path's. Together these say the build and N evaluations are no slower on
-the matrix path for every N >= 1, so the rule needs no run length, and
-eval_grad, GD and sampled RCD all read the one routine _path returns.
+path. That rule needs m at most _ALGEBRA_MAX_M, and two fitted time
+models: the matrix path's evaluation per call predicted no slower than
+the table path's. Each side's one-time build (the maps or the product
+tables) is left out, so the rule needs no run length, and eval_grad, GD
+and sampled RCD all read the one routine _path returns.
 """
 
 from __future__ import annotations
@@ -313,59 +311,61 @@ def _evaluate_algebra(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_gra
     return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
 
 
-# The path rule: four time models in microseconds fitted by
-# tools/path_model.py (BENCH_26_pathfit.json; one BLAS thread), each side's
-# first evaluation with the gradient, its build included, then its steady
-# per-call evaluation. The matrix side has two terms, the block products
-# and the Hadamard matmuls on the (2^m, C 2^k) grids; its fit points all
-# have k < n, and it predicts the dense path as the case k = n
-# (BENCH_27_pathfit.json's held-out rows).
-_ALGEBRA_US = ((471.0, 0.0064, 0.0013),  # a + b C 2^l 8^k + c C 2^k 4^m
-               (54.0, 0.0019, 0.00058))
-_TABLE_US = ((149.0, 0.047),  # a + b d (min(|H| d, C 2^(2k+l)) + d)
-             (34.0, 0.0066))
+# The path rule: two time models in microseconds of one evaluation with the
+# gradient, per call once the side's tables or maps are built, fitted by
+# tools/path_model.py (BENCH_26_pathfit.json; one BLAS thread). The matrix
+# side has two terms, the block products and the Hadamard matmuls on the
+# (2^m, C 2^k) grids; its fit points all have k < n, and it predicts the
+# dense path as the case k = n (BENCH_27_pathfit.json's held-out rows).
+_ALGEBRA_US = (54.0, 0.0019, 0.00058)  # a + b C 2^l 8^k + c C 2^k 4^m
+_TABLE_US = (34.0, 0.0066)  # a + b d (min(|H| d, C 2^(2k+l)) + d)
 # the Hadamard matrix of 2^m is built whole: m <= 10 keeps it at 16 MB, and
 # the fit has points up to m = 10
 _ALGEBRA_MAX_M = 10
 
 
-def _predicted_us(s: SupportSets):
-    """The rule's four predictions in microseconds, ((matrix first, matrix
-    steady), (table first, table steady)), from k, l and C of s's span (from
-    the masks alone), d and |H|; C 2^(2k+l) bounds |hk|, since H's terms
-    times the ansatz lie in the C cosets."""
+def _work(s: SupportSets) -> tuple[int, int, int]:
+    """The models' work terms, (C 2^l 8^k, C 2^k 4^m, d (min(|H| d,
+    C 2^(2k+l)) + d)), from k, l and C of s's span (from the masks alone), d
+    and |H|; C 2^(2k+l) bounds |hk|, since H's terms times the ansatz lie in
+    the C cosets."""
     k = s.span_pairs
     m = len(s.span_basis) - k
     l, c = m - k, len(s.coset_rep)
-    blocks, hadamard = c << (l + 3 * k), c << (k + 2 * m)
-    table = s.d * (min(len(s.h_strings) * s.d, c << (2 * k + l)) + s.d)
-    return ([a + b * blocks + b_h * hadamard for a, b, b_h in _ALGEBRA_US],
-            [a + b * table for a, b in _TABLE_US])
+    return (c << (l + 3 * k), c << (k + 2 * m),
+            s.d * (min(len(s.h_strings) * s.d, c << (2 * k + l)) + s.d))
+
+
+def _predicted_us(s: SupportSets) -> tuple[float, float]:
+    """The models' (matrix, table) predictions in microseconds per call."""
+    blocks, hadamard, table = _work(s)
+    (a, b, b_h), (a_t, b_t) = _ALGEBRA_US, _TABLE_US
+    return a + b * blocks + b_h * hadamard, a_t + b_t * table
 
 
 def _matrix_path_applies(s: SupportSets) -> bool:
     """Whether s takes a matrix path: m = k + l at most _ALGEBRA_MAX_M, and
-    the models predict both its first evaluation, build included, no slower
-    than the table path's first evaluation, table build included, and its
-    steady per-call evaluation no slower than the table path's. The pair
-    holds iff the build and N evaluations are predicted no slower on the
-    matrix path for every N >= 1, so the rule needs no run length: GD,
-    sampled RCD and single evaluations all read one routine."""
+    the models predict its evaluation per call no slower than the table
+    path's. The rule needs no run length, so GD, sampled RCD and single
+    evaluations all read one routine."""
     if len(s.span_basis) - s.span_pairs > _ALGEBRA_MAX_M:
         return False
-    algebra, table = _predicted_us(s)
-    return all(x <= y for x, y in zip(algebra, table))
+    matrix, table = _predicted_us(s)
+    return matrix <= table
+
+
+def _matrix_engine(s: SupportSets):
+    """The matrix engine for s's span: _evaluate_dense where it is the whole
+    group (k = n), else _evaluate_algebra."""
+    return _evaluate_dense if s.span_pairs == s.n else _evaluate_algebra
 
 
 def _path(s: SupportSets):
     """The routine s is evaluated on, called as fn(s, r, theta, want_grad)
-    and returning (f, penalty, grad_r, grad_theta): _evaluate_sparse (the
-    support tables) where the models reject the matrix paths, else
-    _evaluate_dense when the span is the whole group (k = n), else
-    _evaluate_algebra. Choosing builds no product table."""
-    if not _matrix_path_applies(s):
-        return _evaluate_sparse
-    return _evaluate_dense if s.span_pairs == s.n else _evaluate_algebra
+    and returning (f, penalty, grad_r, grad_theta): _matrix_engine(s) where
+    _matrix_path_applies, else _evaluate_sparse (the support tables).
+    Choosing builds no product table."""
+    return _matrix_engine(s) if _matrix_path_applies(s) else _evaluate_sparse
 
 
 # an overflow reads inf or NaN, which every caller rejects or stops on, so

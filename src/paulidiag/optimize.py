@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -114,6 +115,11 @@ class OptConfig:
     grad_tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("max_iters", "block_size"):
+            value = getattr(self, name)
+            # bool is an Integral, and True would run as 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.block_size < 1:
@@ -152,6 +158,8 @@ def estimate_alpha(f_total: float, grad_norm: float) -> float:
 
 def rolling_median(values, window: int = 20) -> list[float]:
     """Trailing-window median, NaN-aware; NaN where the window is all-NaN."""
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window}")
     out = []
     vals = list(values)
     for i in range(len(vals)):

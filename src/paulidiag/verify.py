@@ -264,10 +264,14 @@ def _k_blocks(kp: KParams, sectors: _Sectors) -> np.ndarray:
 
 def _check_report_inputs(h: PauliSum, kp: KParams, f_value=None, penalty=None) -> None:
     """Reject what no report can be made of, before any dense work: a qubit
-    count mismatch, a non-finite r, theta, f_value or penalty, an r of
-    non-unit norm, or more qubits than the dense path takes."""
+    count mismatch, one of f_value and penalty without the other, a
+    non-finite r, theta, f_value or penalty, an r of non-unit norm, or more
+    qubits than the dense path takes."""
     if h.n != kp.n:
         raise ValueError("hamiltonian and parameters disagree on qubit count")
+    if (f_value is None) != (penalty is None):
+        given, missing = ("penalty", "f_value") if f_value is None else ("f_value", "penalty")
+        raise ValueError(f"{given} given without {missing}")
     fields = {"r": kp.r, "theta": kp.theta, "f_value": f_value, "penalty": penalty}
     for name, value in fields.items():
         if value is None:
@@ -330,8 +334,9 @@ def diag_report(
 ) -> DiagReport:
     """Compute all dense error metrics and a posteriori bounds for (h, kp).
 
-    f_value and penalty may be passed in from an optimizer run; when omitted
-    they are recomputed from scratch so the report stands on its own.
+    f_value and penalty may be passed in from an optimizer run, both or
+    neither; when omitted they are recomputed from scratch so the report
+    stands on its own.
 
     Every matrix is a stack of blocks on the Z2 symmetry sectors of H and the
     ansatz (_Sectors): H, K and everything formed from them map each coset of
@@ -344,7 +349,7 @@ def diag_report(
     bit.
     """
     _check_report_inputs(h, kp, f_value=f_value, penalty=penalty)
-    if f_value is None or penalty is None:
+    if f_value is None:
         rep = eval_F(h, kp, build_support_sets(h, kp.ansatz))
         f_value, penalty = rep.f_value, rep.penalty
 

@@ -1,6 +1,10 @@
 import functools
+import importlib.util
 import itertools
+import os
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,9 +243,8 @@ class TestDensePath:
     @given(full_span_instances())
     def test_full_span_takes_the_dense_engine_where_the_models_allow(self, instance):
         h, kp, s = instance
-        algebra, table = cost_mod._predicted_us(s)
-        allowed = all(x <= y for x, y in zip(algebra, table))
-        want = cost_mod._evaluate_dense if allowed else cost_mod._evaluate_sparse
+        matrix, table = cost_mod._predicted_us(s)
+        want = cost_mod._evaluate_dense if matrix <= table else cost_mod._evaluate_sparse
         assert cost_mod._path(s) is want
         assert_dense_matches_tables(s, kp)
 
@@ -533,21 +536,32 @@ class TestSampledSteps:
         assert _ALGEBRA <= set(vars(s))
 
 
+@pytest.fixture(scope="module")
+def path_model():
+    """tools/path_model.py as a module; the BLAS thread variables it sets on
+    import are restored, so that CLI subprocesses do not inherit them."""
+    spec = importlib.util.spec_from_file_location(
+        "path_model", Path(__file__).resolve().parents[1] / "tools" / "path_model.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
 class TestPathRule:
-    @pytest.mark.parametrize("first, steady, algebra", [
-        ((1.0, 2.0), (1.0, 2.0), True),  # both faster
-        ((2.0, 2.0), (2.0, 2.0), True),  # both ties: no slower is enough
-        ((3.0, 2.0), (1.0, 2.0), False),  # the first evaluation slower
-        ((1.0, 2.0), (3.0, 2.0), False),  # the steady evaluation slower
-        ((3.0, 2.0), (3.0, 2.0), False),  # both slower
+    # (matrix, table) predictions per call as constant models; the explicit
+    # ids keep the names the cases had under the two-inequality rule
+    @pytest.mark.parametrize("matrix, table, algebra", [
+        pytest.param(1.0, 2.0, True, id="first0-steady0-True"),  # faster
+        pytest.param(2.0, 2.0, True, id="first1-steady1-True"),  # a tie: no slower is enough
+        pytest.param(3.0, 2.0, False, id="first3-steady3-False"),  # slower
+        pytest.param(2.0 + 1e-9, 2.0, False, id="first4-steady4-False"),  # slower by a hair
     ])
-    def test_rule_needs_both_evaluations_no_slower(self, monkeypatch, first, steady, algebra):
-        # (algebra, table) predictions for the first and the steady
-        # evaluation, as constant models
+    def test_rule_needs_both_evaluations_no_slower(self, monkeypatch, matrix, table, algebra):
         h, kp = workload_instance("udu10_rcd")
         s = build_support_sets(h, kp.ansatz)
-        monkeypatch.setattr(cost_mod, "_ALGEBRA_US", ((first[0], 0.0, 0.0), (steady[0], 0.0, 0.0)))
-        monkeypatch.setattr(cost_mod, "_TABLE_US", ((first[1], 0.0), (steady[1], 0.0)))
+        monkeypatch.setattr(cost_mod, "_ALGEBRA_US", (matrix, 0.0, 0.0))
+        monkeypatch.setattr(cost_mod, "_TABLE_US", (table, 0.0))
         assert cost_mod._matrix_path_applies(s) is algebra
 
     @pytest.mark.parametrize("name, path", [
@@ -598,16 +612,45 @@ class TestPathRule:
         assert built_tables(s) == set()
 
     def test_a_slower_steady_evaluation_keeps_the_table_path(self):
-        # k = 3, l = 6, C = 7: the first evaluation, build included, is
-        # predicted cheaper on the algebra path (and at this fit point took
-        # 13.8 ms against 29.5 ms), every later one dearer (6.4 ms a call
-        # against 3.9 ms), so a long run would lose on the algebra path
+        # k = 3, l = 6, C = 7: an algebra evaluation is predicted dearer per
+        # call (and at this fit point took 6.4 ms a call against 3.9 ms), so
+        # a run stays on the tables, though there the algebra path's first
+        # evaluation, build included, took 13.8 ms against 29.5 ms
         h, ansatz = large_l_instance(16, 6, 3, 64, 160, 26)
         s = build_support_sets(h, ansatz)
         assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (3, 12, 7)
-        (first, steady), (table_first, table_steady) = cost_mod._predicted_us(s)
-        assert first <= table_first and steady > table_steady
+        matrix, table = cost_mod._predicted_us(s)
+        assert matrix > table
         assert cost_mod._path(s) is cost_mod._evaluate_sparse
+
+    def test_small_full_span_takes_the_dense_engine(self, path_model):
+        # n = 4, d = 24: 64 against 72 us predicted per call; its maps cost
+        # more to build than its product tables, paid once
+        # (BENCH_29_pathfit.json's held-out (4, 24) row)
+        h, kp = path_model.full_span_instance(4, 24, 42)
+        s = build_support_sets(h, kp.ansatz)
+        assert cost_mod._path(s) is cost_mod._evaluate_dense
+        assert built_tables(s) == set()
+
+    def test_small_subgroup_takes_the_algebra_engine(self, path_model):
+        # d = 16, k = 2, m = 3: 59 against 76 us predicted per call
+        # (BENCH_29_pathfit.json's held-out (7, 16) row)
+        h, kp = path_model.instance(7, 12, 5, 0, 0.5)
+        s = build_support_sets(h, kp.ansatz)
+        assert (s.d, s.span_pairs, len(s.span_basis)) == (16, 2, 5)
+        assert cost_mod._path(s) is cost_mod._evaluate_algebra
+        assert built_tables(s) == set()
+
+    def test_path_model_measures_the_rule(self, path_model):
+        # the tool reads its work terms, its matrix engine and its rule from
+        # cost, on an instance whose maps outweigh its product tables
+        h, kp = path_model.full_span_instance(3, 42, 40)
+        point = path_model.measure(h, kp, repeat=1)
+        s = build_support_sets(h, kp.ansatz)
+        assert point["rule"] == cost_mod._path(s).__name__ == "_evaluate_dense"
+        assert point["engine"] == "_evaluate_dense"
+        assert (point["block_work"], point["hadamard_work"], point["table_work"]) == cost_mod._work(s)
+        assert point["matrix_us"] > 0 and point["table_us"] > 0
 
     def test_gd_on_the_algebra_path_builds_no_table(self):
         h, kp = workload_instance("udu14_gd")

@@ -72,6 +72,18 @@ class TestSchedules:
         with pytest.raises(ValueError):
             OptConfig(max_iters=10, stop_tol=math.nan)
 
+    @pytest.mark.parametrize("field", ["max_iters", "block_size"])
+    @pytest.mark.parametrize("bad", [2.5, math.nan, 3.0, True, "3"])
+    def test_opt_config_counts_must_be_integers(self, field, bad):
+        # 2.5 and NaN passed the sign checks and the run died with TypeError
+        # in range or rng.choice; True ran as 1
+        with pytest.raises(ValueError, match=rf"{field} must be an integer"):
+            OptConfig(**{"max_iters": 10, field: bad})
+
+    def test_opt_config_takes_numpy_integers(self):
+        cfg = OptConfig(max_iters=np.int64(3), block_size=np.int32(2))
+        assert (cfg.max_iters, cfg.block_size) == (3, 2)
+
 
 class TestAlpha:
     def test_kl_reference_point(self):
@@ -97,6 +109,12 @@ class TestAlpha:
         assert med[2] == 3.0
         assert med[3] == 4.0
         assert math.isnan(rolling_median([math.nan], window=3)[0])
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_rolling_median_needs_a_positive_window(self, window):
+        # a window below 1 gave all-NaN without complaint
+        with pytest.raises(ValueError, match="window"):
+            rolling_median([1.0, 2.0], window=window)
 
 
 class TestRunGD:

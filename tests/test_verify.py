@@ -292,6 +292,15 @@ class TestDiagReport:
             with pytest.raises(ValueError, match=rf"\b{field}\b.*finite"):
                 frob_error(h, kp)
 
+    @pytest.mark.parametrize("given, missing", [("f_value", "penalty"), ("penalty", "f_value")])
+    def test_cost_value_alone_is_rejected(self, given, missing):
+        # one of the pair alone was discarded and both recomputed:
+        # f_value=123.0 was reported as 2.47e-31
+        h = PauliSum.from_words({"ZX": 1.0, "XI": 0.5})
+        kp = KParams((parse("II"), parse("XY")), np.array([0.6, 0.8]), np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match=rf"{given} given without {missing}"):
+            diag_report(h, kp, **{given: 123.0})
+
     def test_dense_limit_checked_before_support_tables(self, monkeypatch):
         def build_support_sets(h, ansatz):
             raise AssertionError("support tables built for an infeasible report")

@@ -3,35 +3,34 @@
     python3 tools/path_model.py [--out FILE]
 
 The rule (cost._matrix_path_applies) takes a matrix engine only where
-m = k + l is at most cost._ALGEBRA_MAX_M and two predictions hold: its
-first evaluation, the maps' build included, is no slower than the table
-path's first evaluation, the product-table build included, and its steady
-per-call evaluation is no slower than the table path's. The engine is the
-dense one where the span is the whole group (k = n), the algebra one
-elsewhere (cost._path). The four models are linear in microseconds:
+m = k + l is at most cost._ALGEBRA_MAX_M and its evaluation per call is
+predicted no slower than the table path's. The engine is the dense one
+where the span is the whole group (k = n), the algebra one elsewhere
+(cost._matrix_engine). The two models are linear in microseconds:
 
-    matrix first or steady evaluation  ~ a + b * C 2^l 8^k + c * C 2^k 4^m
-    table first or steady evaluation   ~ a' + b' * d (min(|H| d, C 2^(2k+l)) + d)
+    matrix evaluation  ~ a + b * C 2^l 8^k + c * C 2^k 4^m
+    table evaluation   ~ a' + b' * d (min(|H| d, C 2^(2k+l)) + d)
 
 k, l and C are the pairs, central elements and H cosets of the ansatz's
-span (operators._span_tables). The matrix side's two terms are the block
-products (2^l blocks of 2^k x 2^k per coset) and the Hadamard matmuls on
-the (2^m, C 2^k) grids. Each fit point is a random_udu instance with its
-known diagonalizer's strings as ansatz (a subgroup), or a random subset of
-them, or an instance with large l (LARGE_L), at one BLAS thread. The
-held-out points (FULL_SPAN) are random strings spanning the whole group
-with a random H, check 13's kind; they are measured and predicted but not
-fit. A first evaluation is the minimum over fresh SupportSets of the first
-evaluation with the gradient, the span already read; a steady one the
-minimum per call over repeated calls, each on the engine cost._path would
-use on the matrix side. Every fit minimizes the squared relative error.
+span (operators._span_tables), and the work terms are cost._work's. The
+matrix side's two terms are the block products (2^l blocks of 2^k x 2^k
+per coset) and the Hadamard matmuls on the (2^m, C 2^k) grids. Each fit
+point is a random_udu instance with its known diagonalizer's strings as
+ansatz (a subgroup), or a random subset of them, or an instance with large
+l (LARGE_L), at one BLAS thread. The held-out points are measured and
+predicted but not fit: random strings spanning the whole group with a
+random H (FULL_SPAN, check 13's kind), and small random_udu instances near
+the crossover (SMALL). A time is the minimum per call over repeated
+evaluations with the gradient on built tables or maps, each on the engine
+cost._path would use on the matrix side; each side's one-time build is not
+timed. Every fit minimizes the squared relative error.
 
-One line is printed per point with its measured times, then the four fits
+One line is printed per point with its measured times, then the two fits
 with their largest relative error, then one line per point with the
 matrix engine, whether the fitted models predict the matrix side, whether
-the measured times give it (both its measured evaluations no slower), and
-the routine cost._path picks with the committed constants. The output JSON
-holds every point and the fits; cost.py's constants are copied from it.
+the measured times give it, and the routine cost._path picks with the
+committed constants. The output JSON holds every point and the fits;
+cost.py's constants are copied from it.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import itertools
 import json
 import os
 import sys
-import time
 import timeit
 from pathlib import Path
 
@@ -80,8 +78,16 @@ LARGE_L = [
 # held-out ansaetze spanning the whole group (n, d, seed): d random strings
 # (all 4^n where d = 4^n), H of 2n + 1 random non-identity terms
 FULL_SPAN = [
-    (4, 16, 30), (4, 64, 31), (5, 32, 32), (5, 128, 33), (5, 1024, 34), (6, 64, 35),
-    (6, 256, 36), (7, 256, 37), (8, 512, 38),
+    (3, 34, 39), (3, 42, 40), (3, 46, 41), (4, 16, 30), (4, 24, 42), (4, 64, 31),
+    (5, 32, 32), (5, 128, 33), (5, 1024, 34), (6, 64, 35), (6, 256, 36), (7, 256, 37),
+    (8, 512, 38),
+]
+
+# held-out small instances near the crossover, as INSTANCES: d = 16 or 32,
+# k <= 2, m <= 4
+SMALL = [
+    (4, 12, 5, 0, None), (6, 4, 5, 0, None), (7, 12, 5, 0, 0.5), (8, 12, 4, 0, None),
+    (11, 12, 4, 0, None), (12, 8, 5, 1, 0.5),
 ]
 
 
@@ -127,37 +133,25 @@ def instance(n, n_diag, n_rot, seed, share):
 
 def features(s) -> dict:
     k = s.span_pairs
-    l, c, d = len(s.span_basis) - 2 * k, len(s.coset_rep), s.d
-    return {"n": s.n, "d": d, "H": len(s.h_strings), "k": k, "l": l, "C": c,
-            "block_work": c * 2**l * 8**k,
-            "hadamard_work": c * 2**k * 4**(k + l),
-            "table_work": d * (min(len(s.h_strings) * d, c * 2**(2 * k + l)) + d)}
+    return {"n": s.n, "d": s.d, "H": len(s.h_strings), "k": k,
+            "l": len(s.span_basis) - 2 * k, "C": len(s.coset_rep),
+            **dict(zip(("block_work", "hadamard_work", "table_work"), cost._work(s)))}
 
 
-def measure(h, kp, reps=7) -> dict:
+def measure(h, kp, repeat=5) -> dict:
+    """The point's features, its matrix engine, the routine cost._path picks,
+    and each side's minimum time per call over repeat timings."""
     s = build_support_sets(h, kp.ansatz)
-    matrix = cost._evaluate_dense if s.span_pairs == s.n else cost._evaluate_algebra
-
-    def first(fn):
-        times = []
-        for _ in range(reps):
-            s = build_support_sets(h, kp.ansatz)
-            s.span_basis
-            t0 = time.perf_counter()
-            fn(s, kp.r, kp.theta, True)
-            times.append(time.perf_counter() - t0)
-        return min(times)
+    matrix = cost._matrix_engine(s)
 
     def per_call(fn):
         once = min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=1, repeat=3))
         number = max(1, int(0.02 / once))
         return min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=number,
-                                 repeat=5)) / number
+                                 repeat=repeat)) / number
 
     return {**features(s), "engine": matrix.__name__, "rule": cost._path(s).__name__,
-            "matrix_first_us": 1e6 * first(matrix),
             "matrix_us": 1e6 * per_call(matrix),
-            "table_first_us": 1e6 * first(cost._evaluate_sparse),
             "table_us": 1e6 * per_call(cost._evaluate_sparse)}
 
 
@@ -174,12 +168,7 @@ def predict(coef, *xs) -> float:
 
 
 # (time field, feature fields) of each model, in cost.py's order
-MODELS = {
-    "matrix_first_us": ("block_work", "hadamard_work"),
-    "matrix_us": ("block_work", "hadamard_work"),
-    "table_first_us": ("table_work",),
-    "table_us": ("table_work",),
-}
+MODELS = {"matrix_us": ("block_work", "hadamard_work"), "table_us": ("table_work",)}
 
 
 def main(argv=None) -> int:
@@ -189,7 +178,8 @@ def main(argv=None) -> int:
     points, held_out = [], []
     for group, specs in ((points, [instance(*spec) for spec in INSTANCES]
                           + [large_l_instance(*spec) for spec in LARGE_L]),
-                         (held_out, [full_span_instance(*spec) for spec in FULL_SPAN])):
+                         (held_out, [full_span_instance(*spec) for spec in FULL_SPAN]
+                          + [instance(*spec) for spec in SMALL])):
         for h, kp in specs:
             point = measure(h, kp)
             print(json.dumps(point), flush=True)
@@ -202,10 +192,8 @@ def main(argv=None) -> int:
         error = max(abs(p[name.replace("_us", "_predicted_us")] / p[name] - 1) for p in points)
         fits[name] = {"coef": coef, "max_rel_error": error}
     for p in points + held_out:
-        p["matrix_predicted"] = (p["matrix_first_predicted_us"] <= p["table_first_predicted_us"]
-                                 and p["matrix_predicted_us"] <= p["table_predicted_us"])
-        p["matrix_measured"] = (p["matrix_first_us"] <= p["table_first_us"]
-                                and p["matrix_us"] <= p["table_us"])
+        p["matrix_predicted"] = p["matrix_predicted_us"] <= p["table_predicted_us"]
+        p["matrix_measured"] = p["matrix_us"] <= p["table_us"]
     print(json.dumps(fits))
     for p in points + held_out:
         print(json.dumps({key: p[key] for key in ("n", "d", "k", "l", "C", "engine",
