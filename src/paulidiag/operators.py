@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .pauli import (MAX_QUBITS, PHASES, PauliString, multiply, multiply_masks, pack_keys,
-                    parse, string_masks, unpack_keys)
+from .pauli import (MAX_QUBITS, PHASES, PauliString, echelon, echelon_reduce, multiply,
+                    multiply_masks, pack_keys, parse, string_masks, symplectic_masks, unpack_keys)
 
 PRUNE_TOL = 1e-14
 HERMITIAN_TOL = 1e-12
@@ -367,8 +367,8 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
     keys), and the inverse of its one unique is the slot of khk entry
     (a, s) < |hk|."""
     d = len(ansatz)
-    hx, hz = string_masks(h_strings, np.int32)
-    ax, az = string_masks(ansatz, np.int32)
+    hx, hz = (m.astype(np.int32) for m in string_masks(h_strings))
+    ax, az = (m.astype(np.int32) for m in string_masks(ansatz))
     h_keys, a_keys = pack_keys(hx, hz), pack_keys(ax, az)
 
     # H*K support and its build table; entry (i, b) is h_strings[i] * P_b
@@ -424,8 +424,8 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
 #
 # A packed key is a vector of GF(2)^(2n), and a product's key is the XOR of
 # its factors'; two strings anticommute iff their symplectic product
-# omega(u, v) = |u.x & v.z| + |u.z & v.x| is odd. The ansatz keys span a
-# subgroup G, which symplectic Gram-Schmidt splits into k anticommuting
+# (pauli.symplectic_masks) is 1. The ansatz keys span a subgroup G
+# (pauli.echelon), which symplectic Gram-Schmidt splits into k anticommuting
 # pairs (e_i, f_i) and l central elements c_j. Sending e_i to X and f_i to Z
 # on virtual qubit i < k, and c_j to Z on virtual qubit k + j, represents
 # the algebra G spans faithfully on m = k + l virtual qubits, P_g going to
@@ -459,73 +459,51 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
 # sum_i h_i i^-t P_g, and K'HK = sum_c P_c K~_c' A_c K with K~_c = P_c K
 # P_c, which flips the sign of each k_g that anticommutes with P_c. Each
 # representative is chosen to commute with every e_i and f_i, so K~_c only
-# swaps blocks: K~_c[b] = K[b ^ gamma_c], bit j of gamma_c being
-# omega(P_c, c_j).
-
-
-def _omega(u: int, v: int) -> int:
-    """Symplectic product of two packed keys: 1 iff the strings anticommute."""
-    return (((u >> MAX_QUBITS) & v) ^ (u & (v >> MAX_QUBITS))).bit_count() & 1
-
-
-def _anticommute(keys: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """omega of every key with every basis key, as a (len(keys), len(basis))
-    0/1 array."""
-    kx, kz = unpack_keys(keys)
-    bx, bz = unpack_keys(basis)
-    return np.bitwise_count((kx[:, None] & bz) ^ (kz[:, None] & bx)) & 1
-
-
-def _reduce(keys: np.ndarray, echelon) -> np.ndarray:
-    """keys with every leading bit of an echelon basis (leading bits
-    descending) cleared: one canonical member of each key's coset."""
-    for b in echelon:
-        keys = np.where(keys & (1 << (b.bit_length() - 1)), keys ^ b, keys)
-    return keys
+# swaps blocks: K~_c[b] = K[b ^ gamma_c], bit j of gamma_c being the
+# symplectic product of P_c and c_j.
 
 
 def _span_tables(n: int, ansatz, h_strings) -> dict:
     """The four _SPAN fields, from the masks alone: an echelon basis of the
-    ansatz keys' span (one vector op over the keys per basis element); for
-    the whole group (2n basis elements) its natural basis X_0..X_(n-1),
-    Z_0..Z_(n-1) with one coset; elsewhere symplectic Gram-Schmidt on the
-    echelon basis (O(r^2) integer ops, r < 2n), and H's keys reduced modulo
-    the span, each coset's representative then moved within the coset to
-    commute with every pair element."""
-    keys = pack_keys(*string_masks(ansatz))
-    echelon = []
-    keys = keys[keys != 0]
-    while keys.size:
-        top = int(keys.max())
-        echelon.append(top)
-        keys = _reduce(keys, [top])
-        keys = keys[keys != 0]
-    if len(echelon) == 2 * n:
+    ansatz keys' span (pauli.echelon); for the whole group (2n basis
+    elements) its natural basis X_0..X_(n-1), Z_0..Z_(n-1) with one coset;
+    elsewhere symplectic Gram-Schmidt on the echelon basis (one array call
+    per pop, r < 2n pops), and H's keys reduced modulo the span
+    (pauli.echelon_reduce), each coset's representative then moved within
+    the coset to commute with every pair element."""
+    basis = echelon(pack_keys(*string_masks(ansatz)))
+    if len(basis) == 2 * n:
         q = np.arange(n, dtype=np.int64)
         return {"span_basis": 1 << np.concatenate((q + MAX_QUBITS, q)), "span_pairs": n,
                 "coset_rep": np.zeros(1, dtype=np.int64),
                 "h_coset": np.zeros(len(h_strings), dtype=np.intp)}
 
-    pairs, central, rest = [], [], list(echelon)
-    while rest:
-        u = rest.pop()
-        j = next((i for i, v in enumerate(rest) if _omega(u, v)), None)
-        if j is None:
+    # pop the last element u: it pairs with the first element v it
+    # anticommutes with, and the rest are made to commute with both;
+    # without one it is central. Row t of anti holds the symplectic
+    # products of element t with every element but u, u's row last
+    pairs, central, rest = [], [], basis
+    while rest.size:
+        x, z = unpack_keys(rest)
+        anti = symplectic_masks(x[:, None], z[:, None], x[:-1], z[:-1])
+        u, rest = rest[-1], rest[:-1]
+        if not anti[-1].any():
             central.append(u)
             continue
-        v = rest.pop(j)
+        j = anti[-1].argmax()
+        v = rest[j]
         pairs.append((u, v))
-        rest = [w ^ (u if _omega(w, v) else 0) ^ (v if _omega(w, u) else 0) for w in rest]
-    basis = np.array([e for e, _ in pairs] + [f for _, f in pairs] + central, dtype=np.int64)
+        rest = np.delete(rest ^ np.where(anti[j], u, 0) ^ np.where(anti[-1], v, 0), j)
+    span = np.array([e for e, _ in pairs] + [f for _, f in pairs] + central, dtype=np.int64)
 
-    reps, h_coset = np.unique(_reduce(pack_keys(*string_masks(h_strings)), echelon),
+    reps, h_coset = np.unique(echelon_reduce(pack_keys(*string_masks(h_strings)), basis),
                               return_inverse=True)
     # P_c e_i anticommuting is cured by f_i, P_c f_i by e_i
     k = len(pairs)
-    cure = np.concatenate((basis[k:2 * k], basis[:k]))
-    reps ^= np.bitwise_xor.reduce(np.where(_anticommute(reps, basis[:2 * k]) == 1, cure, 0),
-                                  axis=1)
-    return {"span_basis": basis, "span_pairs": k, "coset_rep": reps, "h_coset": h_coset}
+    cure = np.concatenate((span[k:2 * k], span[:k]))
+    anti = symplectic_masks(*unpack_keys(reps[:, None]), *unpack_keys(span[:2 * k]))
+    reps ^= np.bitwise_xor.reduce(np.where(anti, cure, 0), axis=1)
+    return {"span_basis": span, "span_pairs": k, "coset_rep": reps, "h_coset": h_coset}
 
 
 def _block_gathers(k: int, l: int, gamma: np.ndarray):
@@ -591,7 +569,8 @@ def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -
     z = np.arange(dim)
     hadamard = (1.0 - 2.0 * (np.bitwise_count(z[:, None] & z) & 1)).astype(complex)
     to_matrix, to_grid, _, _ = _block_gathers(k, m - k, np.zeros(1, dtype=np.intp))
-    gamma = (_anticommute(coset_rep, basis[2 * k:]) << np.arange(m - k)).sum(axis=1)
+    anti = symplectic_masks(*unpack_keys(coset_rep[:, None]), *unpack_keys(basis[2 * k:]))
+    gamma = (anti << np.arange(m - k)).sum(axis=1)
     to_blocks, to_coef, turn, back = _block_gathers(k, m - k, gamma)
 
     reps = coset_rep[h_coset]

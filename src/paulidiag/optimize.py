@@ -158,8 +158,9 @@ def estimate_alpha(f_total: float, grad_norm: float) -> float:
 
 def rolling_median(values, window: int = 20) -> list[float]:
     """Trailing-window median, NaN-aware; NaN where the window is all-NaN."""
-    if window < 1:
-        raise ValueError(f"window must be positive, got {window}")
+    # bool is an Integral, and True would run as 1
+    if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1:
+        raise ValueError(f"window must be a positive integer, got {window!r}")
     out = []
     vals = list(values)
     for i in range(len(vals)):

@@ -15,6 +15,19 @@ whole arrays of masks at once, for table builds that would otherwise call
 ``pack_keys`` packs masks into int64 keys x << MAX_QUBITS | z, which sort in
 PauliString order for a fixed n; diagonal strings are the keys below
 1 << MAX_QUBITS.
+
+Two GF(2) rules live here once, for the algebra engine's span and cosets
+(operators) and the symmetry sectors and Lie closures of the dense checks
+(verify):
+
+* ``symplectic_masks``: the symplectic product |a.x & b.z| + |a.z & b.x| mod
+  2 of broadcast mask arrays, 1 where a and b anticommute, 0 where they
+  commute;
+* ``echelon`` and ``echelon_reduce``: an echelon basis of the span of int64
+  bit vectors (a packed key, or an x mask, is a vector of GF(2)^bits), its
+  leading bits descending, and the reduction of vectors modulo that span,
+  which clears every leading bit and leaves one canonical member of each
+  coset.
 """
 
 from __future__ import annotations
@@ -167,10 +180,40 @@ def multiply_masks(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k & 3, cx, cz
 
 
-def string_masks(strings, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
-    """The x and z masks of a sequence of strings, as two arrays."""
-    x = np.array([p.x_mask for p in strings], dtype=dtype)
-    z = np.array([p.z_mask for p in strings], dtype=dtype)
+def symplectic_masks(ax, az, bx, bz) -> np.ndarray:
+    """The symplectic product of a and b elementwise: 1 (uint8) where they
+    anticommute, 0 where they commute. The four mask arrays broadcast as in
+    ``multiply_masks``."""
+    return np.bitwise_count((ax & bz) ^ (az & bx)) & 1
+
+
+def echelon_reduce(vectors: np.ndarray, basis) -> np.ndarray:
+    """vectors with every leading bit of an echelon basis (leading bits
+    descending) cleared, in basis order: 0 exactly for the basis's span."""
+    for b in basis:
+        vectors = np.where(vectors & (1 << (int(b).bit_length() - 1)), vectors ^ b, vectors)
+    return vectors
+
+
+def echelon(vectors: np.ndarray) -> np.ndarray:
+    """An echelon basis of the span of the int64 bit vectors, as int64: each
+    element is the largest vector left after reducing the rest by the
+    elements before it, so the leading bits descend and no element has the
+    leading bit of an earlier one."""
+    basis = []
+    vectors = vectors[vectors != 0]
+    while vectors.size:
+        top = vectors.max()
+        basis.append(top)
+        vectors = echelon_reduce(vectors, [top])
+        vectors = vectors[vectors != 0]
+    return np.array(basis, dtype=np.int64)
+
+
+def string_masks(strings) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z masks of a sequence of strings, as two int64 arrays."""
+    x = np.array([p.x_mask for p in strings], dtype=np.int64)
+    z = np.array([p.z_mask for p in strings], dtype=np.int64)
     return x, z
 
 

@@ -15,6 +15,7 @@ span is the one-block case, which to_dense and kparams_to_dense return.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from .cost import UNIT_NORM_TOL, KParams, eval_F
 from .operators import HERMITIAN_TOL, PauliSum, build_support_sets
-from .pauli import PHASES, PauliString, pack_keys, string_masks, unpack_keys
+from .pauli import (PHASES, PauliString, echelon, echelon_reduce, pack_keys, string_masks,
+                    symplectic_masks, unpack_keys)
 
 DENSE_MAX_QUBITS = 12
 
@@ -81,24 +83,21 @@ class _Sectors(NamedTuple):
 
 
 def _sectors(n: int, xmasks: np.ndarray) -> _Sectors:
-    """Sectors of the span of the dense-index x masks xmasks."""
+    """Sectors of the span of the dense-index x masks xmasks: pauli.echelon's
+    basis, back-substituted with pauli.echelon_reduce to the reduced echelon
+    form, which is unique to the span."""
     _check_dense_n(n)
-    rest = np.asarray(xmasks, dtype=np.int64)
-    basis: dict[int, int] = {}  # pivot bit -> basis vector
-    for bit in range(n - 1, -1, -1):
-        has = (rest >> bit & 1).astype(bool)
-        if not has.any():
-            continue
-        v = int(rest[has][0])
-        rest = np.where(has, rest ^ v, rest)
-        basis = {p: b ^ v if b >> bit & 1 else b for p, b in basis.items()}
-        basis[bit] = v
-    pivots = sorted(basis)
+    basis = echelon(np.asarray(xmasks, dtype=np.int64))
+    # no element has an earlier one's leading bit; clear each element's
+    # leading bit from the elements before it
+    for t in range(1, len(basis)):
+        basis[:t] = echelon_reduce(basis[:t], basis[t:t + 1])
+    pivots = [int(b).bit_length() - 1 for b in basis[::-1]]
     comb = reps = np.zeros(1, dtype=np.int64)
-    for p in pivots:
-        comb = np.concatenate((comb, comb ^ basis[p]))
+    for b in basis[::-1]:
+        comb = np.concatenate((comb, comb ^ b))
     for bit in range(n):
-        if bit not in basis:
+        if bit not in pivots:
             reps = np.concatenate((reps, reps | 1 << bit))
     return _Sectors(reps[:, None] ^ comb, np.array(pivots, dtype=np.int64))
 
@@ -484,15 +483,16 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
     keys: each level pairs the strings the previous level found with every
     known string, each pair once. A block of new rows meets the strings known
     before the level, the new strings after the block, and its own rows
-    above the diagonal. a and b anticommute iff
-    popcount((a.x & b.z) ^ (a.z & b.x)) is odd, and their commutator is then
-    the string a.x ^ b.x, a.z ^ b.z. The search stops after the level that
-    reaches cap strings.
+    above the diagonal. a and b anticommute where their symplectic product
+    (pauli.symplectic_masks) is 1, and their commutator is then the string
+    a.x ^ b.x, a.z ^ b.z. The search stops after the level that reaches cap
+    strings; cap must be a positive integer.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    # bool is an Integral; a float or NaN cap would end the search early
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
     n = generators[0].n
     for g in generators:
         if g.n != n:
@@ -522,7 +522,7 @@ def lie_closure_dim(generators: Sequence[PauliString], cap: int) -> LieClosure:
 def _commutators(ax, az, bx, bz) -> np.ndarray:
     """Keys of the commutators of the anticommuting pairs among broadcast
     mask arrays (a, b)."""
-    anti = (np.bitwise_count((ax & bz) ^ (az & bx)) & 1).astype(bool)
+    anti = symplectic_masks(ax, az, bx, bz).astype(bool)
     return pack_keys(ax ^ bx, az ^ bz)[anti]
 
 

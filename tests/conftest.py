@@ -118,6 +118,15 @@ def workload_instance(name, seed=1):
     return h, cli._perturbed(kp, cfg["init"]["perturb"], cfg["init"]["seed"])
 
 
+def gf2_span(vectors) -> set[int]:
+    """Every XOR of a subset of the int vectors, by closing {0} under XOR:
+    the brute-force span the GF(2) routines are checked against."""
+    span = {0}
+    for v in vectors:
+        span |= {w ^ v for w in span}
+    return span
+
+
 def key_strings(n, keys):
     """The PauliStrings of a support table's packed keys, in table order."""
     from paulidiag.pauli import PauliString, unpack_keys

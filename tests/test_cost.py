@@ -19,8 +19,8 @@ from paulidiag.operators import (_ALGEBRA, _SPAN, _TABLES, PauliSum, build_suppo
 from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
 from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, parse, string_masks, unpack_keys
 
-from conftest import (dense_terms, fd_gradient, k_as_sum, key_strings, random_instance,
-                      string_to_dense, workload_instance)
+from conftest import (dense_terms, fd_gradient, gf2_span, k_as_sum, key_strings,
+                      random_instance, string_to_dense, workload_instance)
 
 
 def dense(a):
@@ -341,14 +341,6 @@ class TestDensePath:
 # --- the algebra path ---------------------------------------------------------
 
 
-def span_keys(gens):
-    """Every XOR combination of the generator keys, each once."""
-    keys = {0}
-    for g in gens:
-        keys |= {key ^ g for key in keys}
-    return sorted(keys)
-
-
 def key_string(n, key):
     return PauliString(n, key >> MAX_QUBITS, key & ((1 << MAX_QUBITS) - 1))
 
@@ -363,7 +355,7 @@ def span_instances(draw, subgroup):
     key = st.tuples(st.integers(0, full), st.integers(0, full)).map(
         lambda xz: (xz[0] << MAX_QUBITS) | xz[1])
     gens = draw(st.lists(key.filter(bool), min_size=2, max_size=10, unique=True))
-    elements = span_keys(gens)
+    elements = sorted(gf2_span(gens))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if subgroup:
         chosen = elements
@@ -396,41 +388,6 @@ def assert_paths_agree(s, kp):
 
 def built_tables(s) -> set[str]:
     return _TABLES & set(vars(s))
-
-
-def check13_instance():
-    """Check 13's instance (tests/test_acceptance.py): n = 6, d = 64 strings
-    spanning all 12 bits."""
-    rng = np.random.default_rng(99)
-    n, d = 6, 64
-    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
-    hw = rng.choice(len(words) - 1, size=13, replace=False) + 1
-    h = PauliSum(n, [(parse(words[i]), c) for i, c in zip(hw, rng.uniform(-1, 1, 13))])
-    aw = rng.choice(len(words), size=d, replace=False)
-    return h, tuple(sorted(parse(words[i]) for i in aw))
-
-
-def large_l_instance(n, l, k, d, n_h, seed):
-    """H and the ansatz of tools/path_model.py's LARGE_L point (n, l, k, d,
-    n_h, seed), built as it builds them: d strings, X and Z on each of the
-    k qubits after the first l (k pairs) and X-type strings on qubits
-    0..l-1, the l single-qubit X among them (l central elements); n_h terms,
-    X-type on the first l qubits times any Pauli on the pair qubits, a
-    share of them times one Z on the first l qubits (other cosets)."""
-    rng = np.random.default_rng(seed)
-    pairs = [(1 << q, 0) for q in range(l, l + k)] + [(0, 1 << q) for q in range(l, l + k)]
-    x_masks = {1 << q for q in range(l)}
-    while len(x_masks) < d - 2 * k:
-        x_masks.add(int(rng.integers(1, 1 << l)))
-    strings = sorted(PauliString(n, x, z) for x, z in pairs + [(x, 0) for x in x_masks])
-    terms = {}
-    while len(terms) < n_h:
-        x = int(rng.integers(0, 1 << l)) | (int(rng.integers(0, 1 << k)) << l)
-        z = int(rng.integers(0, 1 << k)) << l
-        if rng.random() < 0.5:
-            z |= 1 << int(rng.integers(0, l))
-        terms[PauliString(n, x, z)] = rng.uniform(-1, 1)
-    return PauliSum(n, terms.items()), tuple(strings)
 
 
 class TestAlgebraPath:
@@ -575,15 +532,17 @@ class TestPathRule:
         assert cost_mod._path(s) is getattr(cost_mod, path)
         assert built_tables(s) == set()
 
-    def test_full_span_takes_the_table_path(self):
+    def test_full_span_takes_the_table_path(self, path_model):
         # k = n, so the matrix side is the dense engine on 64 x 64 matrices;
-        # the models keep the tables, measured faster here
-        # (BENCH_27_pathfit.json's held-out (6, 64) row)
-        h, ansatz = check13_instance()
-        s = build_support_sets(h, ansatz)
-        assert (s.span_pairs, len(s.span_basis)) == (6, 12)
-        assert cost_mod._path(s) is cost_mod._evaluate_sparse
-        assert built_tables(s) == set()
+        # the models keep the tables, measured faster on the tool's held-out
+        # (6, 64) row (seed 35, BENCH_27_pathfit.json), and check 13's
+        # instance (seed 99, tests/test_acceptance.py) runs on them
+        for seed in (35, 99):
+            h, kp = path_model.full_span_instance(6, 64, seed)
+            s = build_support_sets(h, kp.ansatz)
+            assert (s.span_pairs, len(s.span_basis)) == (6, 12)
+            assert cost_mod._path(s) is cost_mod._evaluate_sparse
+            assert built_tables(s) == set()
 
     def test_large_central_part_takes_the_table_path(self):
         # 32 X-type strings spanning all 16 x bits (k = 0, l = 16) and 200
@@ -600,24 +559,24 @@ class TestPathRule:
         assert cost_mod._path(s) is cost_mod._evaluate_sparse
         assert built_tables(s) == set() and not _ALGEBRA & set(vars(s))
 
-    def test_hadamard_matmuls_count_in_the_rule(self):
+    def test_hadamard_matmuls_count_in_the_rule(self, path_model):
         # k = 0, l = 10, C = 11: the block products are small (C 2^l 8^k =
         # 11264), the Hadamard matmuls are not (C 2^k 4^m = 11.5e6); at this
         # fit point (BENCH_26_pathfit.json) an algebra evaluation took
         # 10.9 ms a call against 1.9 ms for a table evaluation
-        h, ansatz = large_l_instance(14, 10, 0, 48, 200, 22)
-        s = build_support_sets(h, ansatz)
+        h, kp = path_model.large_l_instance(14, 10, 0, 48, 200, 22)
+        s = build_support_sets(h, kp.ansatz)
         assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (0, 10, 11)
         assert cost_mod._path(s) is cost_mod._evaluate_sparse
         assert built_tables(s) == set()
 
-    def test_a_slower_steady_evaluation_keeps_the_table_path(self):
+    def test_a_slower_steady_evaluation_keeps_the_table_path(self, path_model):
         # k = 3, l = 6, C = 7: an algebra evaluation is predicted dearer per
         # call (and at this fit point took 6.4 ms a call against 3.9 ms), so
         # a run stays on the tables, though there the algebra path's first
         # evaluation, build included, took 13.8 ms against 29.5 ms
-        h, ansatz = large_l_instance(16, 6, 3, 64, 160, 26)
-        s = build_support_sets(h, ansatz)
+        h, kp = path_model.large_l_instance(16, 6, 3, 64, 160, 26)
+        s = build_support_sets(h, kp.ansatz)
         assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (3, 12, 7)
         matrix, table = cost_mod._predicted_us(s)
         assert matrix > table

@@ -110,9 +110,10 @@ class TestAlpha:
         assert med[3] == 4.0
         assert math.isnan(rolling_median([math.nan], window=3)[0])
 
-    @pytest.mark.parametrize("window", [0, -1])
+    @pytest.mark.parametrize("window", [0, -1, 2.5, True, 2.0])
     def test_rolling_median_needs_a_positive_window(self, window):
-        # a window below 1 gave all-NaN without complaint
+        # a window below 1 gave all-NaN without complaint, 2.5 a TypeError
+        # from a slice, and True ran as 1
         with pytest.raises(ValueError, match="window"):
             rolling_median([1.0, 2.0], window=window)
 

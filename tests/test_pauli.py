@@ -11,15 +11,18 @@ from paulidiag.pauli import (
     PauliParseError,
     PauliString,
     commutes,
+    echelon,
+    echelon_reduce,
     multiply,
     multiply_masks,
     pack_keys,
     parse,
     string_masks,
+    symplectic_masks,
     unpack_keys,
 )
 
-from conftest import dense_word
+from conftest import dense_word, gf2_span
 
 
 def words(n):
@@ -235,6 +238,25 @@ class TestCommutes:
         pba, _ = multiply(b, a)
         assert pab == (pba if commutes(a, b) else -pba)
 
+    @given(st.lists(pauli_pairs(n_max=MAX_QUBITS), min_size=1, max_size=20))
+    def test_symplectic_masks_is_anticommutation(self, pairs):
+        a, b = (string_masks(side) for side in zip(*pairs))
+        assert symplectic_masks(*a, *b).tolist() == [int(not commutes(p, q)) for p, q in pairs]
+
+
+class TestEchelon:
+    @given(st.lists(st.integers(0, 1023), max_size=14), st.integers(0, 1023),
+           st.integers(0, 38))
+    def test_rank_and_reduction(self, vectors, other, shift):
+        # shifts up to 38 reach bit 47, the top bit of a packed key
+        span = gf2_span(vectors)
+        basis = echelon(np.array(vectors, dtype=np.int64) << shift)
+        assert basis.dtype == np.int64 and 2 ** len(basis) == len(span)
+        lead = [int(b).bit_length() - 1 for b in basis]
+        assert lead == sorted(set(lead), reverse=True)
+        reduced = echelon_reduce(np.array(vectors + [other], dtype=np.int64) << shift, basis)
+        assert not reduced[:-1].any() and (reduced[-1] == 0) == (other in span)
+
 
 class TestStringBasics:
     def test_is_diagonal(self):
@@ -263,7 +285,8 @@ class TestPackedKeys:
         keys = pack_keys(*string_masks(strings))
         assert keys.dtype == np.int64
         # int32 masks and single strings pack to the same keys
-        np.testing.assert_array_equal(pack_keys(*string_masks(strings, np.int32)), keys)
+        int32 = (m.astype(np.int32) for m in string_masks(strings))
+        np.testing.assert_array_equal(pack_keys(*int32), keys)
         assert [pack_keys(p.x_mask, p.z_mask) for p in strings] == keys.tolist()
         x, z = unpack_keys(keys)
         assert [PauliString(MAX_QUBITS, xi, zi)

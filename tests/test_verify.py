@@ -28,7 +28,7 @@ from paulidiag.verify import (
     to_dense,
 )
 
-from conftest import dense_terms, dense_word, random_instance, string_to_dense
+from conftest import dense_terms, dense_word, gf2_span, random_instance, string_to_dense
 
 
 class TestToDense:
@@ -414,11 +414,8 @@ def udu_instance(n, n_rot, seed=2, n_diag=12, noise=1e-2):
 
 
 def span_size(strings):
-    """|span| of the strings' x masks over GF(2), by closing the set under XOR."""
-    span = {0}
-    for p in strings:
-        span |= {v ^ p.x_mask for v in span}
-    return len(span)
+    """|span| of the strings' x masks over GF(2)."""
+    return len(gf2_span(p.x_mask for p in strings))
 
 
 def report_blocks(h, kp):
@@ -678,8 +675,14 @@ class TestLieClosure:
             lie_closure_dim([], cap=4)
         with pytest.raises(ValueError, match="share"):
             lie_closure_dim([parse("X"), parse("XX")], cap=4)
+
+    @pytest.mark.parametrize("cap", [0, 2.5, float("nan"), True, 4.0])
+    def test_cap_must_be_a_positive_integer(self, cap):
+        # cap=2.5 gave LieClosure(dim=2.5, hit_cap=True), and a NaN cap
+        # stopped [X, Z] at dim 2 of 3 without hit_cap
         with pytest.raises(ValueError, match="cap"):
-            lie_closure_dim([parse("X")], cap=0)
+            lie_closure_dim([parse("X"), parse("Z")], cap=cap)
+        assert lie_closure_dim([parse("X"), parse("Z")], cap=np.int64(4)) == LieClosure(3, False)
 
     def test_generating_set_n3(self):
         assert generating_set_check(3)

@@ -22,8 +22,9 @@ predicted but not fit: random strings spanning the whole group with a
 random H (FULL_SPAN, check 13's kind), and small random_udu instances near
 the crossover (SMALL). A time is the minimum per call over repeated
 evaluations with the gradient on built tables or maps, each on the engine
-cost._path would use on the matrix side; each side's one-time build is not
-timed. Every fit minimizes the squared relative error.
+cost._path would use on the matrix side, the two sides timed in turn; each
+side's one-time build is not timed. Every fit minimizes the squared
+relative error.
 
 One line is printed per point with its measured times, then the two fits
 with their largest relative error, then one line per point with the
@@ -140,19 +141,18 @@ def features(s) -> dict:
 
 def measure(h, kp, repeat=5) -> dict:
     """The point's features, its matrix engine, the routine cost._path picks,
-    and each side's minimum time per call over repeat timings."""
+    and each side's minimum time per call over repeat timings of about
+    20 ms each. The two sides take turns, repeat by repeat, so load from
+    other processes during a run reaches both alike."""
     s = build_support_sets(h, kp.ansatz)
     matrix = cost._matrix_engine(s)
-
-    def per_call(fn):
-        once = min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=1, repeat=3))
-        number = max(1, int(0.02 / once))
-        return min(timeit.repeat(lambda: fn(s, kp.r, kp.theta, True), number=number,
-                                 repeat=repeat)) / number
-
+    timers = [timeit.Timer(lambda fn=fn: fn(s, kp.r, kp.theta, True))
+              for fn in (matrix, cost._evaluate_sparse)]
+    numbers = [max(1, int(0.02 / min(t.repeat(number=1, repeat=3)))) for t in timers]
+    times = np.min([[t.timeit(k) / k for t, k in zip(timers, numbers)] for _ in range(repeat)],
+                   axis=0)
     return {**features(s), "engine": matrix.__name__, "rule": cost._path(s).__name__,
-            "matrix_us": 1e6 * per_call(matrix),
-            "table_us": 1e6 * per_call(cost._evaluate_sparse)}
+            "matrix_us": 1e6 * float(times[0]), "table_us": 1e6 * float(times[1])}
 
 
 def fit(t, *xs) -> list[float]:
