@@ -48,41 +48,57 @@ phases): the forward map _blocks (K's coefficients to K's blocks, one
 Hadamard matmul and one gather) and its adjoint _partials (a matrix
 gradient to the d partials, one gather and one Hadamard matmul).
 
-The span picks the engine. Where the ansatz spans the whole group (k = n),
-the dense path (_evaluate_dense) does direct 2^n x 2^n matrix algebra:
-G's one block is the 2^n x 2^n matrix, and besides the maps, K'HK, K'K and
-the matrix gradient take three matmuls, so no step touches a d x 2^n
-table.
+Both engines compute one formulation, on the algebra the span G of the
+ansatz strings spans: 2^l blocks of 2^k x 2^k (m = k + l). H = sum_c P_c
+A_c over the C cosets of G that H's terms lie in, so
 
-The algebra path (_evaluate_algebra) works on the algebra that the span G
-of the ansatz strings spans: 2^l blocks of 2^k x 2^k, with the maps held
-by SupportSets. H = sum_c P_c A_c over the C cosets of G that H's terms
-lie in, so
-
-    K'HK = sum_c P_c K~_c' A_c K,    K~_c = P_c K P_c,
+    K'HK = sum_c P_c B_c,    B_c = K~_c' A_c K,    K~_c = P_c K P_c,
 
 and each representative P_c commutes with G's pairs, so K~_c is K with
-its blocks permuted. K'HK's coefficients on coset c are those of
-B_c = K~_c' A_c K, read back through the adjoint map; P_c P_g is
-off-diagonal iff x(P_c) ^ x(g) != 0, so f = 4^n sum |m_cg|^2 over those
-slots, and the penalty is the traceless part of K'K, formed on the blocks
-as on the dense path. The C coset operators sit side by side, so each
-product is one matmul per block. The gradient is the adjoint: with Y_c
-the off-diagonal part of B_c,
+its blocks swapped by gamma_c. With W = [A_1 K | ... | A_C K | K] side by
+side, each A_c K's blocks swapped by gamma_c, one product K'W gives every
+B_c and K'K, and a gather stacks them as b, B_c[b] in coset c's rows of
+block b. K'HK is Hermitian, so B_c[b] = B_c'[b ^ gamma_c], the block that
+W's coset c column multiplies. Then f = 4^n / 2^m ||Y||^2, Y the
+off-diagonal part of the B_c (below), and the penalty is ||T||^2 / 2^m,
+T the traceless part of K'K, formed entrywise so the near-identity case
+does not cancel catastrophically. The gradient is the adjoint sweep, with
+dF = 2 Re tr(dK' G):
 
-    G = 2^(2n+1-m) sum_c A_c' K~_c Y_c + (2 / 2^m) K T    (m = k + l)
+    G = 2^(2n+1-m) sum_c P_c A_c K Y_c' P_c + (2 / 2^m) K T,
 
-on the blocks, and tr(P_j G) for every ansatz string is one adjoint map
-of G. One evaluation costs O(C 2^l 8^k) in block products and
-O(C 2^k 4^m) in Hadamard matmuls, whose matrix of 2^m is built whole,
-against the table path's O(d (|hk| + d)); the dense path is its case
-k = n, l = 0, C = 1. _path takes a matrix path where _matrix_path_applies,
-the dense one where k = n and the algebra one elsewhere, else the table
-path. That rule needs m at most _ALGEBRA_MAX_M, and two fitted time
-models: the matrix path's evaluation per call predicted no slower than
-the table path's. Each side's one-time build (the maps or the product
-tables) is left out, so the rule needs no run length, and eval_grad, GD
-and sampled RCD all read the one routine _path returns.
+that is W times b with Y's and T's rows scaled, one matmul; tr(P_j G) for
+every ansatz string is one adjoint map of G. _finish is this tail, shared.
+
+P_c P_g is diagonal iff x(P_c) = x(g). Grid column (c, x) of b holds the
+2^m entries B_c[b][r, r ^ x] (z' = b 2^k + r), in which the string at
+slot (z, x) is +-row z of the Sylvester-Hadamard matrix S of 2^m. The
+diagonal strings of a column fill the slots z_c ^ U, U = {z : x(g_(z, 0))
+= 0} of size 2^z0, so its entries v lose S_U' S_U v / 2^m, S_U the rows
+of S in z_c ^ U. With s the row
+z_c of S, that is v minus s times the mean of s v over each coset of U's
+dual: alg_diag gathers the diagonal columns' entries grouped by those
+cosets, and alg_diag_sign holds s.
+
+At k = n the formulation has C = 1 and l = 0: the one block is the 2^n x
+2^n matrix, the diagonal strings are the diagonal matrices, and b is
+[K'HK; K'K] by a reshape. _evaluate_dense is that case, and stays its
+own routine for speed: on full spans _evaluate_algebra returns the same
+numbers, but its gathers and coset projection took 13-28% longer per call
+at n = 3-5 and 0-7% at n = 6-8 (one BLAS thread; 81 against 63 us on
+xxz4_dense's instance).
+
+One evaluation costs O(C 2^l 8^k) in block products, O(2^k 4^m) in each
+of the two maps' Hadamard matmuls, whose matrix of 2^m is built whole, and
+O(C 2^(z+m)) in the projection, 2^z being a coset's number of diagonal
+strings, against the table path's O(d (|hk| + d)). The span picks the engine: _path takes a matrix path
+where _matrix_path_applies, the dense one where k = n and the algebra one
+elsewhere, else the table path. That rule needs m at most _ALGEBRA_MAX_M,
+and two fitted time models: the matrix path's evaluation per call
+predicted no slower than the table path's. Each side's one-time build
+(the maps or the product tables) is left out, so the rule needs no run
+length, and eval_grad, GD and sampled RCD all read the one routine _path
+returns.
 """
 
 from __future__ import annotations
@@ -211,27 +227,33 @@ def _evaluate_dense(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad:
     e = np.exp(1j * theta)
     k = _blocks(s, r * e)[0]
     w = np.concatenate((s.alg_h[0] @ k, k), axis=1)  # [HK | K]
-    # [K'HK; K'K] stacked, then offdiag(K'HK) on top and the traceless part
-    # of K'K below, formed entrywise so the near-identity case does not
-    # cancel catastrophically
+    # [K'HK; K'K] stacked; the diagonal strings are the diagonal matrices
     b = (k.conj().T @ w).reshape(dim, 2, dim).transpose(1, 0, 2).reshape(2 * dim, dim)
-    m_off, t_less = b[:dim], b[dim:]
     diag = b.reshape(2, -1)[:, ::dim + 1]  # the diagonals of both
     diag[0] = 0.0
-    diag[1] -= diag[1].sum() / dim
-    f = float(dim * np.vdot(m_off, m_off).real)
-    penalty = float(np.vdot(t_less, t_less).real / dim)
+    return _finish(s, r, e, w, b, b[:dim], b[dim:], diag[1], want_grad)
+
+
+def _finish(s: SupportSets, r, e, w, b, y, t, t_diag, want_grad: bool):
+    """Both matrix engines' tail: f, the penalty and, with the gradient,
+    the partials. w is [HK | K] on the blocks and b the stack of K'HK's
+    parts and K'K, with three views into b: y, the K'HK part with its
+    diagonal strings removed, t, the K'K part, and t_diag, t's diagonal.
+    t's traceless part is formed entrywise, so the near-identity case does
+    not cancel catastrophically. f = 4^n / 2^m ||y||^2, the penalty is
+    ||t||^2 / 2^m, and once y is scaled by 2^(2n+1-m) and t by 2 / 2^m, w b
+    is the matrix gradient G, dF = 2 Re tr(dK' G)."""
+    dim = len(s.alg_hadamard)
+    t_diag -= t_diag.sum() / dim
+    f = float(4.0**s.n / dim * np.vdot(y, y).real)
+    penalty = float(np.vdot(t, t).real / dim)
     if not want_grad:
         return f, penalty, None, None
 
-    # dF = 2 Re tr(dK' G) with G = 2^{n+1} HK offdiag(K'HK) + (2/2^n) K T,
-    # that is [HK | K] times the row-scaled stack
-    m_off *= 2.0 * dim
-    t_less *= 2.0 / dim
+    y *= 2.0**(2 * s.n + 1) / dim
+    t *= 2.0 / dim
     gvec = _partials(s, w @ b) * e.conj()
-    grad_r = 2.0 * gvec.real
-    grad_theta = 2.0 * r * gvec.imag
-    return f, penalty, grad_r, grad_theta
+    return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
 
 
 def _table_values(s: SupportSets, r: np.ndarray, theta: np.ndarray):
@@ -283,40 +305,33 @@ def _partial_rows(s: SupportSets, theta, w, u, J):
 
 
 def _evaluate_algebra(s: SupportSets, r: np.ndarray, theta: np.ndarray, want_grad: bool):
-    hadamard = s.alg_hadamard
-    nb, w, _ = s.alg_to_matrix.shape
-    dim = nb * w
     e = np.exp(1j * theta)
     k = _blocks(s, r * e)
-    kh = k.conj().swapaxes(-1, -2)
-    # the blocks of K~_c' A_c K side by side, then their coefficients
-    b = kh @ (s.alg_h @ k).take(s.alg_turn)
-    y = (hadamard @ b.take(s.alg_to_coef)) * s.alg_offdiag
-    f = float(4.0**s.n / dim**2 * np.vdot(y, y).real)
-    # K'K and its traceless part, formed entrywise as on the dense path
-    t = kh @ k
-    diag = t.reshape(nb, -1)[:, ::w + 1]
-    diag -= diag.sum() / dim
-    penalty = float(np.vdot(t, t).real / dim)
-    if not want_grad:
-        return f, penalty, None, None
-
-    # G = 2^(2n+1-m) sum_c A_c' K~_c Y_c + (2/2^m) K T on the blocks, Y_c the
-    # off-diagonal part of K~_c' A_c K; the partials are the adjoint of G
-    y *= 2.0**(2 * s.n + 1) / dim**2
-    z = (k @ (hadamard @ y).take(s.alg_to_blocks)).take(s.alg_back)
-    g = s.alg_h.conj().swapaxes(-1, -2) @ z
-    g += (2.0 / dim) * (k @ t)
-    gvec = _partials(s, g) * e.conj()
-    return f, penalty, 2.0 * gvec.real, 2.0 * r * gvec.imag
+    # [A_c K | K] side by side, A_c K's blocks swapped by gamma_c, then the
+    # stack of the B_c = K~_c' A_c K and K'K
+    w = np.concatenate((s.alg_h @ k, k), axis=1).take(s.alg_turn)
+    b = (k.conj().swapaxes(-1, -2) @ w).take(s.alg_back)
+    # each diagonal column loses its diagonal strings' part: the mean over
+    # each coset of U's dual, under the column's signs
+    v = b.take(s.alg_diag) * s.alg_diag_sign
+    v -= v.mean(axis=-1, keepdims=True)
+    b.put(s.alg_diag, v * s.alg_diag_sign)
+    nb, rows, wd = b.shape
+    split = rows - wd
+    return _finish(s, r, e, w, b, b[:, :split], b[:, split:],
+                   b.reshape(nb, -1)[:, split * wd::wd + 1], want_grad)
 
 
 # The path rule: two time models in microseconds of one evaluation with the
 # gradient, per call once the side's tables or maps are built, fitted by
 # tools/path_model.py (BENCH_26_pathfit.json; one BLAS thread). The matrix
-# side has two terms, the block products and the Hadamard matmuls on the
-# (2^m, C 2^k) grids; its fit points all have k < n, and it predicts the
-# dense path as the case k = n (BENCH_27_pathfit.json's held-out rows).
+# side has two terms, the block products and the Hadamard matmuls; its fit
+# points all have k < n, and it predicts the dense path as the case k = n
+# (BENCH_27_pathfit.json's held-out rows). The Hadamard term was fitted to
+# the matmuls on the (2^m, C 2^k) grids of a coefficient transform the
+# algebra engine no longer runs; only _blocks and _partials remain, at
+# 2^k 4^m each. The constants stand until a refit, so that no instance
+# changes path with the engine.
 _ALGEBRA_US = (54.0, 0.0019, 0.00058)  # a + b C 2^l 8^k + c C 2^k 4^m
 _TABLE_US = (34.0, 0.0066)  # a + b d (min(|H| d, C 2^(2k+l)) + d)
 # the Hadamard matrix of 2^m is built whole: m <= 10 keeps it at 16 MB, and
@@ -328,7 +343,10 @@ def _work(s: SupportSets) -> tuple[int, int, int]:
     """The models' work terms, (C 2^l 8^k, C 2^k 4^m, d (min(|H| d,
     C 2^(2k+l)) + d)), from k, l and C of s's span (from the masks alone), d
     and |H|; C 2^(2k+l) bounds |hk|, since H's terms times the ansatz lie in
-    the C cosets."""
+    the C cosets. The second term is the Hadamard work of a coefficient
+    transform the algebra engine no longer runs; the engines' own Hadamard
+    matmuls, in _blocks and _partials, are 2^k 4^m each, without the factor
+    C."""
     k = s.span_pairs
     m = len(s.span_basis) - k
     l, c = m - k, len(s.coset_rep)

@@ -277,18 +277,22 @@ class SupportSets:
     coset_rep: np.ndarray = field(init=False, repr=False)
     h_coset: np.ndarray = field(init=False, repr=False)
 
-    # the algebra path's maps, blocks and weights (_ALGEBRA; see _algebra_tables)
+    # both matrix engines' maps and blocks (_ALGEBRA; see _algebra_tables):
+    # the Hadamard matrix of 2^m, K's forward and adjoint gathers, H's
+    # blocks A_c, the ansatz's slots and phases
     alg_hadamard: np.ndarray = field(init=False, repr=False)
     alg_to_matrix: np.ndarray = field(init=False, repr=False)
     alg_to_grid: np.ndarray = field(init=False, repr=False)
     alg_h: np.ndarray = field(init=False, repr=False)
     alg_k_slot: np.ndarray = field(init=False, repr=False)
     alg_k_phase: np.ndarray = field(init=False, repr=False)
-    alg_offdiag: np.ndarray = field(init=False, repr=False)
-    alg_to_blocks: np.ndarray = field(init=False, repr=False)
-    alg_to_coef: np.ndarray = field(init=False, repr=False)
+    # the algebra engine's: [A_c K | K] from stacked to side by side, K'[A_c
+    # K | K] back to stacked, and the diagonal columns' entries of that
+    # stack with their signs
     alg_turn: np.ndarray = field(init=False, repr=False)
     alg_back: np.ndarray = field(init=False, repr=False)
+    alg_diag: np.ndarray = field(init=False, repr=False)
+    alg_diag_sign: np.ndarray = field(init=False, repr=False)
 
     def __getattr__(self, name: str):
         # reached only when normal lookup fails, that is for a derived field
@@ -460,7 +464,19 @@ def _product_tables(n: int, ansatz, h_strings) -> dict:
 # P_c, which flips the sign of each k_g that anticommutes with P_c. Each
 # representative is chosen to commute with every e_i and f_i, so K~_c only
 # swaps blocks: K~_c[b] = K[b ^ gamma_c], bit j of gamma_c being the
-# symplectic product of P_c and c_j.
+# symplectic product of P_c and c_j. K'K joins the C coset operators as one
+# more, whose blocks do not swap (gamma 0).
+#
+# P_c P_g is diagonal iff x(g) = x(P_c). The slots z of grid column 0
+# whose strings have x(g) = 0 form a subspace U (2^z0 slots), so in a
+# column x that holds any of coset c's diagonal strings they fill z_c ^ U,
+# z_c the first. Read through the adjoint's E, that column's 2^m block
+# entries are B_c[b][r, r ^ x] at z' = b 2^k + r, where slot z's string
+# is +-(-1)^|z & z'|, so the diagonal part of those entries v is s times
+# the mean of s v over each coset of U's dual {z' : |u & z'| even for all
+# u in U}, s[z'] = (-1)^|z_c & z'|. alg_diag lists each such column's
+# entries in the stack of the B_c and K'K, one row per coset of U's dual,
+# and alg_diag_sign holds s.
 
 
 def _span_tables(n: int, ansatz, h_strings) -> dict:
@@ -544,12 +560,12 @@ def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -
     """The _ALGEBRA fields for the group G with symplectic basis basis (as
     packed keys, e_1..e_k, f_1..f_k, then the central elements), H's cosets
     of G (coset_rep) and each term's coset (h_coset): the Hadamard matrix
-    of 2^m, the block gathers of K (alone) and of the C coset operators
-    (side by side), H's block operators A_c (stacked), the ansatz's grid
-    slots and phases, and the weights alg_offdiag of the coset coefficients
-    (side by side): (-1)^mu where P_c P_g is off-diagonal, x(P_c) ^ x(g) !=
-    0, and 0 elsewhere. SupportSets passes its span, the whole Pauli group
-    in its natural basis for the dense path."""
+    of 2^m, the block gathers of K, H's block operators A_c (stacked), the
+    ansatz's grid slots and phases, the gathers of the C coset operators and
+    K (side by side and stacked), and the diagonal columns' entries of that
+    stack with their signs (see the notes on the algebra). SupportSets
+    passes its span, the whole Pauli group in its natural basis for the
+    dense path."""
     m = len(basis) - k
     w, dim, nc = 1 << k, 1 << m, len(coset_rep)
 
@@ -571,7 +587,7 @@ def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -
     to_matrix, to_grid, _, _ = _block_gathers(k, m - k, np.zeros(1, dtype=np.intp))
     anti = symplectic_masks(*unpack_keys(coset_rep[:, None]), *unpack_keys(basis[2 * k:]))
     gamma = (anti << np.arange(m - k)).sum(axis=1)
-    to_blocks, to_coef, turn, back = _block_gathers(k, m - k, gamma)
+    _, _, turn, back = _block_gathers(k, m - k, np.append(gamma, 0))
 
     reps = coset_rep[h_coset]
     g = pack_keys(*string_masks(h_strings)) ^ reps
@@ -580,11 +596,19 @@ def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -
     grid = np.zeros((nc, dim * w), dtype=complex)
     grid[h_coset, g_slot] = h_coeffs * PHASES[-t.astype(np.intp) & 3] * phase[g_slot]
     a = (hadamard @ grid.reshape(nc, dim, w)).reshape(nc, -1).take(to_matrix, axis=-1)
-
     a_slot = slots(pack_keys(*string_masks(ansatz)))
+
+    # the diagonal columns (c, x), the first diagonal slot zc of each, and
+    # their entries z' = b 2^k + row grouped by coset of U's dual
     gx, _ = unpack_keys(g_keys)
     rx, _ = unpack_keys(coset_rep)
-    offdiag = np.where(rx[:, None] != gx, 1.0 - 2.0 * (mu & 1), 0.0)
+    u = np.flatnonzero(gx[::w] == 0)
+    c, x, zc = (v[::len(u)] for v in np.nonzero(
+        (rx[:, None] == gx).reshape(nc, dim, w).transpose(0, 2, 1)))
+    ub = echelon(u)
+    dual = (np.bitwise_count(ub[:, None] & z) & 1) << np.arange(len(ub))[:, None]
+    zp = np.argsort(dual.sum(axis=0), kind="stable").reshape(len(u), -1)
+    row = zp & (w - 1)
     return {
         "alg_hadamard": hadamard,
         "alg_to_matrix": to_matrix,
@@ -592,10 +616,9 @@ def _algebra_tables(ansatz, h_strings, h_coeffs, basis, k, coset_rep, h_coset) -
         "alg_h": a.transpose(1, 0, 2, 3).reshape(-1, nc * w, w),
         "alg_k_slot": a_slot,
         "alg_k_phase": phase[a_slot],
-        "alg_offdiag": offdiag.reshape(nc, dim, w).transpose(1, 0, 2).reshape(dim, nc * w),
-        "alg_to_blocks": to_blocks,
-        "alg_to_coef": to_coef,
         "alg_turn": turn,
         "alg_back": back,
+        "alg_diag": (((zp >> k) * (nc + 1) + c[:, None, None]) * w + row) * w
+                    + (row ^ x[:, None, None]),
+        "alg_diag_sign": 1.0 - 2.0 * (np.bitwise_count(zc[:, None, None] & zp) & 1),
     }
-

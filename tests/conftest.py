@@ -92,11 +92,13 @@ def random_instance(rng, n, d, m=None):
     return h, kp, build_support_sets(h, ansatz)
 
 
-def workload_instance(name, seed=1):
+def workload_instance(name, seed=1, exact=False):
     """(h, kp) of a benchmark workload's start at a workload seed, built from
     bench/workloads.py's configs as bench/pipeline.py builds it: the
     config's init perturbation applied to its warm start, or to the
-    workload's saved base point (start_config's perturbed start)."""
+    workload's saved base point (start_config's perturbed start). With
+    exact, a random_udu workload's unperturbed ansatz point instead: its
+    model's known diagonalizer."""
     import sys
     from pathlib import Path
 
@@ -114,6 +116,8 @@ def workload_instance(name, seed=1):
         kp = cli.build_initial_params(cfg, h, u)
     else:
         kp = cli.build_initial_params(base, h, u)
+        if exact:
+            return h, kp
         kp = cli._perturbed(kp, base["init"]["perturb"], base["init"]["seed"])
     return h, cli._perturbed(kp, cfg["init"]["perturb"], cfg["init"]["seed"])
 

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 import paulidiag.cost as cost_mod
 from paulidiag import operators, optimize
-from paulidiag.cost import CostReport, KParams, eval_F, eval_grad
+from paulidiag.cost import KParams, eval_F, eval_grad
 from paulidiag.operators import (_ALGEBRA, _SPAN, _TABLES, PauliSum, build_support_sets,
                                  sum_multiply)
 from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
-from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, parse, string_masks, unpack_keys
+from paulidiag.pauli import (MAX_QUBITS, PHASES, PauliString, parse, string_masks,
+                             symplectic_masks, unpack_keys)
 
 from conftest import (dense_terms, fd_gradient, gf2_span, k_as_sum, key_strings,
                       random_instance, string_to_dense, workload_instance)
@@ -416,10 +417,48 @@ class TestAlgebraPath:
         assert (s.span_pairs, len(s.span_basis), len(s.coset_rep)) == (3, 7, 20)
         assert s.alg_h.shape == (2, 20 * 8, 8)
         # each representative commutes with every pair element
-        pairs = s.span_basis[:6]
-        rx, rz = unpack_keys(s.coset_rep)
-        bx, bz = unpack_keys(pairs)
-        assert not (np.bitwise_count((rx[:, None] & bz) ^ (rz[:, None] & bx)) & 1).any()
+        assert not symplectic_masks(*unpack_keys(s.coset_rep[:, None]),
+                                    *unpack_keys(s.span_basis[:6])).any()
+
+    @pytest.mark.parametrize("n, d, seed, z0, m", [
+        (5, 6, 20240814, 0, 4), (5, 6, 53, 1, 4), (3, 2, 214, 2, 2)])
+    def test_diagonal_columns_of_every_size(self, n, d, seed, z0, m):
+        # each diagonal column holds 2^z0 diagonal strings: one (as on the
+        # udu workloads), some, or all 2^m (the whole column is diagonal);
+        # some coset's blocks swap in each instance
+        h, kp, s = random_instance(np.random.default_rng(seed), n, d)
+        k = s.span_pairs
+        assert len(s.span_basis) - k == m
+        assert s.alg_diag.shape[1:] == (1 << z0, 1 << (m - z0))
+        assert symplectic_masks(*unpack_keys(s.coset_rep[:, None]),
+                                *unpack_keys(s.span_basis[2 * k:])).any()
+        assert_paths_agree(s, kp)
+
+    @pytest.mark.parametrize("name", ["xxz4_dense", None])
+    def test_full_span_is_the_dense_engines_case(self, name):
+        # one formulation: at k = n the algebra engine computes what the
+        # dense engine does, the projection zeroing the matrix diagonal
+        if name is None:
+            h, kp, s = random_instance(np.random.default_rng(1), 3, 64)
+        else:
+            h, kp = workload_instance(name)
+            s = build_support_sets(h, kp.ansatz)
+        assert s.span_pairs == s.n
+        got = cost_mod._evaluate_algebra(s, kp.r, kp.theta, True)
+        want = cost_mod._evaluate_dense(s, kp.r, kp.theta, True)
+        assert got[:2] == pytest.approx(want[:2], rel=1e-14)
+        gscale = max(np.abs(want[2]).max(), np.abs(want[3]).max())
+        for g, w in zip(got[2:], want[2:]):
+            assert np.abs(g - w).max() <= 1e-14 * gscale
+
+    @pytest.mark.parametrize("name", ["udu10_rcd", "udu14_gd"])
+    def test_exact_diagonalizer_stays_at_the_rounding_floor(self, name):
+        # F is 0 at the model's own diagonalizer; the algebra engine reads
+        # rounding alone there (2.4e-25 at n = 10, 1.7e-22 at n = 14)
+        h, kp = workload_instance(name, exact=True)
+        s = build_support_sets(h, kp.ansatz)
+        assert cost_mod._path(s) is cost_mod._evaluate_algebra
+        assert eval_F(h, kp, s).total < 1e-20
 
     @pytest.mark.parametrize("name, path, block", [
         ("udu14_gd", "_evaluate_algebra", None),

@@ -24,8 +24,7 @@ from paulidiag.operators import (
 from paulidiag.optimize import IncrementalState, OptConfig, run_gd, run_rcd
 from paulidiag.pauli import MAX_QUBITS, PHASES, PauliString, multiply, parse
 
-from conftest import (conjugate, dense_terms, dense_word, key_strings, random_instance,
-                      trace_with)
+from conftest import conjugate, dense_terms, key_strings, random_instance, trace_with
 
 
 def dense(a: PauliSum) -> np.ndarray:

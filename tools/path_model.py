@@ -14,10 +14,13 @@ where the span is the whole group (k = n), the algebra one elsewhere
 k, l and C are the pairs, central elements and H cosets of the ansatz's
 span (operators._span_tables), and the work terms are cost._work's. The
 matrix side's two terms are the block products (2^l blocks of 2^k x 2^k
-per coset) and the Hadamard matmuls on the (2^m, C 2^k) grids. Each fit
-point is a random_udu instance with its known diagonalizer's strings as
-ansatz (a subgroup), or a random subset of them, or an instance with large
-l (LARGE_L), at one BLAS thread. The held-out points are measured and
+per coset) and the Hadamard matmuls. That term, C 2^k 4^m, counts the
+matmuls on the (2^m, C 2^k) grids of a coefficient transform the algebra
+engine no longer runs: only _blocks and _partials remain, at 2^k 4^m
+each, so a refit would change the term. Each fit point is a random_udu
+instance with its known diagonalizer's strings as ansatz (a subgroup), or
+a random subset of them, or an instance with large l (LARGE_L), at one
+BLAS thread. The held-out points are measured and
 predicted but not fit: random strings spanning the whole group with a
 random H (FULL_SPAN, check 13's kind), and small random_udu instances near
 the crossover (SMALL). A time is the minimum per call over repeated
